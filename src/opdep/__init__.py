@@ -7,7 +7,7 @@ an independent pair with the same pattern marginals would produce.
 
 Layers:
 
-* :mod:`opdep.patterns` - patterns, their enumeration and indexing, and
+* :mod:`opdep.patterns` - patterns, their enumeration, indexing and codes, and
   distributions over them.
 * :mod:`opdep.estimator` - the plug-in estimator on sliding windows.
 * :mod:`opdep.piecewise` - piecewise-uniform joint densities with exact
@@ -49,9 +49,11 @@ from .patterns import (
     dependence_from_terms,
     enumerate_patterns,
     index_to_pattern,
+    pattern_codes,
     pattern_index,
     pattern_of,
     permute_coordinates,
+    rank_table,
 )
 from .piecewise import (
     Block,

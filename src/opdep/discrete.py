@@ -30,9 +30,12 @@ skipped and logged rather than treated as violations.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -45,12 +48,12 @@ from .errors import (
 )
 from .patterns import (
     PatternDistribution,
-    Pattern,
     cross_match_probability,
     dependence_from_terms,
-    distribution_from_counts,
-    pattern_of,
+    pattern_codes,
 )
+
+log = logging.getLogger(__name__)
 
 Point = tuple[float, ...]
 AtomItems = Iterable[tuple[Sequence[float], float]]
@@ -215,28 +218,35 @@ def conditional_survival(
     return survival(conditional(dist, subset, given), point)
 
 
-def _pattern_pairs(dist: DiscreteJoint) -> list[tuple[Pattern, Pattern, float]]:
+def _atom_pattern_codes(dist: DiscreteJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pattern codes of every atom's X and Y window, and the atom probabilities."""
     d = dist.order
-    out = []
-    for atom, prob in dist.atoms:
-        out.append((pattern_of(atom[:d]), pattern_of(atom[d:]), prob))
-    return out
+    points = np.array([atom for atom, _ in dist.atoms])
+    probs = np.array([prob for _, prob in dist.atoms])
+    return pattern_codes(points[:, :d]), pattern_codes(points[:, d:]), probs
+
+
+def _coincidence(codes_x: np.ndarray, codes_y: np.ndarray, probs: np.ndarray) -> float:
+    return math.fsum(probs[codes_x == codes_y].tolist())
+
+
+def _pattern_law(order: int, codes: np.ndarray, probs: np.ndarray) -> PatternDistribution:
+    weights = np.bincount(codes, weights=probs, minlength=math.factorial(order))
+    total = math.fsum(weights.tolist())
+    return PatternDistribution(order=order, probs=tuple((weights / total).tolist()))
 
 
 def marginal_pattern_distribution_discrete(dist: DiscreteJoint, axis: str) -> PatternDistribution:
     """Exact pattern distribution of the X or Y window of a discrete law."""
     if axis not in ("x", "y"):
         raise ModelStructureError(f"axis must be 'x' or 'y', got {axis!r}")
-    counts: dict[Pattern, float] = {}
-    for pat_x, pat_y, prob in _pattern_pairs(dist):
-        pat = pat_x if axis == "x" else pat_y
-        counts[pat] = counts.get(pat, 0.0) + prob
-    return distribution_from_counts(dist.order, counts)
+    codes_x, codes_y, probs = _atom_pattern_codes(dist)
+    return _pattern_law(dist.order, codes_x if axis == "x" else codes_y, probs)
 
 
 def pattern_coincidence_discrete(dist: DiscreteJoint) -> float:
     """Exact probability that both windows show the same pattern."""
-    return math.fsum(prob for pat_x, pat_y, prob in _pattern_pairs(dist) if pat_x == pat_y)
+    return _coincidence(*_atom_pattern_codes(dist))
 
 
 def exact_opd_discrete(dist: DiscreteJoint, tol: float = 1e-12) -> float:
@@ -246,9 +256,10 @@ def exact_opd_discrete(dist: DiscreteJoint, tol: float = 1e-12) -> float:
         DegenerateDistribution: the independent-copy coincidence is 1, e.g.
             when both windows are almost surely in the same fixed pattern.
     """
-    coincidence = pattern_coincidence_discrete(dist)
-    px = marginal_pattern_distribution_discrete(dist, "x")
-    py = marginal_pattern_distribution_discrete(dist, "y")
+    codes_x, codes_y, probs = _atom_pattern_codes(dist)
+    coincidence = _coincidence(codes_x, codes_y, probs)
+    px = _pattern_law(dist.order, codes_x, probs)
+    py = _pattern_law(dist.order, codes_y, probs)
     return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
 
 
@@ -473,6 +484,12 @@ def _sweep_conditional(
             try:
                 mixed = conditional(inner, subset, value)
             except ZeroMassCondition:
+                log.debug(
+                    "skipped subset %s, outer law %s, value %s: zero mass in the other law",
+                    subset,
+                    outer_name,
+                    value,
+                )
                 skipped.append(
                     ConditionSkip(
                         subset=subset,

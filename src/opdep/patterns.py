@@ -7,19 +7,24 @@ toward the earlier index, which makes the map total and deterministic; a
 constant vector gets the identity pattern ``(1, 2, ..., d)``.
 
 Patterns are represented directly as rank tuples, i.e. permutations of
-``1..d``.  The supported orders are ``2 <= d <= 8``; the pattern count d!
-stays small enough for exact enumeration throughout the package.
+``1..d``, and as integer codes, their lexicographic positions.  The
+supported orders are ``2 <= d <= 8``; the pattern count d! stays small
+enough for exact enumeration throughout the package.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     DegenerateDistribution,
+    DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
     InvalidPermutation,
@@ -71,6 +76,44 @@ def enumerate_patterns(d: int) -> tuple[Pattern, ...]:
     """All d! patterns of order d in lexicographic order of their rank tuples."""
     _check_order(d)
     return tuple(itertools.permutations(range(1, d + 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def rank_table(d: int) -> np.ndarray:
+    """Read-only (d!, d) array whose row k is ``index_to_pattern(k, d)``.
+
+    Built on first use for each order and cached.
+    """
+    _check_order(d)
+    table = np.array(list(itertools.permutations(range(1, d + 1))), dtype=np.int8)
+    table.flags.writeable = False
+    return table
+
+
+def pattern_codes(windows: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray:
+    """Pattern codes of the rows of a 2-D array of windows.
+
+    The code of a row w is its Lehmer index
+    ``sum_i (d-1-i)! * #{j > i : w_j < w_i}`` under the earlier-index tie
+    rule, so it equals ``pattern_index(pattern_of(w))``.
+
+    Raises:
+        DimensionMismatch: the input is not 2-D.
+        OrderTooSmall / OrderTooLarge: row length outside [2, 8].
+        NonFiniteInput: any entry is NaN or infinite.
+    """
+    w = np.asarray(windows, dtype=float)
+    if w.ndim != 2:
+        raise DimensionMismatch(f"windows must be a 2-D array, got {w.ndim} dimensions")
+    d = w.shape[1]
+    _check_order(d)
+    if not np.isfinite(w).all():
+        raise NonFiniteInput("windows contain a non-finite value")
+    codes = np.zeros(w.shape[0], dtype=np.int64)
+    for i in range(d - 1):
+        smaller_after = np.count_nonzero(w[:, i + 1 :] < w[:, i : i + 1], axis=1)
+        codes += smaller_after * math.factorial(d - 1 - i)
+    return codes
 
 
 def _check_permutation(pattern: Sequence[int], d: int | None = None) -> Pattern:
@@ -151,11 +194,11 @@ class PatternDistribution:
             raise ModelStructureError(
                 f"order {self.order} needs {expected} probabilities, got {len(self.probs)}"
             )
-        total = 0.0
         for p in self.probs:
             if not math.isfinite(p) or p < 0.0:
                 raise ModelStructureError(f"invalid probability {p!r}")
-            total += p
+        # A running sum of 8! rounded entries can drift past 1e-12 by itself.
+        total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-12:
             raise ModelStructureError(f"probabilities sum to {total!r}, not 1")
 

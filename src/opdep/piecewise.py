@@ -22,10 +22,13 @@ compares interval interiors.
 Pattern probabilities are exact: within a cell, the relative order of a
 free block's coordinates is uniform over its k! arrangements, a chain
 block's order is deterministic, and blocks with disjoint interval
-interiors are almost surely ordered by position on the line.  Distribution
-functions (cdf and survival, i.e. lower and upper orthant probabilities)
-are exact in closed form for free blocks and chains of size 2; longer
-chains have no closed form here and route to Monte Carlo.
+interiors are almost surely ordered by position on the line.  A cell's
+pattern law on one axis is therefore a masked constant over the rows of
+the order's rank table; the coincidence and both marginals are sums of
+these vectors over cells, and the (d!)^2 joint is built only on request.
+Distribution functions (cdf and survival, i.e. lower and upper orthant
+probabilities) are exact in closed form for free blocks and chains of
+size 2; longer chains have no closed form here and route to Monte Carlo.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .patterns import (
     cross_match_probability,
     dependence_from_terms,
     enumerate_patterns,
+    rank_table,
 )
 from .randomness import make_rng
 
@@ -446,28 +450,67 @@ def _ordered_axis_blocks(cell: Cell, axis: str) -> list[Block]:
     return blocks
 
 
-def _axis_pattern_probability(cell: Cell, axis: str, pattern: Pattern) -> float:
-    """Probability that the cell's ``axis`` window shows ``pattern``.
+def _axis_pattern_law(cell: Cell, axis: str, table: np.ndarray) -> np.ndarray:
+    """Probability of each pattern (row of ``table``) for the cell's ``axis`` window.
 
-    Zero if the pattern contradicts a chain block's order or the
-    almost-sure ordering between blocks on disjoint intervals; otherwise
-    the product over free blocks of 1/k! for the one admissible
-    within-block arrangement.
+    A pattern is admissible when every block takes the ranks just above
+    those of the blocks below it on the line and each chain block's ranks
+    increase in its listed order.  Admissible patterns share one
+    probability, the product over free blocks of 1/k!; the rest have zero.
     """
-    blocks = _ordered_axis_blocks(cell, axis)
-    prev_max = 0
+    lowest = [0] * table.shape[1]
+    highest = [0] * table.shape[1]
+    chain_lower: list[int] = []
+    chain_upper: list[int] = []
     prob = 1.0
-    for block in blocks:
-        ranks = [pattern[p - 1] for p in block.positions]
-        if min(ranks) <= prev_max:
-            return 0.0
-        prev_max = max(ranks)
+    taken = 0
+    for block in _ordered_axis_blocks(cell, axis):
+        columns = [p - 1 for p in block.positions]
+        for c in columns:
+            lowest[c] = taken + 1
+            highest[c] = taken + block.size
+        taken += block.size
         if block.kind == "chain":
-            if any(a >= b for a, b in zip(ranks, ranks[1:])):
-                return 0.0
+            chain_lower += columns[:-1]
+            chain_upper += columns[1:]
         elif block.size >= 2:
             prob /= math.factorial(block.size)
-    return prob
+    admissible = ((table >= lowest) & (table <= highest)).all(axis=1)
+    if chain_lower:
+        admissible &= (table[:, chain_lower] < table[:, chain_upper]).all(axis=1)
+    return admissible * prob
+
+
+def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.ndarray]:
+    """Per axis, the (cells, d!) array of every cell's pattern law.
+
+    Cells are visited in order, each on every axis in turn, so the first
+    ambiguous block order met is the one reported.
+    """
+    table = rank_table(model.order)
+    laws: list[list[np.ndarray]] = [[] for _ in axes]
+    for cell in model.cells:
+        for per_axis, axis in zip(laws, axes):
+            per_axis.append(_axis_pattern_law(cell, axis, table))
+    return [np.array(per_axis) for per_axis in laws]
+
+
+def _marginal_from_laws(model: PiecewiseUniformDensity, laws: np.ndarray) -> PatternDistribution:
+    mass = total_mass(model)
+    masses = np.array([cell_mass(cell) for cell in model.cells])
+    weighted = masses[:, None] * laws
+    probs = [math.fsum(column) / mass for column in weighted.T.tolist()]
+    return PatternDistribution(order=model.order, probs=tuple(probs))
+
+
+def _coincidence_from_laws(
+    model: PiecewiseUniformDensity, laws_x: np.ndarray, laws_y: np.ndarray
+) -> float:
+    mass = total_mass(model)
+    diagonal = np.zeros(laws_x.shape[1])
+    for cell, px, py in zip(model.cells, laws_x, laws_y):
+        diagonal += cell_mass(cell) / mass * px * py
+    return math.fsum(diagonal.tolist())
 
 
 def marginal_pattern_distribution(
@@ -484,16 +527,8 @@ def marginal_pattern_distribution(
     """
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")
-    patterns = enumerate_patterns(model.order)
-    mass = total_mass(model)
-    probs = []
-    for pattern in patterns:
-        acc = [
-            cell_mass(cell) * _axis_pattern_probability(cell, axis, pattern)
-            for cell in model.cells
-        ]
-        probs.append(math.fsum(acc) / mass)
-    return PatternDistribution(order=model.order, probs=tuple(probs))
+    (laws,) = _cell_laws(model, (axis,))
+    return _marginal_from_laws(model, laws)
 
 
 def joint_pattern_distribution(
@@ -503,29 +538,34 @@ def joint_pattern_distribution(
 
     Within a cell the two axes are independent, so each cell contributes a
     product of its per-axis pattern probabilities, weighted by cell mass.
+    The result has up to (d!)^2 entries; :func:`pattern_coincidence` and
+    :func:`exact_opd` never build it.
     """
     patterns = enumerate_patterns(model.order)
+    laws_x, laws_y = _cell_laws(model, AXES)
     mass = total_mass(model)
     joint: dict[tuple[Pattern, Pattern], float] = {}
-    for cell in model.cells:
-        weight = cell_mass(cell) / mass
-        px = [(p, _axis_pattern_probability(cell, "x", p)) for p in patterns]
-        py = [(p, _axis_pattern_probability(cell, "y", p)) for p in patterns]
-        for pat_x, prob_x in px:
-            if prob_x == 0.0:
-                continue
-            for pat_y, prob_y in py:
-                if prob_y == 0.0:
-                    continue
+    for cell, px, py in zip(model.cells, laws_x, laws_y):
+        xs = np.flatnonzero(px)
+        ys = np.flatnonzero(py)
+        terms = ((cell_mass(cell) / mass * px[xs])[:, None] * py[ys]).tolist()
+        y_patterns = [patterns[j] for j in ys.tolist()]
+        for i, row in zip(xs.tolist(), terms):
+            pat_x = patterns[i]
+            for pat_y, term in zip(y_patterns, row):
                 key = (pat_x, pat_y)
-                joint[key] = joint.get(key, 0.0) + weight * prob_x * prob_y
+                joint[key] = joint.get(key, 0.0) + term
     return joint
 
 
 def pattern_coincidence(model: PiecewiseUniformDensity) -> float:
-    """Exact probability that both windows show the same pattern."""
-    joint = joint_pattern_distribution(model)
-    return math.fsum(prob for (a, b), prob in joint.items() if a == b)
+    """Exact probability that both windows show the same pattern.
+
+    Each cell adds its mass-weighted product of the two axis laws pattern
+    by pattern: the diagonal of :func:`joint_pattern_distribution`, summed
+    in the same order, without the off-diagonal entries.
+    """
+    return _coincidence_from_laws(model, *_cell_laws(model, AXES))
 
 
 def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
@@ -535,9 +575,10 @@ def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
         DegenerateDistribution: both pattern marginals are the same point
             mass, so the coefficient is undefined.
     """
-    coincidence = pattern_coincidence(model)
-    px = marginal_pattern_distribution(model, "x")
-    py = marginal_pattern_distribution(model, "y")
+    laws_x, laws_y = _cell_laws(model, AXES)
+    coincidence = _coincidence_from_laws(model, laws_x, laws_y)
+    px = _marginal_from_laws(model, laws_x)
+    py = _marginal_from_laws(model, laws_y)
     cross = cross_match_probability(px, py)
     return dependence_from_terms(coincidence, cross, tol=tol)
 

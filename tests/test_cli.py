@@ -312,3 +312,27 @@ def test_logging_env_writes_to_stderr(tmp_path, coincident_csv):
     )
     assert quiet.returncode == 0
     assert "INFO opdep" not in quiet.stderr
+
+
+def test_logging_env_debug_shows_discrete_skips():
+    script = (
+        "from opdep.cli import _setup_logging\n"
+        "from opdep.discrete import DiscreteJoint, check_theorem_conditions, product_extend\n"
+        "from opdep.scenarios import head_law\n"
+        "_setup_logging()\n"
+        "tail = {(10.0, 10.0): 0.5, (20.0, 20.0): 0.5}\n"
+        "tail_star = {(10.0, 10.0): 0.5, (30.0, 30.0): 0.5}\n"
+        "law = product_extend(head_law(), DiscreteJoint(order=1, atoms=tail))\n"
+        "law_star = product_extend(head_law(), DiscreteJoint(order=1, atoms=tail_star))\n"
+        "check_theorem_conditions(law, law_star, 'A', shared_positions=(2,))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPDEP_LOG="DEBUG"),
+        check=True,
+    )
+    lines = [line for line in result.stderr.splitlines() if line.startswith("DEBUG opdep.discrete:")]
+    assert len(lines) == 2
+    assert all("skipped subset (2,)" in line for line in lines)

@@ -1,5 +1,6 @@
 """Discrete joint laws: orthants, conditioning, mixtures, condition sweeps."""
 
+import logging
 import math
 from collections import defaultdict
 
@@ -340,6 +341,22 @@ def test_skips_are_logged_for_unmatched_tail_support():
     assert report.skipped
     assert all(s.subset == (2,) for s in report.skipped)
     assert {s.conditioning_point for s in report.skipped} == {(20.0, 20.0), (30.0, 30.0)}
+
+
+def test_each_skip_emits_one_debug_record(caplog):
+    head = head_law()
+    law = product_extend(head, DiscreteJoint(order=1, atoms={(10.0, 10.0): 0.5, (20.0, 20.0): 0.5}))
+    law_star = product_extend(head, DiscreteJoint(order=1, atoms={(10.0, 10.0): 0.5, (30.0, 30.0): 0.5}))
+    with caplog.at_level(logging.DEBUG, logger="opdep.discrete"):
+        report = check_theorem_conditions(law, law_star, "A", shared_positions=(2,))
+    records = [r for r in caplog.records if r.name == "opdep.discrete"]
+    assert len(records) == len(report.skipped) == 2
+    for record, skip in zip(records, report.skipped):
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert str(skip.subset) in message
+        assert f"outer law {skip.outer}" in message
+        assert str(skip.conditioning_point) in message
 
 
 def test_tolerance_monotonicity_and_validation():

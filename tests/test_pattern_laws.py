@@ -1,0 +1,320 @@
+"""Vector pattern laws against the scalar per-pattern and per-atom oracles.
+
+The oracles below are the engines' former code paths: the piecewise one
+asks every pattern of every cell whether it is admissible and builds the
+dense (d!)^2 joint; the discrete one computes ``pattern_of`` for every
+atom and tallies dicts.  The vector paths do the same arithmetic in the
+same order, so results must be equal, not merely close.
+"""
+
+import math
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from opdep.discrete import (
+    DiscreteJoint,
+    exact_opd_discrete,
+    marginal_pattern_distribution_discrete,
+    pattern_coincidence_discrete,
+)
+from opdep.errors import AmbiguousBlockOrder, OrderTooSmall
+from opdep.patterns import (
+    PatternDistribution,
+    cross_match_probability,
+    dependence_from_terms,
+    distribution_from_counts,
+    enumerate_patterns,
+    pattern_of,
+)
+from opdep.piecewise import (
+    AXES,
+    Block,
+    Cell,
+    PiecewiseUniformDensity,
+    _ordered_axis_blocks,
+    cell_mass,
+    exact_opd,
+    joint_pattern_distribution,
+    marginal_pattern_distribution,
+    pattern_coincidence,
+    total_mass,
+)
+
+
+# --- scalar piecewise oracle ---------------------------------------------
+
+def oracle_axis_pattern_probability(cell, axis, pattern):
+    """Probability that the cell's ``axis`` window shows ``pattern``."""
+    blocks = _ordered_axis_blocks(cell, axis)
+    prev_max = 0
+    prob = 1.0
+    for block in blocks:
+        ranks = [pattern[p - 1] for p in block.positions]
+        if min(ranks) <= prev_max:
+            return 0.0
+        prev_max = max(ranks)
+        if block.kind == "chain":
+            if any(a >= b for a, b in zip(ranks, ranks[1:])):
+                return 0.0
+        elif block.size >= 2:
+            prob /= math.factorial(block.size)
+    return prob
+
+
+def oracle_marginal(model, axis):
+    patterns = enumerate_patterns(model.order)
+    mass = total_mass(model)
+    probs = []
+    for pattern in patterns:
+        acc = [
+            cell_mass(cell) * oracle_axis_pattern_probability(cell, axis, pattern)
+            for cell in model.cells
+        ]
+        probs.append(math.fsum(acc) / mass)
+    return PatternDistribution(order=model.order, probs=tuple(probs))
+
+
+def oracle_joint(model):
+    patterns = enumerate_patterns(model.order)
+    mass = total_mass(model)
+    joint = {}
+    for cell in model.cells:
+        weight = cell_mass(cell) / mass
+        px = [(p, oracle_axis_pattern_probability(cell, "x", p)) for p in patterns]
+        py = [(p, oracle_axis_pattern_probability(cell, "y", p)) for p in patterns]
+        for pat_x, prob_x in px:
+            if prob_x == 0.0:
+                continue
+            for pat_y, prob_y in py:
+                if prob_y == 0.0:
+                    continue
+                key = (pat_x, pat_y)
+                joint[key] = joint.get(key, 0.0) + weight * prob_x * prob_y
+    return joint
+
+
+def oracle_coincidence(model):
+    return math.fsum(prob for (a, b), prob in oracle_joint(model).items() if a == b)
+
+
+def oracle_exact_opd(model):
+    coincidence = oracle_coincidence(model)
+    cross = cross_match_probability(oracle_marginal(model, "x"), oracle_marginal(model, "y"))
+    return dependence_from_terms(coincidence, cross)
+
+
+# --- per-atom discrete oracle --------------------------------------------
+
+def oracle_pattern_pairs(dist):
+    d = dist.order
+    return [(pattern_of(atom[:d]), pattern_of(atom[d:]), prob) for atom, prob in dist.atoms]
+
+
+def oracle_discrete_marginal(dist, axis):
+    counts = {}
+    for pat_x, pat_y, prob in oracle_pattern_pairs(dist):
+        pat = pat_x if axis == "x" else pat_y
+        counts[pat] = counts.get(pat, 0.0) + prob
+    return distribution_from_counts(dist.order, counts)
+
+
+def oracle_discrete_coincidence(dist):
+    return math.fsum(prob for pat_x, pat_y, prob in oracle_pattern_pairs(dist) if pat_x == pat_y)
+
+
+def oracle_exact_opd_discrete(dist):
+    coincidence = oracle_discrete_coincidence(dist)
+    px = oracle_discrete_marginal(dist, "x")
+    py = oracle_discrete_marginal(dist, "y")
+    return dependence_from_terms(coincidence, cross_match_probability(px, py))
+
+
+def outcome(fn, *args):
+    """Result of a call, or the type and message of the error it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # compared, never swallowed
+        return type(exc).__name__, str(exc)
+    if isinstance(result, PatternDistribution):
+        return result.order, result.probs
+    if isinstance(result, dict):
+        return list(result.items())
+    return result
+
+
+# --- strategies ------------------------------------------------------------
+
+@st.composite
+def axis_blocks(draw, axis, order):
+    """Blocks partitioning 1..order: free blocks of any size and size-2
+    chains, each on its own unit slot of the line; a stretched interval
+    sometimes overlaps the next slot, which makes the block order ambiguous."""
+    positions = draw(st.permutations(range(1, order + 1)))
+    slots = draw(st.permutations(range(order)))
+    blocks = []
+    i = 0
+    while i < order:
+        kind = draw(st.sampled_from(("free", "free", "chain")))
+        if kind == "chain" and order - i >= 2:
+            size = 2
+        else:
+            kind = "free"
+            size = draw(st.integers(min_value=1, max_value=order - i))
+        lo = float(slots[len(blocks)]) + draw(st.sampled_from((0.0, 0.25)))
+        hi = lo + draw(st.sampled_from((0.5, 0.75, 0.75, 0.75, 1.75)))
+        blocks.append(Block(axis=axis, positions=positions[i:i + size], lo=lo, hi=hi, kind=kind))
+        i += size
+    return blocks
+
+
+@st.composite
+def piecewise_models(draw, min_order=2, max_order=5):
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
+    cells = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        blocks = draw(axis_blocks("x", order)) + draw(axis_blocks("y", order))
+        blocks = draw(st.permutations(blocks))
+        value = draw(st.floats(min_value=0.05, max_value=5.0))
+        cells.append(Cell(value, tuple(blocks)))
+    return PiecewiseUniformDensity(order=order, cells=tuple(cells))
+
+
+@st.composite
+def lattice_laws(draw, min_order=2, max_order=6):
+    """Laws on a 4-point lattice per coordinate, so windows tie often."""
+    order = draw(st.integers(min_value=min_order, max_value=max_order))
+    coords = st.integers(min_value=0, max_value=3).map(float)
+    points = draw(
+        st.lists(st.tuples(*[coords] * (2 * order)), min_size=1, max_size=40, unique=True)
+    )
+    weights = draw(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=len(points), max_size=len(points))
+    )
+    total = sum(weights)
+    return DiscreteJoint(order=order, atoms=[(p, w / total) for p, w in zip(points, weights)])
+
+
+# --- piecewise ----------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(piecewise_models())
+def test_piecewise_laws_equal_scalar_oracle(model):
+    assert outcome(pattern_coincidence, model) == outcome(oracle_coincidence, model)
+    for axis in AXES:
+        assert outcome(marginal_pattern_distribution, model, axis) == outcome(
+            oracle_marginal, model, axis
+        )
+    assert outcome(exact_opd, model) == outcome(oracle_exact_opd, model)
+    # items and key order
+    assert outcome(joint_pattern_distribution, model) == outcome(oracle_joint, model)
+
+
+def _free_cell(order, lo=0.0, hi=1.0, value=1.0):
+    positions = tuple(range(1, order + 1))
+    return Cell(
+        value,
+        (
+            Block(axis="x", positions=positions, lo=lo, hi=hi, kind="free"),
+            Block(axis="y", positions=positions, lo=lo, hi=hi, kind="free"),
+        ),
+    )
+
+
+def test_order_one_model_raises_order_too_small():
+    model = PiecewiseUniformDensity(order=1, cells=(_free_cell(1),))
+    for fn in (pattern_coincidence, exact_opd, joint_pattern_distribution):
+        with pytest.raises(OrderTooSmall):
+            fn(model)
+    with pytest.raises(OrderTooSmall):
+        marginal_pattern_distribution(model, "x")
+
+
+def test_overlapping_blocks_raise_ambiguous_block_order():
+    cell = Cell(
+        1.0,
+        (
+            Block(axis="x", positions=(1,), lo=0.0, hi=1.0, kind="free"),
+            Block(axis="x", positions=(2, 3), lo=0.5, hi=1.5, kind="chain"),
+            Block(axis="y", positions=(1, 2, 3), lo=0.0, hi=1.0, kind="free"),
+        ),
+    )
+    model = PiecewiseUniformDensity(order=3, cells=(_free_cell(3, 2.0, 3.0), cell))
+    for fn in (pattern_coincidence, exact_opd, joint_pattern_distribution):
+        with pytest.raises(AmbiguousBlockOrder):
+            fn(model)
+    with pytest.raises(AmbiguousBlockOrder):
+        marginal_pattern_distribution(model, "x")
+    assert marginal_pattern_distribution(model, "y").probs == (1 / 6,) * 6
+
+
+# --- advertised orders ----------------------------------------------------
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("order", [7, 8])
+def test_free_by_free_cell_at_high_order(order):
+    model = PiecewiseUniformDensity(order=order, cells=(_free_cell(order),))
+    value, elapsed = _timed(exact_opd, model)
+    assert elapsed < 1.0
+    assert value == pytest.approx(0.0, abs=1e-12)
+    assert abs(pattern_coincidence(model) - 1.0 / math.factorial(order)) <= 1e-12
+
+
+def test_mixed_chain_free_model_at_order_eight():
+    def cell(value, x_blocks, y_blocks):
+        blocks = [Block("x", *b) for b in x_blocks] + [Block("y", *b) for b in y_blocks]
+        return Cell(value, tuple(blocks))
+
+    model = PiecewiseUniformDensity(
+        order=8,
+        cells=(
+            cell(
+                1.0,
+                [((2, 1), 0, 1, "chain"), ((3, 5, 8), 1, 2, "free"), ((6, 4), 2, 3, "chain"), ((7,), 3, 4, "free")],
+                [((1, 2, 3, 4, 5, 6, 7, 8), 0, 1, "free")],
+            ),
+            cell(
+                0.5,
+                [((1, 2, 3, 4), 4, 5, "free"), ((5, 6, 7, 8), 5, 6, "free")],
+                [((8, 7), 1, 2, "chain"), ((1, 2, 3, 4, 5, 6), 2, 3, "free")],
+            ),
+            cell(
+                2.0,
+                [((4, 3, 2, 1, 5, 6, 7, 8), 7, 8, "free")],
+                [((3, 4), 4, 5, "chain"), ((1, 2), 3, 4, "chain"), ((5, 6, 7, 8), 5, 6, "free")],
+            ),
+        ),
+    )
+    value, elapsed = _timed(exact_opd, model)
+    assert elapsed < 1.0
+    assert -1.0 <= value <= 1.0
+    for axis in AXES:
+        assert marginal_pattern_distribution(model, axis) == oracle_marginal(model, axis)
+
+
+# --- discrete ---------------------------------------------------------------
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lattice_laws())
+def test_discrete_laws_equal_per_atom_oracle(law):
+    assert pattern_coincidence_discrete(law) == oracle_discrete_coincidence(law)
+    for axis in AXES:
+        assert marginal_pattern_distribution_discrete(law, axis) == oracle_discrete_marginal(
+            law, axis
+        )
+    assert outcome(exact_opd_discrete, law) == outcome(oracle_exact_opd_discrete, law)
+
+
+def test_order_one_discrete_law_raises_order_too_small():
+    law = DiscreteJoint(order=1, atoms={(0.0, 1.0): 0.5, (1.0, 0.0): 0.5})
+    for fn in (pattern_coincidence_discrete, exact_opd_discrete):
+        with pytest.raises(OrderTooSmall):
+            fn(law)
+    with pytest.raises(OrderTooSmall):
+        marginal_pattern_distribution_discrete(law, "y")

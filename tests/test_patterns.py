@@ -4,10 +4,12 @@ import itertools
 import math
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from opdep.errors import (
     DegenerateDistribution,
+    DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
     InvalidPermutation,
@@ -23,9 +25,11 @@ from opdep.patterns import (
     distribution_from_counts,
     enumerate_patterns,
     index_to_pattern,
+    pattern_codes,
     pattern_index,
     pattern_of,
     permute_coordinates,
+    rank_table,
 )
 
 
@@ -125,6 +129,51 @@ def test_order_bounds():
         enumerate_patterns(9)
 
 
+def test_rank_table_rows_are_indexed_patterns():
+    for d in range(2, 7):
+        table = rank_table(d)
+        assert table.shape == (math.factorial(d), d)
+        assert [tuple(row) for row in table.tolist()] == list(enumerate_patterns(d))
+    table = rank_table(8)
+    for k in (0, 1, 719, 5040, 20000, 40319):
+        assert tuple(table[k].tolist()) == index_to_pattern(k, 8)
+    assert rank_table(8) is table
+    assert not table.flags.writeable
+    with pytest.raises(OrderTooSmall):
+        rank_table(1)
+    with pytest.raises(OrderTooLarge):
+        rank_table(9)
+
+
+tied_window_rows = st.integers(min_value=2, max_value=8).flatmap(
+    lambda d: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3).map(float), min_size=d, max_size=d),
+        min_size=1,
+        max_size=20,
+    )
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(tied_window_rows)
+def test_pattern_codes_match_pattern_index_on_tied_windows(rows):
+    codes = pattern_codes(rows)
+    assert codes.tolist() == [pattern_index(pattern_of(row)) for row in rows]
+
+
+def test_pattern_codes_validation():
+    assert pattern_codes(np.empty((0, 4))).tolist() == []
+    with pytest.raises(DimensionMismatch):
+        pattern_codes([1.0, 2.0, 3.0])
+    with pytest.raises(OrderTooSmall):
+        pattern_codes([[1.0], [2.0]])
+    with pytest.raises(OrderTooLarge):
+        pattern_codes([list(range(9))])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFiniteInput):
+            pattern_codes([[1.0, 2.0], [1.0, bad]])
+
+
 def test_non_finite_values_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteInput):
@@ -157,6 +206,14 @@ def test_distribution_validation():
     dist = PatternDistribution(order=2, probs=(0.25, 0.75))
     assert dist.prob_of((1, 2)) == 0.25
     assert dist.as_dict() == {(1, 2): 0.25, (2, 1): 0.75}
+
+
+def test_distribution_validation_sums_exactly_at_order_eight():
+    # A running sum of these 8! entries is off by 1.6e-12; the exact sum is 1.
+    n = math.factorial(8)
+    probs = (0.9,) + (0.1 / (n - 1),) * (n - 1)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-12
+    assert PatternDistribution(order=8, probs=probs).probs == probs
 
 
 def test_distribution_from_counts_normalizes():
