@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedChainLength,
     ZeroMassCondition,
 )
-from .estimator import OpdEstimate, TimeSeriesPair, empirical_distribution, empirical_opd, sliding_patterns
+from .estimator import OpdEstimate, TimeSeriesPair, empirical_opd
 from .patterns import (
     Pattern,
     PatternDistribution,

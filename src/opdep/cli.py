@@ -124,11 +124,16 @@ def _pattern_table(dist) -> dict[str, float]:
 
 def cmd_model(args: argparse.Namespace) -> int:
     model = load_model(args.path)
-    kind = "piecewise" if isinstance(model, pw.PiecewiseUniformDensity) else "discrete"
+    # Both engine modules answer the same calls.  They are looked up on the
+    # module at each call, so a rebound module attribute takes effect here.
+    if isinstance(model, pw.PiecewiseUniformDensity):
+        engine, kind = pw, "piecewise"
+    else:
+        engine, kind = disc, "discrete"
     log.info("loaded %s model of order %d from %s", kind, model.order, args.path)
 
     if args.action == "validate":
-        if kind == "piecewise":
+        if engine is pw:
             try:
                 pw.validate(model, tol=args.tol)
             except OpdepError as exc:
@@ -148,23 +153,15 @@ def cmd_model(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "opd":
-        if kind == "piecewise":
-            value = pw.exact_opd(model)
-            coincidence = pw.pattern_coincidence(model)
-        else:
-            value = disc.exact_opd_discrete(model)
-            coincidence = disc.pattern_coincidence_discrete(model)
+        value = engine.exact_opd(model)
+        coincidence = engine.pattern_coincidence(model)
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0
 
     if args.action == "patterns":
-        if kind == "piecewise":
-            px = pw.marginal_pattern_distribution(model, "x")
-            py = pw.marginal_pattern_distribution(model, "y")
-        else:
-            px = disc.marginal_pattern_distribution_discrete(model, "x")
-            py = disc.marginal_pattern_distribution_discrete(model, "y")
+        px = engine.marginal_pattern_distribution(model, "x")
+        py = engine.marginal_pattern_distribution(model, "y")
         payload = {"x": _pattern_table(px), "y": _pattern_table(py)}
         lines = ["x patterns:"]
         lines += [f"  {k} {v}" for k, v in payload["x"].items()]
@@ -177,12 +174,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         if args.point is None:
             raise InvalidParameter("model cdf requires --point")
         point = _parse_point(args.point)
-        if kind == "piecewise":
-            lower = pw.cdf(model, point)
-            upper = pw.survival(model, point)
-        else:
-            lower = disc.cdf(model, point)
-            upper = disc.survival(model, point)
+        lower = engine.cdf(model, point)
+        upper = engine.survival(model, point)
         payload = {"point": list(point), "cdf": lower, "survival": upper}
         _emit_payload(payload, [f"cdf {lower}", f"survival {upper}"], args)
         return 0
@@ -190,12 +183,8 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.action == "sample":
         if args.seed is None:
             raise InvalidParameter("model sample requires an explicit --seed")
-        if kind == "piecewise":
-            points = pw.sample(model, args.count, args.seed)
-            rows = [tuple(float(v) for v in row) for row in points]
-        else:
-            rows = disc.sample_discrete(model, args.count, args.seed)
-        text = "\n".join(",".join(repr(v) for v in row) for row in rows)
+        rows = engine.sample(model, args.count, args.seed)
+        text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
         _emit(text, args.out)
         return 0
 

@@ -218,12 +218,13 @@ def conditional_survival(
     return survival(conditional(dist, subset, given), point)
 
 
-def _atom_pattern_codes(dist: DiscreteJoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pattern codes of every atom's X and Y window, and the atom probabilities."""
+def _atom_codes(dist: DiscreteJoint, axes: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Pattern codes of every atom's window on each of ``axes``, and the atom probabilities."""
     d = dist.order
     points = np.array([atom for atom, _ in dist.atoms])
     probs = np.array([prob for _, prob in dist.atoms])
-    return pattern_codes(points[:, :d]), pattern_codes(points[:, d:]), probs
+    windows = {"x": points[:, :d], "y": points[:, d:]}
+    return [pattern_codes(windows[axis]) for axis in axes], probs
 
 
 def _coincidence(codes_x: np.ndarray, codes_y: np.ndarray, probs: np.ndarray) -> float:
@@ -236,34 +237,39 @@ def _pattern_law(order: int, codes: np.ndarray, probs: np.ndarray) -> PatternDis
     return PatternDistribution(order=order, probs=tuple((weights / total).tolist()))
 
 
-def marginal_pattern_distribution_discrete(dist: DiscreteJoint, axis: str) -> PatternDistribution:
+def marginal_pattern_distribution(dist: DiscreteJoint, axis: str) -> PatternDistribution:
     """Exact pattern distribution of the X or Y window of a discrete law."""
     if axis not in ("x", "y"):
         raise ModelStructureError(f"axis must be 'x' or 'y', got {axis!r}")
-    codes_x, codes_y, probs = _atom_pattern_codes(dist)
-    return _pattern_law(dist.order, codes_x if axis == "x" else codes_y, probs)
+    (codes,), probs = _atom_codes(dist, (axis,))
+    return _pattern_law(dist.order, codes, probs)
 
 
-def pattern_coincidence_discrete(dist: DiscreteJoint) -> float:
+def pattern_coincidence(dist: DiscreteJoint) -> float:
     """Exact probability that both windows show the same pattern."""
-    return _coincidence(*_atom_pattern_codes(dist))
+    (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
+    return _coincidence(codes_x, codes_y, probs)
 
 
-def exact_opd_discrete(dist: DiscreteJoint, tol: float = 1e-12) -> float:
+def exact_opd(dist: DiscreteJoint, tol: float = 1e-12) -> float:
     """Exact normalized pattern dependence of a discrete law.
 
     Raises:
         DegenerateDistribution: the independent-copy coincidence is 1, e.g.
             when both windows are almost surely in the same fixed pattern.
     """
-    codes_x, codes_y, probs = _atom_pattern_codes(dist)
+    (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
     coincidence = _coincidence(codes_x, codes_y, probs)
     px = _pattern_law(dist.order, codes_x, probs)
     py = _pattern_law(dist.order, codes_y, probs)
     return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
 
 
-def sample_discrete(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
+# The package-level ``opdep.exact_opd`` is the piecewise one.
+exact_opd_discrete = exact_opd
+
+
+def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
     """Draw ``n`` atoms by probability; Philox-seeded like continuous sampling."""
     from .randomness import make_rng
 
@@ -431,28 +437,28 @@ def evaluation_grid(
     return [_coordinate_values(dist, dist_star, c) for c in coords]
 
 
-def _sweep_unconditional(
-    dist: DiscreteJoint,
-    dist_star: DiscreteJoint,
+def _compare_laws(
+    lhs_law: DiscreteJoint,
+    rhs_law: DiscreteJoint,
+    grid: Sequence[Sequence[float]],
     subset: tuple[int, ...],
-    complement: tuple[int, ...],
+    outer: str,
+    conditioning_point: Point | None,
     tol: float,
     violations: list[ConditionViolation],
 ) -> None:
-    law = marginal(dist, complement) if subset else dist
-    law_star = marginal(dist_star, complement) if subset else dist_star
-    grid = evaluation_grid(dist, dist_star, complement)
+    """Record every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s."""
     for point in itertools.product(*grid):
         for side, fn in (("cdf", cdf), ("survival", survival)):
-            lhs = fn(law, point)
-            rhs = fn(law_star, point)
+            lhs = fn(lhs_law, point)
+            rhs = fn(rhs_law, point)
             if lhs > rhs + tol:
                 violations.append(
                     ConditionViolation(
                         subset=subset,
                         side=side,
-                        outer="none",
-                        conditioning_point=None,
+                        outer=outer,
+                        conditioning_point=conditioning_point,
                         evaluation_point=point,
                         lhs=lhs,
                         rhs=rhs,
@@ -501,22 +507,7 @@ def _sweep_conditional(
                 continue
             # Orient so that lhs belongs to the first law, rhs to the second.
             lhs_law, rhs_law = (own, mixed) if outer_is_first else (mixed, own)
-            for point in itertools.product(*grid):
-                for side, fn in (("cdf", cdf), ("survival", survival)):
-                    lhs = fn(lhs_law, point)
-                    rhs = fn(rhs_law, point)
-                    if lhs > rhs + tol:
-                        violations.append(
-                            ConditionViolation(
-                                subset=subset,
-                                side=side,
-                                outer=outer_name,
-                                conditioning_point=value,
-                                evaluation_point=point,
-                                lhs=lhs,
-                                rhs=rhs,
-                            )
-                        )
+            _compare_laws(lhs_law, rhs_law, grid, subset, outer_name, value, tol, violations)
 
 
 def check_theorem_conditions(
@@ -560,7 +551,10 @@ def check_theorem_conditions(
                 continue
             complement = tuple(i for i in positions if i not in subset)
             if variant == "B":
-                _sweep_unconditional(dist, dist_star, subset, complement, tol, violations)
+                law = marginal(dist, complement) if subset else dist
+                law_star = marginal(dist_star, complement) if subset else dist_star
+                grid = evaluation_grid(dist, dist_star, complement)
+                _compare_laws(law, law_star, grid, subset, "none", None, tol, violations)
             else:
                 _sweep_conditional(
                     dist, dist_star, subset, complement, shared, tol, violations, skipped

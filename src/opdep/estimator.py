@@ -27,7 +27,6 @@ from typing import Sequence
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, SeriesTooShort
 from .patterns import (
     Pattern,
-    PatternDistribution,
     cross_match_probability,
     dependence_from_terms,
     distribution_from_counts,
@@ -103,48 +102,6 @@ def _finite_window(series: Sequence[float], start: int, d: int) -> tuple[float, 
         if not math.isfinite(v):
             return None
     return tuple(window)
-
-
-def sliding_patterns(
-    series: Sequence[float], d: int, step: int = 1
-) -> tuple[list[Pattern], int]:
-    """Patterns of all finite windows of one series, plus the skipped count.
-
-    Returns ``(patterns, skipped)`` where ``skipped`` counts the window
-    offsets dropped because the window contained a non-finite value.
-
-    Raises:
-        SeriesTooShort: the series admits no window at all.
-    """
-    values = [float(v) for v in series]
-    patterns: list[Pattern] = []
-    skipped = 0
-    for start in _window_offsets(len(values), d, step):
-        window = _finite_window(values, start, d)
-        if window is None:
-            skipped += 1
-        else:
-            patterns.append(pattern_of(window))
-    return patterns, skipped
-
-
-def empirical_distribution(
-    series: Sequence[float], d: int, step: int = 1
-) -> tuple[PatternDistribution, int, int]:
-    """Empirical pattern distribution of one series.
-
-    Returns ``(distribution, window_count, skipped)``.
-
-    Raises:
-        EmptyInput: every window was skipped.
-    """
-    patterns, skipped = sliding_patterns(series, d, step)
-    if not patterns:
-        raise EmptyInput("no finite window available")
-    counts: dict[Pattern, float] = {}
-    for pat in patterns:
-        counts[pat] = counts.get(pat, 0.0) + 1.0
-    return distribution_from_counts(d, counts), len(patterns), skipped
 
 
 def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-12) -> OpdEstimate:

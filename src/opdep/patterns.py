@@ -18,7 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -253,14 +253,3 @@ def dependence_from_terms(coincidence: float, cross_term: float, tol: float = 1e
         )
     return (coincidence - cross_term) / denom
 
-
-def patterns_equal_fraction(a: Iterable[Pattern], b: Iterable[Pattern]) -> float:
-    """Fraction of positions where two equal-length pattern sequences agree."""
-    xs = list(a)
-    ys = list(b)
-    if len(xs) != len(ys):
-        raise InvalidPermutation(f"sequence lengths differ: {len(xs)} vs {len(ys)}")
-    if not xs:
-        raise EmptyInput("pattern sequences are empty")
-    hits = sum(1 for u, v in zip(xs, ys) if u == v)
-    return hits / len(xs)

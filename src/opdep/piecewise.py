@@ -56,6 +56,7 @@ from .patterns import (
     cross_match_probability,
     dependence_from_terms,
     enumerate_patterns,
+    pattern_codes,
     rank_table,
 )
 from .randomness import make_rng
@@ -695,14 +696,6 @@ def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
     return out
 
 
-def _stable_rank_rows(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    cols = np.arange(1, values.shape[1] + 1)
-    np.put_along_axis(ranks, order, np.broadcast_to(cols, order.shape), axis=1)
-    return ranks
-
-
 def mc_probability(
     model: PiecewiseUniformDensity, event: Event, n: int, seed: int
 ) -> McResult:
@@ -710,13 +703,15 @@ def mc_probability(
 
     The standard error is the binomial ``sqrt(p * (1 - p) / n)``.  This
     path works for any chain size, unlike the closed-form cdf/survival.
+
+    Raises:
+        OrderTooSmall / OrderTooLarge: a pattern event on a model whose
+            order is outside [2, 8].
     """
     points = sample(model, n, seed)
     if isinstance(event, PatternCoincidence):
         d = model.order
-        ranks_x = _stable_rank_rows(points[:, :d])
-        ranks_y = _stable_rank_rows(points[:, d:])
-        hits = np.all(ranks_x == ranks_y, axis=1)
+        hits = pattern_codes(points[:, :d]) == pattern_codes(points[:, d:])
     elif isinstance(event, (LowerOrthant, UpperOrthant)):
         pt = _check_point(model, event.point)
         if isinstance(event, LowerOrthant):

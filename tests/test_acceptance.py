@@ -212,15 +212,15 @@ def test_criterion_07_condition_checker_and_conclusion():
     degenerate = 0
     for law in (pair42.law, pair43.law):
         try:
-            disc.exact_opd_discrete(law)
+            disc.exact_opd(law)
         except DegenerateDistribution:
             degenerate += 1
     inter42 = build_example42(tail=example42_tail_interleaved())
     inter43 = build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5))
     conclusion = (
         degenerate == 2
-        and disc.exact_opd_discrete(inter42.law) <= disc.exact_opd_discrete(inter42.law_star) + TOL
-        and disc.exact_opd_discrete(inter43.law) <= disc.exact_opd_discrete(inter43.law_star) + TOL
+        and disc.exact_opd(inter42.law) <= disc.exact_opd(inter42.law_star) + TOL
+        and disc.exact_opd(inter43.law) <= disc.exact_opd(inter43.law_star) + TOL
     )
 
     swapped42 = disc.check_theorem_conditions(pair42.law_star, pair42.law, "B", tol=TOL)

@@ -4,13 +4,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from opdep import discrete as disc
+from opdep import piecewise as pw
 from opdep.cli import main
-from opdep.modelio import save_model
+from opdep.errors import DegenerateDistribution, OpdepError
+from opdep.modelio import load_model, save_model
+from opdep.patterns import enumerate_patterns
 from opdep.piecewise import Block, Cell, PiecewiseUniformDensity
 from opdep.scenarios import build_counterexample, build_example43
+
+MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.json"))
 
 
 @pytest.fixture
@@ -226,6 +233,54 @@ def test_model_sample_deterministic(capsys, f_model_path, discrete_model_path, t
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 5
+
+
+def _engine_result(action, model):
+    """What the model's own engine module answers for one CLI action."""
+    engine = pw if isinstance(model, pw.PiecewiseUniformDensity) else disc
+    if action == "opd":
+        return {"value": engine.exact_opd(model), "coincidence": engine.pattern_coincidence(model)}
+    if action == "patterns":
+        keys = [",".join(map(str, pat)) for pat in enumerate_patterns(model.order)]
+        return {
+            axis: dict(zip(keys, engine.marginal_pattern_distribution(model, axis).probs))
+            for axis in ("x", "y")
+        }
+    if action == "cdf":
+        point = (0.5,) * model.dimension
+        return {
+            "point": list(point),
+            "cdf": engine.cdf(model, point),
+            "survival": engine.survival(model, point),
+        }
+    return [[float(v) for v in row] for row in engine.sample(model, 20, 1)]
+
+
+@pytest.mark.parametrize("action", ["opd", "patterns", "cdf", "sample"])
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: p.stem)
+def test_model_actions_match_engine_calls(capsys, path, action):
+    model = load_model(path)
+    try:
+        expected, expected_code = _engine_result(action, model), 0
+    except DegenerateDistribution:
+        expected, expected_code = None, 3
+    except OpdepError:
+        expected, expected_code = None, 2
+    argv = ["model", action, str(path)]
+    if action == "cdf":
+        argv += ["--point", ",".join(["0.5"] * model.dimension)]
+    if action == "sample":
+        argv += ["--seed", "1", "--count", "20"]
+    else:
+        argv += ["--format", "json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected_code
+    if expected is None:
+        assert out == "" and err.startswith("error: ")
+    elif action == "sample":
+        assert [[float(v) for v in line.split(",")] for line in out.splitlines()] == expected
+    else:
+        assert json.loads(out) == expected
 
 
 def test_model_format_error_exits_2(capsys, tmp_path):

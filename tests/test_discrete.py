@@ -7,6 +7,8 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import opdep
+from opdep import discrete, piecewise
 from opdep.discrete import (
     DiscreteJoint,
     check_theorem_conditions,
@@ -15,13 +17,13 @@ from opdep.discrete import (
     conditional_survival,
     cdf,
     evaluation_grid,
-    exact_opd_discrete,
+    exact_opd,
     marginal,
-    marginal_pattern_distribution_discrete,
+    marginal_pattern_distribution,
     mixture_from_conditionals,
-    pattern_coincidence_discrete,
+    pattern_coincidence,
     product_extend,
-    sample_discrete,
+    sample,
     shared_position_detect,
     subset_coordinates,
     survival,
@@ -164,12 +166,12 @@ def test_conditional_cdf_survival_wrappers():
 
 def test_pattern_distribution_breaks_ties_by_index():
     law = DiscreteJoint(order=2, atoms={(1.0, 1.0, 5.0, 6.0): 1.0})
-    px = marginal_pattern_distribution_discrete(law, "x")
+    px = marginal_pattern_distribution(law, "x")
     assert px.prob_of((1, 2)) == 1.0
-    py = marginal_pattern_distribution_discrete(law, "y")
+    py = marginal_pattern_distribution(law, "y")
     assert py.prob_of((1, 2)) == 1.0
     with pytest.raises(ModelStructureError):
-        marginal_pattern_distribution_discrete(law, "z")
+        marginal_pattern_distribution(law, "z")
 
 
 def test_product_law_has_zero_dependence():
@@ -180,29 +182,37 @@ def test_product_law_has_zero_dependence():
         atoms={(0.0, 0.0): 0.25, (0.0, 1.0): 0.25, (1.0, 0.0): 0.25, (1.0, 1.0): 0.25},
     )
     product = product_extend(head, DiscreteJoint(order=1, atoms={(0.5, 0.5): 1.0}))
-    px = marginal_pattern_distribution_discrete(product, "x")
-    py = marginal_pattern_distribution_discrete(product, "y")
+    px = marginal_pattern_distribution(product, "x")
+    py = marginal_pattern_distribution(product, "y")
     assert px.probs == (0.5, 0.5) and py.probs == (0.5, 0.5)
-    assert pattern_coincidence_discrete(product) == 0.5
-    assert exact_opd_discrete(product) == pytest.approx(0.0, abs=1e-12)
+    assert pattern_coincidence(product) == 0.5
+    assert exact_opd(product) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_both_engines_answer_the_same_calls():
+    for name in ("exact_opd", "pattern_coincidence", "marginal_pattern_distribution",
+                 "cdf", "survival", "sample"):
+        assert callable(getattr(piecewise, name)) and callable(getattr(discrete, name))
+    assert opdep.exact_opd is piecewise.exact_opd
+    assert opdep.exact_opd_discrete is discrete.exact_opd_discrete is discrete.exact_opd
 
 
 def test_degenerate_cross_term_raises():
     law = DiscreteJoint(order=2, atoms={(1.0, 2.0, 3.0, 4.0): 1.0})
     with pytest.raises(DegenerateDistribution):
-        exact_opd_discrete(law)
+        exact_opd(law)
     defaults = build_example42()
     with pytest.raises(DegenerateDistribution):
-        exact_opd_discrete(defaults.law)
+        exact_opd(defaults.law)
 
 
 def test_interleaved_tail_dependence_frozen_values():
     inter = build_example42(tail=example42_tail_interleaved())
-    assert exact_opd_discrete(inter.law) == pytest.approx(-0.6, abs=1e-12)
-    assert exact_opd_discrete(inter.law_star) == pytest.approx(0.2, abs=1e-12)
+    assert exact_opd(inter.law) == pytest.approx(-0.6, abs=1e-12)
+    assert exact_opd(inter.law_star) == pytest.approx(0.2, abs=1e-12)
     mixed = build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5))
-    assert exact_opd_discrete(mixed.law) == pytest.approx(-0.6, abs=1e-12)
-    assert exact_opd_discrete(mixed.law_star) == pytest.approx(0.2, abs=1e-12)
+    assert exact_opd(mixed.law) == pytest.approx(-0.6, abs=1e-12)
+    assert exact_opd(mixed.law_star) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_exact_opd_matches_bruteforce_oracle():
@@ -222,7 +232,7 @@ def test_exact_opd_matches_bruteforce_oracle():
         ),
     ]
     for law in laws:
-        assert exact_opd_discrete(law) == pytest.approx(oracle_opd(law), abs=1e-12)
+        assert exact_opd(law) == pytest.approx(oracle_opd(law), abs=1e-12)
 
 
 # --- composition -------------------------------------------------------------
@@ -266,15 +276,15 @@ def test_shared_position_detection():
 
 def test_sample_discrete_deterministic_and_supported():
     law = build_example43().law
-    a = sample_discrete(law, 400, seed=9)
-    b = sample_discrete(law, 400, seed=9)
+    a = sample(law, 400, seed=9)
+    b = sample(law, 400, seed=9)
     assert a == b
     support = set(law.as_dict())
     assert set(a) <= support
     # every atom of a 8-point law shows up in 400 draws
     assert set(a) == support
     with pytest.raises(InvalidParameter):
-        sample_discrete(law, 0, seed=1)
+        sample(law, 0, seed=1)
 
 
 # --- condition sweeps --------------------------------------------------------

@@ -12,7 +12,8 @@ from opdep.errors import (
     InvalidParameter,
     SeriesTooShort,
 )
-from opdep.estimator import TimeSeriesPair, empirical_distribution, empirical_opd, sliding_patterns
+from opdep.estimator import TimeSeriesPair, empirical_opd
+from opdep.patterns import index_to_pattern, pattern_codes
 
 NAN = math.nan
 
@@ -28,42 +29,10 @@ def test_pair_validation():
 
 def test_sliding_patterns_hand_enumeration():
     # windows: (1,2)->(1,2), (2,3)->(1,2), (3,2)->(2,1), (2,1)->(2,1)
-    patterns, skipped = sliding_patterns([1, 2, 3, 2, 1], d=2)
+    series = [1, 2, 3, 2, 1]
+    windows = [series[t : t + 2] for t in range(len(series) - 1)]
+    patterns = [index_to_pattern(int(c), 2) for c in pattern_codes(windows)]
     assert patterns == [(1, 2), (1, 2), (2, 1), (2, 1)]
-    assert skipped == 0
-
-
-def test_sliding_patterns_ties_break_toward_earlier_index():
-    patterns, _ = sliding_patterns([1, 1, 0], d=2)
-    assert patterns == [(1, 2), (2, 1)]
-
-
-def test_sliding_patterns_step():
-    patterns, skipped = sliding_patterns([1, 2, 3, 4, 5], d=2, step=2)
-    assert patterns == [(1, 2), (1, 2)]  # offsets 0 and 2; offset 4 does not fit
-    assert skipped == 0
-
-
-def test_sliding_patterns_skips_non_finite_windows():
-    patterns, skipped = sliding_patterns([1, 2, NAN, 4, 5], d=2)
-    # offsets 0..3; windows at 1 and 2 touch the NaN
-    assert patterns == [(1, 2), (1, 2)]
-    assert skipped == 2
-
-
-def test_sliding_patterns_too_short():
-    with pytest.raises(SeriesTooShort):
-        sliding_patterns([1.0, 2.0], d=3)
-    with pytest.raises(InvalidParameter):
-        sliding_patterns([1.0, 2.0, 3.0], d=2, step=0)
-
-
-def test_empirical_distribution_counts():
-    dist, used, skipped = empirical_distribution([1, 2, 3, 2, 1], d=2)
-    assert used == 4 and skipped == 0
-    assert dist.probs == (0.5, 0.5)
-    with pytest.raises(EmptyInput):
-        empirical_distribution([NAN, NAN, NAN], d=2)
 
 
 def test_empirical_opd_fully_coincident_pair():
@@ -108,6 +77,44 @@ def test_empirical_opd_errors():
         empirical_opd(TimeSeriesPair([1, NAN, 3], [1, 2, NAN]), d=2)
     with pytest.raises(DegenerateDistribution):
         empirical_opd(TimeSeriesPair([1, 2, 3, 4], [4, 5, 6, 7]), d=2)
+
+
+def test_empirical_opd_too_short_or_zero_step():
+    with pytest.raises(SeriesTooShort):
+        empirical_opd(TimeSeriesPair([1.0, 2.0], [2.0, 1.0]), d=3)
+    with pytest.raises(InvalidParameter):
+        empirical_opd(TimeSeriesPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]), d=2, step=0)
+
+
+def test_empirical_opd_ties_break_toward_earlier_index():
+    # x windows (1,1) and (1,0) have patterns (1,2) and (2,1), as do the y
+    # windows (0,1) and (1,0).  Ranking ties toward the later index would
+    # give x the patterns (2,1), (2,1): coincidence 1/2 and value 0.
+    est = empirical_opd(TimeSeriesPair([1, 1, 0], [0, 1, 0]), d=2)
+    assert est.coincidence == 1.0
+    assert est.cross_term == 0.5
+    assert est.value == 1.0
+
+
+def test_empirical_opd_step_offsets():
+    # step=2 uses offsets 0 and 2 (offset 4 does not fit).  There both
+    # series show (1,2) then (2,1); offsets 0,1 or 1,3 would give 1/2.
+    est = empirical_opd(TimeSeriesPair([1, 2, 3, 2, 1], [1, 2, 1, 0, -1]), d=2, step=2)
+    assert est.window_count == 2
+    assert est.skipped_windows == 0
+    assert est.coincidence == 1.0
+    assert est.value == 1.0
+
+
+def test_empirical_opd_skips_non_finite_windows():
+    # Offsets 0..3; the x windows at 1 and 2 touch the NaN.  The offsets
+    # left, 0 and 3, give x (1,2), (1,2) and y (2,1), (1,2).
+    est = empirical_opd(TimeSeriesPair([1, 2, NAN, 4, 5], [2, 1, 3, 4, 5]), d=2)
+    assert est.window_count == 2
+    assert est.skipped_windows == 2
+    assert est.coincidence == 0.5
+    assert est.cross_term == 0.5
+    assert est.value == 0.0
 
 
 def test_estimate_invariant_under_increasing_transforms_bit_for_bit():

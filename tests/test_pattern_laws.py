@@ -3,44 +3,51 @@
 The oracles below are the engines' former code paths: the piecewise one
 asks every pattern of every cell whether it is admissible and builds the
 dense (d!)^2 joint; the discrete one computes ``pattern_of`` for every
-atom and tallies dicts.  The vector paths do the same arithmetic in the
+atom and tallies dicts; the Monte Carlo one ranks each sampled window
+with a stable argsort.  The vector paths do the same arithmetic in the
 same order, so results must be equal, not merely close.
 """
 
 import math
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opdep.discrete import (
-    DiscreteJoint,
-    exact_opd_discrete,
-    marginal_pattern_distribution_discrete,
-    pattern_coincidence_discrete,
-)
+from opdep import discrete as disc
+from opdep.discrete import DiscreteJoint
 from opdep.errors import AmbiguousBlockOrder, OrderTooSmall
+from opdep.modelio import load_model
 from opdep.patterns import (
     PatternDistribution,
     cross_match_probability,
     dependence_from_terms,
     distribution_from_counts,
     enumerate_patterns,
+    pattern_codes,
     pattern_of,
 )
 from opdep.piecewise import (
     AXES,
     Block,
     Cell,
+    McResult,
+    PatternCoincidence,
     PiecewiseUniformDensity,
     _ordered_axis_blocks,
     cell_mass,
     exact_opd,
     joint_pattern_distribution,
     marginal_pattern_distribution,
+    mc_probability,
     pattern_coincidence,
+    sample,
     total_mass,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 # --- scalar piecewise oracle ---------------------------------------------
@@ -129,6 +136,27 @@ def oracle_exact_opd_discrete(dist):
     px = oracle_discrete_marginal(dist, "x")
     py = oracle_discrete_marginal(dist, "y")
     return dependence_from_terms(coincidence, cross_match_probability(px, py))
+
+
+# --- Monte Carlo window oracle ---------------------------------------------
+
+def oracle_stable_rank_rows(values: np.ndarray) -> np.ndarray:
+    order = np.argsort(values, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    cols = np.arange(1, values.shape[1] + 1)
+    np.put_along_axis(ranks, order, np.broadcast_to(cols, order.shape), axis=1)
+    return ranks
+
+
+def oracle_mc_coincidence(model, n, seed):
+    points = sample(model, n, seed)
+    d = model.order
+    ranks_x = oracle_stable_rank_rows(points[:, :d])
+    ranks_y = oracle_stable_rank_rows(points[:, d:])
+    hits = np.all(ranks_x == ranks_y, axis=1)
+    estimate = float(hits.mean())
+    std_error = math.sqrt(estimate * (1.0 - estimate) / n)
+    return McResult(estimate=estimate, std_error=std_error)
 
 
 def outcome(fn, *args):
@@ -303,18 +331,83 @@ def test_mixed_chain_free_model_at_order_eight():
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(lattice_laws())
 def test_discrete_laws_equal_per_atom_oracle(law):
-    assert pattern_coincidence_discrete(law) == oracle_discrete_coincidence(law)
+    assert disc.pattern_coincidence(law) == oracle_discrete_coincidence(law)
     for axis in AXES:
-        assert marginal_pattern_distribution_discrete(law, axis) == oracle_discrete_marginal(
+        assert disc.marginal_pattern_distribution(law, axis) == oracle_discrete_marginal(
             law, axis
         )
-    assert outcome(exact_opd_discrete, law) == outcome(oracle_exact_opd_discrete, law)
+    assert outcome(disc.exact_opd, law) == outcome(oracle_exact_opd_discrete, law)
 
 
 def test_order_one_discrete_law_raises_order_too_small():
     law = DiscreteJoint(order=1, atoms={(0.0, 1.0): 0.5, (1.0, 0.0): 0.5})
-    for fn in (pattern_coincidence_discrete, exact_opd_discrete):
+    for fn in (disc.pattern_coincidence, disc.exact_opd):
         with pytest.raises(OrderTooSmall):
             fn(law)
     with pytest.raises(OrderTooSmall):
-        marginal_pattern_distribution_discrete(law, "y")
+        disc.marginal_pattern_distribution(law, "y")
+
+
+# --- Monte Carlo window encoder ------------------------------------------------
+
+@st.composite
+def tied_row_pairs(draw):
+    """Two (n, d) arrays of small integers, d in 2..8.  Each row of the second
+    is a fresh row, an increasing transform of the first's row (same
+    pattern), or that row with one entry redrawn, so both equal and
+    unequal patterns occur at every order, with many ties."""
+    d = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=12))
+    value = st.integers(min_value=0, max_value=3)
+    a = [draw(st.lists(value, min_size=d, max_size=d)) for _ in range(n)]
+    b = []
+    for row in a:
+        how = draw(st.sampled_from(("fresh", "same", "redraw")))
+        if how == "fresh":
+            b.append(draw(st.lists(value, min_size=d, max_size=d)))
+        elif how == "same":
+            b.append([3 * v - 5 for v in row])
+        else:
+            changed = list(row)
+            changed[draw(st.integers(min_value=0, max_value=d - 1))] = draw(value)
+            b.append(changed)
+    return np.array(a, dtype=float), np.array(b, dtype=float)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(tied_row_pairs())
+def test_pattern_codes_match_stable_rank_oracle(rows):
+    a, b = rows
+    expected = (oracle_stable_rank_rows(a) == oracle_stable_rank_rows(b)).all(1)
+    assert np.array_equal(pattern_codes(a) == pattern_codes(b), expected)
+
+
+def _chain_free_model():
+    blocks = (
+        Block("x", (2, 1), 0.0, 1.0, "chain"),
+        Block("x", (3, 5, 4), 1.0, 2.0, "free"),
+        Block("y", (1, 2, 3, 4, 5), 0.0, 1.0, "free"),
+    )
+    return PiecewiseUniformDensity(order=5, cells=(Cell(1.0, blocks),))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        load_model(MODELS / "counterexample_f.json"),
+        load_model(MODELS / "example42_continuous.json"),
+        _chain_free_model(),
+        PiecewiseUniformDensity(order=8, cells=(_free_cell(8),)),
+    ],
+    ids=["counterexample_f", "example42_continuous", "chain_free_d5", "free_d8"],
+)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_coincidence_equals_stable_rank_estimate(model, seed):
+    result = mc_probability(model, PatternCoincidence(), 5_000, seed)
+    assert result == oracle_mc_coincidence(model, 5_000, seed)
+
+
+def test_mc_coincidence_shares_the_exact_order_range():
+    model = PiecewiseUniformDensity(order=1, cells=(_free_cell(1),))
+    with pytest.raises(OrderTooSmall):
+        mc_probability(model, PatternCoincidence(), 100, 1)
