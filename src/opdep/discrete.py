@@ -29,9 +29,11 @@ skipped and logged rather than treated as violations.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +58,7 @@ from .patterns import (
 log = logging.getLogger(__name__)
 
 Point = tuple[float, ...]
+_FLOAT = frozenset({float})
 AtomItems = Iterable[tuple[Sequence[float], float]]
 
 
@@ -65,7 +68,9 @@ class DiscreteJoint:
 
     ``atoms`` maps distinct points of length ``2 * order`` to positive
     probabilities summing to 1 within 1e-12.  Atoms are kept sorted by
-    point, so equal laws have equal representations.
+    point, so equal laws have equal representations.  The same atoms are
+    also kept as a read-only ``(n, 2 * order)`` point array and a
+    probability vector, in the same order, for the array computations.
     """
 
     order: int
@@ -76,28 +81,34 @@ class DiscreteJoint:
         if order < 1:
             raise ModelStructureError(f"order must be >= 1, got {order}")
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        cleaned: dict[Point, float] = {}
-        for raw_point, raw_prob in items:
-            point = tuple(float(v) for v in raw_point)
-            prob = float(raw_prob)
-            if len(point) != 2 * order:
-                raise DimensionMismatch(
-                    f"atom {point} has {len(point)} coordinates, expected {2 * order}"
-                )
-            if any(not math.isfinite(v) for v in point):
-                raise NonFiniteInput(f"atom {point} has a non-finite coordinate")
-            if not math.isfinite(prob) or prob <= 0.0:
-                raise ModelStructureError(f"atom probability must be positive, got {prob!r}")
-            if point in cleaned:
-                raise ModelStructureError(f"duplicate atom {point}")
-            cleaned[point] = prob
-        if not cleaned:
+        points: list[Point] = []
+        probs: list[float] = []
+        try:
+            for raw_point, raw_prob in items:
+                # A tuple of floats is already converted; keeping it saves a copy.
+                if type(raw_point) is not tuple or not _FLOAT.issuperset(map(type, raw_point)):
+                    raw_point = tuple(map(float, raw_point))
+                points.append(raw_point)
+                probs.append(float(raw_prob))
+        except Exception as exc:
+            unconverted = exc
+        else:
+            unconverted = None
+        if unconverted is not None:
+            # The atoms before one that does not convert are checked first,
+            # so their errors take precedence over the conversion error.
+            _sorted_atom_arrays(order, points[: len(probs)], probs)
+            raise unconverted
+        if not points:
             raise ModelStructureError("a law needs at least one atom")
-        mass = math.fsum(cleaned.values())
+        rank, point_array, prob_array = _sorted_atom_arrays(order, points, probs)
+        mass = math.fsum(probs)
         if abs(mass - 1.0) > 1e-12:
             raise MassNotOne(mass)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "atoms", tuple(sorted(cleaned.items())))
+        object.__setattr__(self, "atoms", tuple(zip(map(points.__getitem__, rank), prob_array.tolist())))
+        object.__setattr__(self, "_points", point_array)
+        object.__setattr__(self, "_probs", prob_array)
 
     @property
     def dimension(self) -> int:
@@ -108,7 +119,80 @@ class DiscreteJoint:
 
     def prob_of(self, point: Sequence[float]) -> float:
         pt = tuple(float(v) for v in point)
-        return self.as_dict().get(pt, 0.0)
+        i = bisect.bisect_left(self.atoms, pt, key=operator.itemgetter(0))
+        if i < len(self.atoms) and self.atoms[i][0] == pt:
+            return self.atoms[i][1]
+        return 0.0
+
+
+def _sorted_atom_arrays(
+    order: int, points: list[Point], probs: list[float]
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Check converted atoms and sort them by point.
+
+    Returns the input indices in sorted order, and the read-only point
+    array and probability vector in that order.  Raises the error of the
+    first atom, in input order, that has the wrong length, a non-finite
+    coordinate, a probability that is not positive, or the point of an
+    earlier atom (0.0 and -0.0 are the same point).
+    """
+    dim = 2 * order
+    n = len(points)
+    if set(map(len, points)) <= {dim}:
+        fitting = n
+    else:
+        fitting = next(i for i, point in enumerate(points) if len(point) != dim)
+    point_array = np.array(points[:fitting], dtype=float).reshape(fitting, dim)
+    # Stable, so equal points stay in input order; the last key is the primary one.
+    by_point = np.lexsort(point_array.T[::-1])
+    point_array = point_array[by_point]
+    # Only a law without a bad atom passes these screens (a NaN or infinite
+    # probability makes the sum non-finite).  A law that fails them, which
+    # an overflowing sum of huge probabilities also does, is searched for
+    # its first bad atom.
+    if not (
+        fitting == n == len(set(points))
+        and min(probs, default=1.0) > 0.0
+        and math.isfinite(sum(probs))
+        and np.isfinite(point_array).all()
+    ):
+        _raise_first_bad_atom(order, points, probs, fitting, by_point, point_array)
+    rank = by_point.tolist()
+    prob_array = np.array(list(map(probs.__getitem__, rank)), dtype=float)
+    point_array.flags.writeable = False
+    prob_array.flags.writeable = False
+    return rank, point_array, prob_array
+
+
+def _raise_first_bad_atom(
+    order: int,
+    points: list[Point],
+    probs: list[float],
+    fitting: int,
+    by_point: np.ndarray,
+    sorted_points: np.ndarray,
+) -> None:
+    """Raise the error of the first bad atom in input order, if there is one.
+
+    The first ``fitting`` atoms have the right length; ``sorted_points``
+    holds them in the stable lexicographic order ``by_point``.
+    """
+    prob_array = np.array(probs[:fitting], dtype=float)
+    faulty = ~(np.isfinite(prob_array) & (prob_array > 0.0))
+    faulty[by_point] |= ~np.isfinite(sorted_points).all(axis=1)
+    # Later members of each run of equal points repeat an earlier atom.
+    faulty[by_point[1:][(sorted_points[1:] == sorted_points[:-1]).all(axis=1)]] = True
+    first = int(np.argmax(faulty)) if faulty.any() else fitting
+    if first == len(points):
+        return
+    point, prob = points[first], probs[first]
+    if len(point) != 2 * order:
+        raise DimensionMismatch(f"atom {point} has {len(point)} coordinates, expected {2 * order}")
+    if not all(map(math.isfinite, point)):
+        raise NonFiniteInput(f"atom {point} has a non-finite coordinate")
+    if not math.isfinite(prob) or prob <= 0.0:
+        raise ModelStructureError(f"atom probability must be positive, got {prob!r}")
+    raise ModelStructureError(f"duplicate atom {point}")
 
 
 def _check_point(dist: DiscreteJoint, point: Sequence[float]) -> Point:
@@ -152,17 +236,14 @@ def subset_coordinates(order: int, positions: Sequence[int]) -> list[int]:
     return [i - 1 for i in positions] + [order + i - 1 for i in positions]
 
 
-def _project(point: Point, coords: Sequence[int]) -> Point:
-    return tuple(point[c] for c in coords)
-
-
 def marginal(dist: DiscreteJoint, subset: Iterable[int]) -> DiscreteJoint:
     """Joint law of the window pairs at the given positions."""
     positions = _check_subset(dist.order, subset)
-    coords = subset_coordinates(dist.order, positions)
+    # A subset has an x and a y coordinate per position, so this returns tuples.
+    project = operator.itemgetter(*subset_coordinates(dist.order, positions))
     out: dict[Point, float] = {}
     for atom, prob in dist.atoms:
-        key = _project(atom, coords)
+        key = project(atom)
         out[key] = out.get(key, 0.0) + prob
     return DiscreteJoint(order=len(positions), atoms=out)
 
@@ -188,15 +269,15 @@ def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[floa
         raise DimensionMismatch(
             f"conditioning point has {len(value)} coordinates, subset needs {2 * len(positions)}"
         )
-    cond_coords = subset_coordinates(dist.order, positions)
-    keep_coords = subset_coordinates(dist.order, complement)
+    project_cond = operator.itemgetter(*subset_coordinates(dist.order, positions))
+    project_keep = operator.itemgetter(*subset_coordinates(dist.order, complement))
     out: dict[Point, float] = {}
     mass = 0.0
     for atom, prob in dist.atoms:
-        if _project(atom, cond_coords) != value:
+        if project_cond(atom) != value:
             continue
         mass += prob
-        key = _project(atom, keep_coords)
+        key = project_keep(atom)
         out[key] = out.get(key, 0.0) + prob
     if mass <= 0.0:
         raise ZeroMassCondition(f"no mass at positions {positions} = {value}")
@@ -221,10 +302,8 @@ def conditional_survival(
 def _atom_codes(dist: DiscreteJoint, axes: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
     """Pattern codes of every atom's window on each of ``axes``, and the atom probabilities."""
     d = dist.order
-    points = np.array([atom for atom, _ in dist.atoms])
-    probs = np.array([prob for _, prob in dist.atoms])
-    windows = {"x": points[:, :d], "y": points[:, d:]}
-    return [pattern_codes(windows[axis]) for axis in axes], probs
+    windows = {"x": dist._points[:, :d], "y": dist._points[:, d:]}
+    return [pattern_codes(windows[axis]) for axis in axes], dist._probs
 
 
 def _coincidence(codes_x: np.ndarray, codes_y: np.ndarray, probs: np.ndarray) -> float:

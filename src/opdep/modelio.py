@@ -157,17 +157,45 @@ def _piecewise_from_dict(data: dict) -> PiecewiseUniformDensity:
         raise ModelFormatError("cells", str(exc)) from exc
 
 
+_ATOM_FIELDS = frozenset({"point", "prob"})
+_PLAIN_REALS = frozenset({float, int, str})
+
+
+def _atom_from_dict(data: Any, field: str) -> tuple[tuple[float, ...], float]:
+    obj = _dict_in(data, field, _ATOM_FIELDS)
+    point = tuple(
+        _real_in(v, f"{field}.point[{k}]")
+        for k, v in enumerate(_list_in(obj["point"], f"{field}.point"))
+    )
+    return point, _real_in(obj["prob"], f"{field}.prob")
+
+
+def _plain_atom(data: Any) -> tuple[tuple[float, ...], float] | None:
+    """An atom made only of plain JSON values, converted in bulk; else None.
+
+    ``float`` strips whitespace as ``_real_in`` does, so a plain atom gets
+    the same values; every other atom goes through the field checkers.
+    """
+    if type(data) is dict and data.keys() == _ATOM_FIELDS:
+        point, prob = data["point"], data["prob"]
+        if (
+            type(point) is list
+            and type(prob) in _PLAIN_REALS
+            and _PLAIN_REALS.issuperset(map(type, point))
+        ):
+            try:
+                return tuple(map(float, point)), float(prob)
+            except (ValueError, OverflowError):
+                pass
+    return None
+
+
 def _discrete_from_dict(data: dict) -> DiscreteJoint:
     order = _int_in(data["order"], "order")
-    atoms = []
-    for ai, raw_atom in enumerate(_list_in(data["atoms"], "atoms")):
-        field = f"atoms[{ai}]"
-        obj = _dict_in(raw_atom, field, {"point", "prob"})
-        point = [
-            _real_in(v, f"{field}.point[{k}]")
-            for k, v in enumerate(_list_in(obj["point"], f"{field}.point"))
-        ]
-        atoms.append((tuple(point), _real_in(obj["prob"], f"{field}.prob")))
+    atoms = [
+        _plain_atom(raw_atom) or _atom_from_dict(raw_atom, f"atoms[{ai}]")
+        for ai, raw_atom in enumerate(_list_in(data["atoms"], "atoms"))
+    ]
     try:
         return DiscreteJoint(order=order, atoms=atoms)
     except OpdepError as exc:

@@ -10,14 +10,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from opdep import discrete as disc
 from opdep import piecewise as pw
 from opdep.errors import DegenerateDistribution
 from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.patterns import (
-    enumerate_patterns,
     index_to_pattern,
     pattern_index,
     pattern_of,

@@ -1,7 +1,6 @@
 """Model serialization: decimal-string reals, strict schemas, round trips."""
 
 import json
-import math
 
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -1,11 +1,9 @@
 """Piecewise engine: quadrature oracles, geometry checks, sampling, MC."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from opdep.errors import (
     AmbiguousBlockOrder,
