@@ -29,7 +29,7 @@ from . import piecewise as pw
 from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, OpdepError
 from .estimator import TimeSeriesPair, empirical_opd
 from .modelio import load_model
-from .patterns import enumerate_patterns
+from .patterns import cross_match_probability, dependence_from_terms, enumerate_patterns
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
@@ -153,8 +153,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "opd":
-        value = engine.exact_opd(model)
-        coincidence = engine.pattern_coincidence(model)
+        coincidence, px, py = engine.pattern_terms(model)
+        value = dependence_from_terms(coincidence, cross_match_probability(px, py))
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0

@@ -97,7 +97,7 @@ class DiscreteJoint:
         if unconverted is not None:
             # The atoms before one that does not convert are checked first,
             # so their errors take precedence over the conversion error.
-            _sorted_atom_arrays(order, points[: len(probs)], probs)
+            _check_atoms(order, points[: len(probs)], probs)
             raise unconverted
         if not points:
             raise ModelStructureError("a law needs at least one atom")
@@ -132,31 +132,25 @@ def _sorted_atom_arrays(
 
     Returns the input indices in sorted order, and the read-only point
     array and probability vector in that order.  Raises the error of the
-    first atom, in input order, that has the wrong length, a non-finite
-    coordinate, a probability that is not positive, or the point of an
-    earlier atom (0.0 and -0.0 are the same point).
+    first bad atom, as :func:`_check_atoms` does.
     """
-    dim = 2 * order
-    n = len(points)
-    if set(map(len, points)) <= {dim}:
-        fitting = n
-    else:
-        fitting = next(i for i, point in enumerate(points) if len(point) != dim)
-    point_array = np.array(points[:fitting], dtype=float).reshape(fitting, dim)
+    # Only a law without a bad atom passes these screens (a NaN or infinite
+    # probability makes the sum non-finite).  A law that fails them, which
+    # an overflowing sum of huge probabilities also does, is checked atom
+    # by atom.
+    if not (
+        set(map(len, points)) <= {2 * order}
+        and len(set(points)) == len(points)
+        and min(probs) > 0.0
+        and math.isfinite(sum(probs))
+    ):
+        _check_atoms(order, points, probs)
+    point_array = np.array(points, dtype=float)
+    if not np.isfinite(point_array).all():
+        _check_atoms(order, points, probs)
     # Stable, so equal points stay in input order; the last key is the primary one.
     by_point = np.lexsort(point_array.T[::-1])
     point_array = point_array[by_point]
-    # Only a law without a bad atom passes these screens (a NaN or infinite
-    # probability makes the sum non-finite).  A law that fails them, which
-    # an overflowing sum of huge probabilities also does, is searched for
-    # its first bad atom.
-    if not (
-        fitting == n == len(set(points))
-        and min(probs, default=1.0) > 0.0
-        and math.isfinite(sum(probs))
-        and np.isfinite(point_array).all()
-    ):
-        _raise_first_bad_atom(order, points, probs, fitting, by_point, point_array)
     rank = by_point.tolist()
     prob_array = np.array(list(map(probs.__getitem__, rank)), dtype=float)
     point_array.flags.writeable = False
@@ -164,35 +158,24 @@ def _sorted_atom_arrays(
     return rank, point_array, prob_array
 
 
-def _raise_first_bad_atom(
-    order: int,
-    points: list[Point],
-    probs: list[float],
-    fitting: int,
-    by_point: np.ndarray,
-    sorted_points: np.ndarray,
-) -> None:
+def _check_atoms(order: int, points: list[Point], probs: list[float]) -> None:
     """Raise the error of the first bad atom in input order, if there is one.
 
-    The first ``fitting`` atoms have the right length; ``sorted_points``
-    holds them in the stable lexicographic order ``by_point``.
+    An atom is bad if it has the wrong length, a non-finite coordinate, a
+    probability that is not positive, or the point of an earlier atom (0.0
+    and -0.0 are the same point); its checks run in that order.
     """
-    prob_array = np.array(probs[:fitting], dtype=float)
-    faulty = ~(np.isfinite(prob_array) & (prob_array > 0.0))
-    faulty[by_point] |= ~np.isfinite(sorted_points).all(axis=1)
-    # Later members of each run of equal points repeat an earlier atom.
-    faulty[by_point[1:][(sorted_points[1:] == sorted_points[:-1]).all(axis=1)]] = True
-    first = int(np.argmax(faulty)) if faulty.any() else fitting
-    if first == len(points):
-        return
-    point, prob = points[first], probs[first]
-    if len(point) != 2 * order:
-        raise DimensionMismatch(f"atom {point} has {len(point)} coordinates, expected {2 * order}")
-    if not all(map(math.isfinite, point)):
-        raise NonFiniteInput(f"atom {point} has a non-finite coordinate")
-    if not math.isfinite(prob) or prob <= 0.0:
-        raise ModelStructureError(f"atom probability must be positive, got {prob!r}")
-    raise ModelStructureError(f"duplicate atom {point}")
+    seen: set[Point] = set()
+    for point, prob in zip(points, probs):
+        if len(point) != 2 * order:
+            raise DimensionMismatch(f"atom {point} has {len(point)} coordinates, expected {2 * order}")
+        if not all(map(math.isfinite, point)):
+            raise NonFiniteInput(f"atom {point} has a non-finite coordinate")
+        if not math.isfinite(prob) or prob <= 0.0:
+            raise ModelStructureError(f"atom probability must be positive, got {prob!r}")
+        if point in seen:
+            raise ModelStructureError(f"duplicate atom {point}")
+        seen.add(point)
 
 
 def _check_point(dist: DiscreteJoint, point: Sequence[float]) -> Point:
@@ -330,6 +313,16 @@ def pattern_coincidence(dist: DiscreteJoint) -> float:
     return _coincidence(codes_x, codes_y, probs)
 
 
+def pattern_terms(dist: DiscreteJoint) -> tuple[float, PatternDistribution, PatternDistribution]:
+    """Pattern coincidence and the X and Y pattern laws, from one encoding of the atoms."""
+    (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
+    return (
+        _coincidence(codes_x, codes_y, probs),
+        _pattern_law(dist.order, codes_x, probs),
+        _pattern_law(dist.order, codes_y, probs),
+    )
+
+
 def exact_opd(dist: DiscreteJoint, tol: float = 1e-12) -> float:
     """Exact normalized pattern dependence of a discrete law.
 
@@ -337,10 +330,7 @@ def exact_opd(dist: DiscreteJoint, tol: float = 1e-12) -> float:
         DegenerateDistribution: the independent-copy coincidence is 1, e.g.
             when both windows are almost surely in the same fixed pattern.
     """
-    (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
-    coincidence = _coincidence(codes_x, codes_y, probs)
-    px = _pattern_law(dist.order, codes_x, probs)
-    py = _pattern_law(dist.order, codes_y, probs)
+    coincidence, px, py = pattern_terms(dist)
     return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
 
 

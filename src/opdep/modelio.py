@@ -56,6 +56,14 @@ def _int_in(value: Any, field: str) -> int:
     return value
 
 
+def _order_in(data: dict) -> int:
+    """The model order: an integer of at least 1, read before the parts that depend on it."""
+    order = _int_in(data["order"], "order")
+    if order < 1:
+        raise ModelFormatError("order", f"must be >= 1, got {order}")
+    return order
+
+
 def _str_in(value: Any, field: str) -> str:
     if not isinstance(value, str):
         raise ModelFormatError(field, f"expected a string, got {type(value).__name__}")
@@ -136,7 +144,7 @@ def _block_from_dict(data: Any, field: str) -> Block:
 
 
 def _piecewise_from_dict(data: dict) -> PiecewiseUniformDensity:
-    order = _int_in(data["order"], "order")
+    order = _order_in(data)
     cells = []
     for ci, raw_cell in enumerate(_list_in(data["cells"], "cells")):
         field = f"cells[{ci}]"
@@ -191,7 +199,7 @@ def _plain_atom(data: Any) -> tuple[tuple[float, ...], float] | None:
 
 
 def _discrete_from_dict(data: dict) -> DiscreteJoint:
-    order = _int_in(data["order"], "order")
+    order = _order_in(data)
     atoms = [
         _plain_atom(raw_atom) or _atom_from_dict(raw_atom, f"atoms[{ai}]")
         for ai, raw_atom in enumerate(_list_in(data["atoms"], "atoms"))

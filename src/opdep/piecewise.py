@@ -569,6 +569,18 @@ def pattern_coincidence(model: PiecewiseUniformDensity) -> float:
     return _coincidence_from_laws(model, *_cell_laws(model, AXES))
 
 
+def pattern_terms(
+    model: PiecewiseUniformDensity,
+) -> tuple[float, PatternDistribution, PatternDistribution]:
+    """Pattern coincidence and the X and Y pattern laws, from one pass over the cells."""
+    laws_x, laws_y = _cell_laws(model, AXES)
+    return (
+        _coincidence_from_laws(model, laws_x, laws_y),
+        _marginal_from_laws(model, laws_x),
+        _marginal_from_laws(model, laws_y),
+    )
+
+
 def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
     """Exact normalized pattern dependence of the model.
 
@@ -576,12 +588,8 @@ def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
         DegenerateDistribution: both pattern marginals are the same point
             mass, so the coefficient is undefined.
     """
-    laws_x, laws_y = _cell_laws(model, AXES)
-    coincidence = _coincidence_from_laws(model, laws_x, laws_y)
-    px = _marginal_from_laws(model, laws_x)
-    py = _marginal_from_laws(model, laws_y)
-    cross = cross_match_probability(px, py)
-    return dependence_from_terms(coincidence, cross, tol=tol)
+    coincidence, px, py = pattern_terms(model)
+    return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
 
 
 def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float, float]]:

@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import discrete as disc
 from . import piecewise as pw
-from .discrete import DiscreteJoint
+from .discrete import DiscreteJoint, Point
 from .errors import InvalidParameter, OpdepError
 from .piecewise import Block, Cell, PiecewiseUniformDensity
 
@@ -420,21 +420,33 @@ _HEAD_POINTS = ((1.0, 2.0), (1.0, 3.0), (2.0, 2.0), (2.0, 3.0))
 _TABLE_HEADS = {
     "cdf": (0.0, 0.5, 0.5, 1.0),
     "survival": (1.0, 0.5, 0.5, 0.0),
-    "cdf_star": (0.5, 0.5, 0.5, 1.0),
-    "survival_star": (1.0, 0.5, 0.5, 0.5),
+    "starred cdf": (0.5, 0.5, 0.5, 1.0),
+    "starred survival": (1.0, 0.5, 0.5, 0.5),
 }
 _TABLE_UNIFORM = {
     "cdf": (0.25, 0.5, 0.5, 1.0),
     "survival": (1.0, 0.5, 0.5, 0.25),
-    "cdf_star": (0.25, 0.5, 0.5, 1.0),
-    "survival_star": (1.0, 0.5, 0.5, 0.25),
+    "starred cdf": (0.25, 0.5, 0.5, 1.0),
+    "starred survival": (1.0, 0.5, 0.5, 0.25),
 }
 _TABLE_MIXED = {
     "cdf": (0.125, 0.5, 0.5, 1.0),
     "survival": (1.0, 0.5, 0.5, 0.125),
-    "cdf_star": (0.375, 0.5, 0.5, 1.0),
-    "survival_star": (1.0, 0.5, 0.5, 0.375),
+    "starred cdf": (0.375, 0.5, 0.5, 1.0),
+    "starred survival": (1.0, 0.5, 0.5, 0.375),
 }
+
+
+def _pmf_close(a: dict, b: dict, tol: float) -> bool:
+    """Same support, and probabilities within ``tol`` of each other."""
+    return set(a) == set(b) and all(abs(a[k] - b[k]) <= tol for k in a)
+
+
+def _coordinate_pmf(law: DiscreteJoint, coord: int) -> dict[float, float]:
+    out: dict[float, float] = {}
+    for atom, prob in law.atoms:
+        out[atom[coord]] = out.get(atom[coord], 0.0) + prob
+    return out
 
 
 def _head_table_checks(
@@ -446,34 +458,69 @@ def _head_table_checks(
 ) -> list[CheckResult]:
     checks = []
     for k, point in enumerate(_HEAD_POINTS):
-        checks.append(
-            _value_check(f"{prefix}: cdf{point}", table["cdf"][k], disc.cdf(head, point), tol)
-        )
-        checks.append(
-            _value_check(
-                f"{prefix}: survival{point}", table["survival"][k], disc.survival(head, point), tol
-            )
-        )
-        checks.append(
-            _value_check(
-                f"{prefix}: starred cdf{point}", table["cdf_star"][k], disc.cdf(head_star, point), tol
-            )
-        )
-        checks.append(
-            _value_check(
-                f"{prefix}: starred survival{point}",
-                table["survival_star"][k],
-                disc.survival(head_star, point),
-                tol,
-            )
-        )
+        for starred, law in (("", head), ("starred ", head_star)):
+            for side, fn in (("cdf", disc.cdf), ("survival", disc.survival)):
+                name = starred + side
+                checks.append(_value_check(f"{prefix}: {name}{point}", table[name][k], fn(law, point), tol))
     return checks
+
+
+def _theorem_premise_checks(
+    law: DiscreteJoint,
+    law_star: DiscreteJoint,
+    swapped_variant: str,
+    conditioning_point: Point | None,
+    witness_label: str,
+    tol: float,
+) -> list[CheckResult]:
+    """The theorem's premises for the pair, and the refutation of the swapped pair.
+
+    The tail position is shared and both condition families hold; the
+    swapped pair fails ``swapped_variant`` with a cdf of 1/2 against 0 at
+    the head point (1, 2), conditioned on ``conditioning_point`` (None for
+    the unconditional variant B).
+    """
+    tail_shared = 2 in disc.shared_position_detect(law, law_star, tol=tol)
+    rep_a = disc.check_theorem_conditions(law, law_star, "A", tol=tol)
+    rep_b = disc.check_theorem_conditions(law, law_star, "B", tol=tol)
+    swapped = disc.check_theorem_conditions(law_star, law, swapped_variant, tol=tol)
+    witness = any(
+        v.subset == (2,)
+        and v.side == "cdf"
+        and v.conditioning_point == conditioning_point
+        and v.evaluation_point == (1.0, 2.0)
+        and abs(v.lhs - 0.5) <= tol
+        and abs(v.rhs - 0.0) <= tol
+        for v in swapped.violations
+    )
+    return [
+        _flag_check("tail pair laws agree across the two laws", True, tail_shared),
+        _flag_check("conditional families (variant A) hold", True, rep_a.holds),
+        _flag_check("marginal families (variant B) hold", True, rep_b.holds),
+        _flag_check("variant A auto-detects the shared tail", True, rep_a.shared_positions == (2,)),
+        _flag_check(f"swapped variant {swapped_variant} fails", False, swapped.holds),
+        _flag_check(witness_label, True, witness),
+    ]
+
+
+def _dependence_conclusion_checks(
+    law: DiscreteJoint, interleaved: LawPair, undefined_label: str, tol: float
+) -> list[CheckResult]:
+    """Dependence is undefined on the default tail and ordered on the interleaved one."""
+    undefined = _error_check(undefined_label, "DegenerateDistribution", lambda: disc.exact_opd(law))
+    opd = disc.exact_opd(interleaved.law)
+    opd_star = disc.exact_opd(interleaved.law_star)
+    return [
+        undefined,
+        _value_check("interleaved-tail dependence", -0.6, opd, tol),
+        _value_check("interleaved-tail starred dependence", 0.2, opd_star, tol),
+        _flag_check("dependence conclusion holds", True, opd <= opd_star + tol),
+    ]
 
 
 def verify_example42(tol: float = 1e-12) -> ScenarioReport:
     """Re-derive every claim of the independent-tail scenario."""
-    pair = build_example42()
-    law, law_star = pair
+    law, law_star = build_example42()
     checks: list[CheckResult] = []
 
     head = disc.marginal(law, (1,))
@@ -490,29 +537,10 @@ def verify_example42(tol: float = 1e-12) -> ScenarioReport:
                 cond.as_dict() == head.as_dict(),
             )
         )
-    tail_shared = 2 in disc.shared_position_detect(law, law_star, tol=tol)
-    checks.append(_flag_check("tail pair laws agree across the two laws", True, tail_shared))
-
-    rep_a = disc.check_theorem_conditions(law, law_star, "A", tol=tol)
-    rep_b = disc.check_theorem_conditions(law, law_star, "B", tol=tol)
-    checks.append(_flag_check("conditional families (variant A) hold", True, rep_a.holds))
-    checks.append(_flag_check("marginal families (variant B) hold", True, rep_b.holds))
-    checks.append(
-        _flag_check("variant A auto-detects the shared tail", True, rep_a.shared_positions == (2,))
-    )
-
-    swapped = disc.check_theorem_conditions(law_star, law, "B", tol=tol)
-    checks.append(_flag_check("swapped variant B fails", False, swapped.holds))
-    witness = any(
-        v.subset == (2,)
-        and v.side == "cdf"
-        and v.evaluation_point == (1.0, 2.0)
-        and abs(v.lhs - 0.5) <= tol
-        and abs(v.rhs - 0.0) <= tol
-        for v in swapped.violations
-    )
-    checks.append(
-        _flag_check("swapped run reports the head cdf witness at (1, 2)", True, witness)
+    checks.extend(
+        _theorem_premise_checks(
+            law, law_star, "B", None, "swapped run reports the head cdf witness at (1, 2)", tol
+        )
     )
 
     heads_cont = example42_head_models()
@@ -520,19 +548,11 @@ def verify_example42(tol: float = 1e-12) -> ScenarioReport:
         checks.append(
             _error_check(f"{label} validates as a density", "no error", lambda m=model: pw.validate(m, tol=tol))
         )
-    checks.append(
-        _value_check(
-            "continuous head cdf at (1.5, 2.5)", 0.5, pw.cdf(heads_cont.model, (1.5, 2.5)), tol
-        )
-    )
-    checks.append(
-        _value_check(
-            "continuous starred head cdf at (1.5, 2.5)",
-            0.625,
-            pw.cdf(heads_cont.model_star, (1.5, 2.5)),
-            tol,
-        )
-    )
+    for label, model, expected in (
+        ("continuous head", heads_cont.model, 0.5),
+        ("continuous starred head", heads_cont.model_star, 0.625),
+    ):
+        checks.append(_value_check(f"{label} cdf at (1.5, 2.5)", expected, pw.cdf(model, (1.5, 2.5)), tol))
     head_report = pw.concordance_check(heads_cont.model, heads_cont.model_star, tol=tol)
     checks.append(
         _flag_check("continuous heads are concordance ordered", True, head_report.dominated)
@@ -543,116 +563,58 @@ def verify_example42(tol: float = 1e-12) -> ScenarioReport:
         _flag_check("continuous full laws are concordance ordered", True, full_report.dominated)
     )
 
-    checks.append(
-        _error_check(
+    checks.extend(
+        _dependence_conclusion_checks(
+            law,
+            build_example42(tail=example42_tail_interleaved()),
             "default tail leaves dependence undefined",
-            "DegenerateDistribution",
-            lambda: disc.exact_opd(law),
+            tol,
         )
     )
-    inter = build_example42(tail=example42_tail_interleaved())
-    opd = disc.exact_opd(inter.law)
-    opd_star = disc.exact_opd(inter.law_star)
-    checks.append(_value_check("interleaved-tail dependence", -0.6, opd, tol))
-    checks.append(_value_check("interleaved-tail starred dependence", 0.2, opd_star, tol))
-    checks.append(_flag_check("dependence conclusion holds", True, opd <= opd_star + tol))
     return ScenarioReport.from_checks("example42", checks)
 
 
 def verify_example43(tol: float = 1e-12) -> ScenarioReport:
     """Re-derive every claim of the tail-dependent scenario."""
-    pair = build_example43()
-    law, law_star = pair
+    law, law_star = build_example43()
     checks: list[CheckResult] = []
 
     c1 = (10.0, 10.0)
-    c2 = (20.0, 20.0)
-    head_c1 = disc.conditional(law, (2,), c1)
-    head_c1_star = disc.conditional(law_star, (2,), c1)
-    checks.extend(_head_table_checks("heads given first tail value", head_c1, head_c1_star, _TABLE_HEADS, tol))
-    head_c2 = disc.conditional(law, (2,), c2)
-    head_c2_star = disc.conditional(law_star, (2,), c2)
-    checks.extend(
-        _head_table_checks("heads given second tail value", head_c2, head_c2_star, _TABLE_UNIFORM, tol)
-    )
+    for prefix, value, table in (
+        ("heads given first tail value", c1, _TABLE_HEADS),
+        ("heads given second tail value", (20.0, 20.0), _TABLE_UNIFORM),
+    ):
+        head_c = disc.conditional(law, (2,), value)
+        head_c_star = disc.conditional(law_star, (2,), value)
+        checks.extend(_head_table_checks(prefix, head_c, head_c_star, table, tol))
     head = disc.marginal(law, (1,))
     head_star = disc.marginal(law_star, (1,))
     checks.extend(_head_table_checks("mixed head table", head, head_star, _TABLE_MIXED, tol))
 
     expected_head = {(1.0, 2.0): 0.125, (1.0, 3.0): 0.375, (2.0, 2.0): 0.375, (2.0, 3.0): 0.125}
     expected_head_star = {(1.0, 2.0): 0.375, (1.0, 3.0): 0.125, (2.0, 2.0): 0.125, (2.0, 3.0): 0.375}
-    got = head.as_dict()
-    got_star = head_star.as_dict()
+    checks.append(_flag_check("mixed head pmf", True, _pmf_close(head.as_dict(), expected_head, tol)))
     checks.append(
-        _flag_check(
-            "mixed head pmf",
-            True,
-            set(got) == set(expected_head) and all(abs(got[k] - v) <= tol for k, v in expected_head.items()),
-        )
-    )
-    checks.append(
-        _flag_check(
-            "mixed starred head pmf",
-            True,
-            set(got_star) == set(expected_head_star)
-            and all(abs(got_star[k] - v) <= tol for k, v in expected_head_star.items()),
-        )
+        _flag_check("mixed starred head pmf", True, _pmf_close(head_star.as_dict(), expected_head_star, tol))
     )
 
     # Componentwise marginals agree even though the pair laws differ.
-    for name, coords in (("first x coordinate", 0), ("first y coordinate", 2)):
-        a: dict[float, float] = {}
-        b: dict[float, float] = {}
-        for atom, prob in law.atoms:
-            a[atom[coords]] = a.get(atom[coords], 0.0) + prob
-        for atom, prob in law_star.atoms:
-            b[atom[coords]] = b.get(atom[coords], 0.0) + prob
-        checks.append(
-            _flag_check(
-                f"{name} laws agree across the two laws",
-                True,
-                set(a) == set(b) and all(abs(a[k] - b[k]) <= tol for k in a),
-            )
+    for name, coord in (("first x coordinate", 0), ("first y coordinate", 2)):
+        agree = _pmf_close(_coordinate_pmf(law, coord), _coordinate_pmf(law_star, coord), tol)
+        checks.append(_flag_check(f"{name} laws agree across the two laws", True, agree))
+    checks.extend(
+        _theorem_premise_checks(
+            law, law_star, "A", c1, "swapped run reports the conditional cdf witness at (1, 2)", tol
         )
-    tail_shared = 2 in disc.shared_position_detect(law, law_star, tol=tol)
-    checks.append(_flag_check("tail pair laws agree across the two laws", True, tail_shared))
-
-    rep_a = disc.check_theorem_conditions(law, law_star, "A", tol=tol)
-    rep_b = disc.check_theorem_conditions(law, law_star, "B", tol=tol)
-    checks.append(_flag_check("conditional families (variant A) hold", True, rep_a.holds))
-    checks.append(_flag_check("marginal families (variant B) hold", True, rep_b.holds))
-    checks.append(
-        _flag_check("variant A auto-detects the shared tail", True, rep_a.shared_positions == (2,))
     )
-
-    swapped = disc.check_theorem_conditions(law_star, law, "A", tol=tol)
-    checks.append(_flag_check("swapped variant A fails", False, swapped.holds))
-    witness = any(
-        v.subset == (2,)
-        and v.side == "cdf"
-        and v.conditioning_point == c1
-        and v.evaluation_point == (1.0, 2.0)
-        and abs(v.lhs - 0.5) <= tol
-        and abs(v.rhs - 0.0) <= tol
-        for v in swapped.violations
-    )
-    checks.append(
-        _flag_check("swapped run reports the conditional cdf witness at (1, 2)", True, witness)
-    )
-
-    checks.append(
-        _error_check(
+    checks.extend(
+        _dependence_conclusion_checks(
+            law,
+            build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5)),
             "default tail values leave dependence undefined",
-            "DegenerateDistribution",
-            lambda: disc.exact_opd(law),
+            tol,
         )
     )
-    inter = build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5))
-    opd = disc.exact_opd(inter.law)
-    opd_star = disc.exact_opd(inter.law_star)
-    checks.append(_value_check("interleaved-tail dependence", -0.6, opd, tol))
-    checks.append(_value_check("interleaved-tail starred dependence", 0.2, opd_star, tol))
-    checks.append(_flag_check("dependence conclusion holds", True, opd <= opd_star + tol))
     return ScenarioReport.from_checks("example43", checks)
 
 

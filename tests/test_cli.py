@@ -294,6 +294,42 @@ def test_model_format_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, parts", [("discrete", "atoms"), ("piecewise", "cells")])
+def test_model_order_below_one_exits_2_at_field_order(capsys, tmp_path, kind, parts):
+    path = tmp_path / "order0.json"
+    path.write_text(json.dumps({"kind": kind, "order": 0, parts: []}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "model", "validate", str(path))
+    assert (code, out, err) == (2, "", "error: model format: order: must be >= 1, got 0\n")
+
+
+def _counting(monkeypatch, module, name):
+    """Rebind ``module.name`` to a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_model_opd_computes_the_pattern_laws_once(capsys, monkeypatch):
+    models = MODEL_FILES[0].parent
+    # Each window of a discrete law is encoded once: x and y.
+    encodings = _counting(monkeypatch, disc, "pattern_codes")
+    code, out, _ = run_cli(capsys, "model", "opd", str(models / "example42_interleaved_law.json"))
+    assert code == 0 and out.startswith("value ")
+    assert len(encodings) == 2
+    # Each cell's pattern law is built once per axis.
+    cell_laws = _counting(monkeypatch, pw, "_axis_pattern_law")
+    path = models / "counterexample_f.json"
+    code, out, _ = run_cli(capsys, "model", "opd", str(path))
+    assert code == 0 and out.startswith("value ")
+    assert len(cell_laws) == 2 * len(load_model(path).cells)
+
+
 # --- concordance ---------------------------------------------------------------
 
 def test_concordance_dominated(capsys, f_model_path, f_star_model_path):

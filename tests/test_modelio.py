@@ -113,6 +113,23 @@ def test_structural_errors_are_wrapped():
     assert err.value.field == "atoms"
 
 
+@pytest.mark.parametrize("order", [0, -2])
+@pytest.mark.parametrize(
+    "data",
+    [
+        # The parts after the order are malformed too: the order is reported first.
+        {"kind": "discrete", "atoms": [{"point": ["1", True], "prob": "1.0"}]},
+        {"kind": "piecewise", "cells": [{"value": "1.0", "blocks": [{"axis": "z"}]}]},
+    ],
+    ids=["discrete", "piecewise"],
+)
+def test_order_below_one_is_reported_at_field_order(order, data):
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict(dict(data, order=order))
+    assert err.value.field == "order"
+    assert str(err.value) == f"order: must be >= 1, got {order}"
+
+
 def test_top_level_validation():
     with pytest.raises(ModelFormatError):
         model_from_dict([1, 2, 3])

@@ -1,6 +1,7 @@
 """Scenario verifiers: deterministic reports, JSON round trips, dispatch."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,10 @@ from opdep.scenarios import (
     verify_example42,
     verify_example43,
 )
+
+# Every check of the three reports, in order: name, expected and computed
+# value, and result.
+PINNED_REPORTS = Path(__file__).resolve().parent / "data" / "scenario_reports.json"
 
 
 def test_all_scenarios_pass():
@@ -65,3 +70,9 @@ def test_tolerance_is_threaded_through():
     # reports stay green even at tol=0
     report = verify_counterexample(tol=0.0)
     assert report.passed
+
+
+@pytest.mark.parametrize("name", ["counterexample", "example42", "example43"])
+def test_reports_match_the_pinned_checks(name):
+    pinned = json.loads(PINNED_REPORTS.read_text(encoding="utf-8"))[name]
+    assert run_scenario(name).to_dict() == pinned
