@@ -21,8 +21,11 @@ import json
 import logging
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from . import discrete as disc
 from . import piecewise as pw
@@ -66,11 +69,60 @@ def _parse_point(raw: str) -> tuple[float, ...]:
         raise InvalidParameter(f"--point must be comma-separated reals, got {raw!r}") from None
 
 
-def _read_series_csv(path: str) -> TimeSeriesPair:
-    """Two-column CSV; an optional non-numeric first row is a header."""
+# On files holding any of these the bulk parse could disagree with the row
+# loop: a quote opens a csv field that may span lines, numpy strips the
+# separators \x1c-\x1f around a number where float() rejects them, and
+# csv rejects NUL on Python 3.10.
+_ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+
+
+def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both columns of a CSV file, parsed in one C-level pass.
+
+    Takes only files on which it gives the row loop's values: a first line
+    of two or more fields (a header if either of its first two fields is
+    not a number), then rows whose first two fields are numbers, with
+    empty lines between them and any fields after the second.  Any other
+    file raises ValueError (numpy's, or one naming the reason) or a
+    warning turned into an error, and the row loop reads it instead.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        text = handle.read()
+    for char in _ROW_LOOP_ONLY:
+        if char in text:
+            raise ValueError(f"the file contains {char!r}")
+    # Lines end at \n, \r\n or a lone \r, for the row loop and for numpy's
+    # universal newlines alike.
+    fields = text.partition("\n")[0].partition("\r")[0].split(",")
+    # numpy reads the file again: parsing the text held here would need a
+    # StringIO, whose buffer takes four bytes a character.
+    del text
+    if len(fields) < 2 or not any(field.strip() for field in fields):
+        raise ValueError("the first line is not a row of two or more fields")
+    try:
+        float(fields[0])
+        float(fields[1])
+        header = 0
+    except ValueError:
+        header = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns on a file without data rows
+        table = np.loadtxt(
+            path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, skiprows=header,
+            encoding="utf-8-sig",
+        )
+    xs = tuple(table[:, 0].tolist())
+    # Free the table before boxing the second column, to keep the peak low.
+    y_column = table[:, 1].copy()
+    del table
+    return xs, tuple(y_column.tolist())
+
+
+def _loop_columns(path: str) -> tuple[list[float], list[float]]:
+    """Both columns of a CSV file, read row by row; the source of every error."""
     xs: list[float] = []
     ys: list[float] = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         first_data_row = True
         for lineno, row in enumerate(reader, start=1):
@@ -91,12 +143,30 @@ def _read_series_csv(path: str) -> TimeSeriesPair:
             ys.append(y)
     if not xs:
         raise InvalidParameter(f"{path}: no data rows")
-    return TimeSeriesPair(xs, ys)
+    return xs, ys
+
+
+def _read_series_csv(path: str) -> TimeSeriesPair:
+    """Two-column CSV; an optional non-numeric first row is a header.
+
+    The file is parsed in bulk where that gives the row loop's values, and
+    read row by row otherwise, so both give the same pair and every error
+    comes from the loop.
+    """
+    try:
+        xs, ys = _parse_columns(path)
+        reader = "bulk parse"
+    except (ValueError, Warning) as exc:
+        log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
+        xs, ys = _loop_columns(path)
+        reader = "row loop"
+    pair = TimeSeriesPair(xs, ys)
+    log.info("read %d rows from %s by the %s", len(pair), path, reader)
+    return pair
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     pair = _read_series_csv(args.csv)
-    log.info("read %d rows from %s", len(pair), args.csv)
     estimate = empirical_opd(pair, d=args.order, step=args.step)
     payload = estimate.to_dict()
     lines = [f"{key} {value}" for key, value in payload.items()]
@@ -154,7 +224,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     if args.action == "opd":
         coincidence, px, py = engine.pattern_terms(model)
-        value = dependence_from_terms(coincidence, cross_match_probability(px, py))
+        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=args.tol)
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0
@@ -242,7 +312,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--point", default=None, help="comma-separated coordinates for cdf")
     p_mod.add_argument("--count", type=int, default=1000, help="sample size (default 1000)")
     p_mod.add_argument("--seed", type=int, default=None, help="RNG seed (required for sample)")
-    p_mod.add_argument("--tol", type=float, default=1e-12)
+    p_mod.add_argument(
+        "--tol", type=float, default=1e-12,
+        help="tolerance of validate and opd (default 1e-12)",
+    )
     add_common(p_mod)
     p_mod.set_defaults(func=cmd_model)
 

@@ -34,6 +34,16 @@ from .patterns import (
 )
 
 
+_FLOAT = frozenset({float})
+
+
+def _float_tuple(values: Sequence[float]) -> tuple[float, ...]:
+    # A tuple of floats is already converted; keeping it saves a copy.
+    if type(values) is tuple and _FLOAT.issuperset(map(type, values)):
+        return values
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class TimeSeriesPair:
     """Two real-valued series observed on the same time axis.
@@ -46,8 +56,8 @@ class TimeSeriesPair:
     y: tuple[float, ...]
 
     def __init__(self, x: Sequence[float], y: Sequence[float]) -> None:
-        xs = tuple(float(v) for v in x)
-        ys = tuple(float(v) for v in y)
+        xs = _float_tuple(x)
+        ys = _float_tuple(y)
         if not xs or not ys:
             raise EmptyInput("both series must be nonempty")
         if len(xs) != len(ys):

@@ -116,6 +116,21 @@ def test_estimate_degenerate_exits_3(capsys, tmp_path):
     assert "error" in err
 
 
+def test_estimate_shipped_small_series(capsys):
+    # A header, a blank row and a NaN: the NaN drops the three d=3 windows
+    # that hold it.
+    path = Path(__file__).resolve().parent / "data" / "series_small.csv"
+    code, out, _ = run_cli(capsys, "estimate", str(path), "-d", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "value": 0.4545454545454544,
+        "coincidence": 0.6666666666666666,
+        "cross_term": 0.3888888888888889,
+        "window_count": 6,
+        "skipped_windows": 3,
+    }
+
+
 # --- verify -------------------------------------------------------------------
 
 @pytest.mark.parametrize("scenario", ["counterexample", "example42", "example43"])
@@ -184,6 +199,15 @@ def test_model_opd(capsys, f_model_path, discrete_model_path):
     # the default tails of the mixture law make the coefficient undefined
     code, _, err = run_cli(capsys, "model", "opd", discrete_model_path)
     assert code == 3
+
+
+def test_model_opd_uses_tol(capsys):
+    path = str(MODEL_FILES[0].parent / "example42_interleaved_law.json")
+    code, out, _ = run_cli(capsys, "model", "opd", path)
+    assert (code, out) == (0, "value -0.6\ncoincidence 0.0\n")
+    # The cross term is 0.375, so 1 - cross is within a tolerance of 0.9.
+    code, _, err = run_cli(capsys, "model", "opd", path, "--tol", "0.9")
+    assert code == 3 and "undefined" in err
 
 
 def test_model_patterns(capsys, f_model_path):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,6 +26,20 @@ def test_pair_validation():
         TimeSeriesPair([1.0, 2.0], [1.0])
     pair = TimeSeriesPair([1, 2], [3, 4])
     assert pair.x == (1.0, 2.0) and len(pair) == 2
+
+
+def test_pair_keeps_a_tuple_of_floats_and_converts_other_input():
+    xs, ys = (1.0, NAN), (2.5, -0.0)
+    pair = TimeSeriesPair(xs, ys)
+    assert pair.x is xs and pair.y is ys
+    # Ints, float subclasses, lists and generators are converted value for value.
+    for raw in ((1, 2.0), (np.float64(1.0), 2.0), [1.0, 2.0], (v for v in (1, 2))):
+        x = TimeSeriesPair(raw, (3.0, 4.0)).x
+        assert x == (1.0, 2.0) and {type(v) for v in x} == {float}
+    with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
+        TimeSeriesPair((1.0, "a"), (1.0, 2.0))
+    with pytest.raises(TypeError, match="not iterable"):
+        TimeSeriesPair(1.0, (1.0,))
 
 
 def test_sliding_patterns_hand_enumeration():
