@@ -15,6 +15,7 @@ Layers:
   and seeded sampling / Monte Carlo.
 * :mod:`opdep.discrete` - finitely supported joint laws, conditionals,
   and the inequality-family checker for dependence ordering.
+* :mod:`opdep.records` - the one JSON form of every result record.
 * :mod:`opdep.modelio` - lossless JSON serialization of models.
 * :mod:`opdep.scenarios` - the built-in model pairs and their verifiers.
 * :mod:`opdep.cli` - the ``opdep`` command line tool.
@@ -52,7 +53,6 @@ from .patterns import (
     pattern_codes,
     pattern_index,
     pattern_of,
-    permute_coordinates,
     rank_table,
 )
 from .piecewise import (
@@ -84,8 +84,6 @@ from .discrete import (
     DiscreteJoint,
     check_theorem_conditions,
     conditional,
-    conditional_cdf,
-    conditional_survival,
     exact_opd_discrete,
     marginal,
     mixture_from_conditionals,

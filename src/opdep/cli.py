@@ -32,7 +32,7 @@ from . import piecewise as pw
 from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, OpdepError
 from .estimator import TimeSeriesPair, empirical_opd
 from .modelio import load_model
-from .patterns import cross_match_probability, dependence_from_terms, enumerate_patterns
+from .patterns import cross_match_probability, dependence_from_terms
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
@@ -188,8 +188,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _pattern_table(dist) -> dict[str, float]:
-    patterns = enumerate_patterns(dist.order)
-    return {",".join(map(str, pat)): prob for pat, prob in zip(patterns, dist.probs)}
+    return {",".join(map(str, pat)): prob for pat, prob in dist.as_dict().items()}
 
 
 def cmd_model(args: argparse.Namespace) -> int:
@@ -347,6 +346,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8: {exc}", file=sys.stderr)
         return 2
 
 

@@ -54,6 +54,7 @@ from .patterns import (
     dependence_from_terms,
     pattern_codes,
 )
+from .records import Record
 
 log = logging.getLogger(__name__)
 
@@ -268,20 +269,6 @@ def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[floa
     return DiscreteJoint(order=len(complement), atoms=scaled)
 
 
-def conditional_cdf(
-    dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float], point: Sequence[float]
-) -> float:
-    """Conditional lower orthant probability of the complement positions."""
-    return cdf(conditional(dist, subset, given), point)
-
-
-def conditional_survival(
-    dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float], point: Sequence[float]
-) -> float:
-    """Conditional upper orthant probability of the complement positions."""
-    return survival(conditional(dist, subset, given), point)
-
-
 def _atom_codes(dist: DiscreteJoint, axes: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
     """Pattern codes of every atom's window on each of ``axes``, and the atom probabilities."""
     d = dist.order
@@ -353,14 +340,7 @@ def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
 
 def product_extend(head: DiscreteJoint, tail: DiscreteJoint) -> DiscreteJoint:
     """Independent concatenation: head positions first, then tail positions."""
-    d1 = head.order
-    d2 = tail.order
-    out: dict[Point, float] = {}
-    for hp, hprob in head.atoms:
-        for tp, tprob in tail.atoms:
-            point = hp[:d1] + tp[:d2] + hp[d1:] + tp[d2:]
-            out[point] = out.get(point, 0.0) + hprob * tprob
-    return DiscreteJoint(order=d1 + d2, atoms=out)
+    return mixture_from_conditionals(tail, {point: head for point, _ in tail.atoms})
 
 
 def mixture_from_conditionals(
@@ -414,7 +394,7 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
 
 
 @dataclass(frozen=True)
-class ConditionViolation:
+class ConditionViolation(Record):
     """One broken inequality: an unstarred value exceeding the starred one.
 
     ``outer`` names the law whose values were conditioned on ("first",
@@ -430,22 +410,9 @@ class ConditionViolation:
     lhs: float
     rhs: float
 
-    def to_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "side": self.side,
-            "outer": self.outer,
-            "conditioning_point": None
-            if self.conditioning_point is None
-            else list(self.conditioning_point),
-            "evaluation_point": list(self.evaluation_point),
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 @dataclass(frozen=True)
-class ConditionSkip:
+class ConditionSkip(Record):
     """A conditioning combination that could not be evaluated."""
 
     subset: tuple[int, ...]
@@ -453,17 +420,9 @@ class ConditionSkip:
     conditioning_point: Point
     reason: str
 
-    def to_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "outer": self.outer,
-            "conditioning_point": list(self.conditioning_point),
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of a sweep of one variant's inequality families."""
 
     variant: str
@@ -472,16 +431,6 @@ class ConditionReport:
     skipped: tuple[ConditionSkip, ...]
     shared_positions: tuple[int, ...]
     tol: float
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "holds": self.holds,
-            "violations": [v.to_dict() for v in self.violations],
-            "skipped": [s.to_dict() for s in self.skipped],
-            "shared_positions": list(self.shared_positions),
-            "tol": self.tol,
-        }
 
 
 def _coordinate_values(

@@ -27,11 +27,13 @@ from typing import Sequence
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, SeriesTooShort
 from .patterns import (
     Pattern,
+    _check_order,
     cross_match_probability,
     dependence_from_terms,
     distribution_from_counts,
     pattern_of,
 )
+from .records import Record
 
 
 _FLOAT = frozenset({float})
@@ -70,7 +72,7 @@ class TimeSeriesPair:
 
 
 @dataclass(frozen=True)
-class OpdEstimate:
+class OpdEstimate(Record):
     """Result of an empirical dependence computation.
 
     Attributes:
@@ -87,15 +89,6 @@ class OpdEstimate:
     cross_term: float
     window_count: int
     skipped_windows: int
-
-    def to_dict(self) -> dict[str, float | int]:
-        return {
-            "value": self.value,
-            "coincidence": self.coincidence,
-            "cross_term": self.cross_term,
-            "window_count": self.window_count,
-            "skipped_windows": self.skipped_windows,
-        }
 
 
 def _window_offsets(length: int, d: int, step: int) -> range:
@@ -123,10 +116,12 @@ def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-1
     window set.
 
     Raises:
+        OrderTooSmall / OrderTooLarge: d outside [2, 8].
         SeriesTooShort: no window of order d fits the series.
         EmptyInput: every window offset was skipped.
         DegenerateDistribution: the empirical cross term equals 1 within tol.
     """
+    _check_order(d)
     xs = pair.x
     ys = pair.y
     x_patterns: list[Pattern] = []

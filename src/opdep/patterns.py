@@ -116,11 +116,9 @@ def pattern_codes(windows: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray
     return codes
 
 
-def _check_permutation(pattern: Sequence[int], d: int | None = None) -> Pattern:
+def _check_permutation(pattern: Sequence[int]) -> Pattern:
     pat = tuple(pattern)
     n = len(pat)
-    if d is not None and n != d:
-        raise InvalidPermutation(f"expected length {d}, got {n}")
     _check_order(n)
     if sorted(pat) != list(range(1, n + 1)):
         raise InvalidPermutation(f"{pat!r} is not a permutation of 1..{n}")
@@ -160,20 +158,6 @@ def index_to_pattern(index: int, d: int) -> Pattern:
         pos, rem = divmod(rem, f)
         ranks.append(remaining.pop(pos))
     return tuple(ranks)
-
-
-def permute_coordinates(pattern: Sequence[int], sigma: Sequence[int]) -> Pattern:
-    """Pattern of the window re-read through coordinate positions ``sigma``.
-
-    If ``pattern`` is the pattern of a distinct-valued window x, the result
-    is the pattern of the window ``(x[sigma_1], ..., x[sigma_d])`` (sigma
-    1-based).  With ties the composition is still well defined on ranks but
-    need not agree with re-reading the raw window, because tie-breaking
-    follows the new index order.
-    """
-    pat = _check_permutation(pattern)
-    sig = _check_permutation(sigma, d=len(pat))
-    return tuple(pat[s - 1] for s in sig)
 
 
 @dataclass(frozen=True)

@@ -60,6 +60,7 @@ from .patterns import (
     rank_table,
 )
 from .randomness import make_rng
+from .records import Record
 
 AXES = ("x", "y")
 KINDS = ("chain", "free")
@@ -199,7 +200,7 @@ Event = Union[PatternCoincidence, LowerOrthant, UpperOrthant]
 
 
 @dataclass(frozen=True)
-class ConcordanceReport:
+class ConcordanceReport(Record):
     """Outcome of a grid comparison of two models' distribution functions.
 
     ``cdf_dominated`` holds when ``F_A <= F_B + tol`` at every grid point,
@@ -220,16 +221,6 @@ class ConcordanceReport:
     @property
     def dominated(self) -> bool:
         return self.cdf_dominated and self.survival_dominated
-
-    def to_dict(self) -> dict:
-        return {
-            "cdf_dominated": self.cdf_dominated,
-            "survival_dominated": self.survival_dominated,
-            "max_cdf_violation": self.max_cdf_violation,
-            "max_survival_violation": self.max_survival_violation,
-            "witness_points": [list(p) for p in self.witness_points],
-            "tol": self.tol,
-        }
 
 
 def coordinate_index(order: int, axis: str, position: int) -> int:
@@ -612,17 +603,15 @@ def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float,
 
 
 def default_grid(
-    models: Sequence[PiecewiseUniformDensity],
-    points_per_axis: int = 9,
-    padding: float = 0.5,
+    models: Sequence[PiecewiseUniformDensity], points_per_axis: int = 9
 ) -> list[list[float]]:
-    """Evenly spaced evaluation grid over the padded bounding box."""
+    """Evenly spaced evaluation grid over the bounding box widened by 0.5 on each side."""
     if points_per_axis < 2:
         raise InvalidParameter(f"points_per_axis must be >= 2, got {points_per_axis}")
     grid = []
     for lo, hi in bounding_box(models):
-        a = lo - padding
-        b = hi + padding
+        a = lo - 0.5
+        b = hi + 0.5
         n = points_per_axis
         grid.append([a + (b - a) * i / (n - 1) for i in range(n)])
     return grid
@@ -634,19 +623,18 @@ def concordance_check(
     grid: Sequence[Sequence[float]] | None = None,
     tol: float = 1e-12,
     points_per_axis: int = 9,
-    padding: float = 0.5,
 ) -> ConcordanceReport:
     """Grid test of whether model A precedes model B in concordance order.
 
     At every grid point both the cdf and the survival function of A must
     not exceed B's by more than ``tol``.  With ``grid`` omitted, the grid
     is ``points_per_axis`` evenly spaced values per coordinate over the
-    joint bounding box padded by ``padding``.
+    joint bounding box widened by 0.5 on each side.
     """
     if model_a.dimension != model_b.dimension:
         raise DimensionMismatch("models have different dimensions")
     if grid is None:
-        axes = default_grid([model_a, model_b], points_per_axis, padding)
+        axes = default_grid([model_a, model_b], points_per_axis)
     else:
         axes = [[float(v) for v in axis_values] for axis_values in grid]
         if len(axes) != model_a.dimension:

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 from . import discrete as disc
@@ -43,63 +43,35 @@ from . import piecewise as pw
 from .discrete import DiscreteJoint, Point
 from .errors import InvalidParameter, OpdepError
 from .piecewise import Block, Cell, PiecewiseUniformDensity
+from .records import Record
 
 INF = math.inf
 
 
+_PASS = {"key": "pass"}
+
+
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named comparison of a computed value against a frozen expectation."""
 
     name: str
     expected: str
     actual: str
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "actual": self.actual,
-            "pass": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CheckResult":
-        return cls(
-            name=data["name"],
-            expected=data["expected"],
-            actual=data["actual"],
-            passed=data["pass"],
-        )
+    passed: bool = field(metadata=_PASS)
 
 
 @dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Record):
     """All checks of one scenario; ``passed`` is the conjunction."""
 
     scenario: str
     checks: tuple[CheckResult, ...]
-    passed: bool
+    passed: bool = field(metadata=_PASS)
 
     @classmethod
     def from_checks(cls, scenario: str, checks: Sequence[CheckResult]) -> "ScenarioReport":
         return cls(scenario=scenario, checks=tuple(checks), passed=all(c.passed for c in checks))
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "checks": [c.to_dict() for c in self.checks],
-            "pass": self.passed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioReport":
-        return cls(
-            scenario=data["scenario"],
-            checks=tuple(CheckResult.from_dict(c) for c in data["checks"]),
-            passed=data["pass"],
-        )
 
 
 def _fmt(value: object) -> str:
@@ -205,7 +177,7 @@ def _marginal_cdf_checks(
     return _value_check(name, 0.0, worst, tol)
 
 
-def verify_counterexample(tol: float = 1e-12, points_per_axis: int = 9) -> ScenarioReport:
+def verify_counterexample(tol: float = 1e-12) -> ScenarioReport:
     """Re-derive every claim of the counterexample scenario.
 
     Checks: the four models validate at their stated masses; the two laws
@@ -252,7 +224,7 @@ def verify_counterexample(tol: float = 1e-12, points_per_axis: int = 9) -> Scena
         )
     )
 
-    span = pw.default_grid([f, f_star], points_per_axis=points_per_axis)[0]
+    span = pw.default_grid([f, f_star])[0]
     checks.append(
         _marginal_cdf_checks("x window laws agree across f and f_star", f, f_star, (0, 1), (0, 1), span, tol)
     )
@@ -271,7 +243,7 @@ def verify_counterexample(tol: float = 1e-12, points_per_axis: int = 9) -> Scena
             )
         )
 
-    report = pw.concordance_check(f, f_star, tol=tol, points_per_axis=points_per_axis)
+    report = pw.concordance_check(f, f_star, tol=tol)
     checks.append(_flag_check("f precedes f_star in cdf domination", True, report.cdf_dominated))
     checks.append(
         _flag_check("f precedes f_star in survival domination", True, report.survival_dominated)

@@ -100,9 +100,7 @@ def test_criterion_02_counterexample_dependence():
 def test_criterion_03_concordance_grid():
     models = build_counterexample()
     start = time.perf_counter()
-    result = pw.concordance_check(
-        models.f, models.f_star, tol=TOL, points_per_axis=9, padding=0.5
-    )
+    result = pw.concordance_check(models.f, models.f_star, tol=TOL, points_per_axis=9)
     elapsed = time.perf_counter() - start
     ok = (
         result.dominated
@@ -169,10 +167,10 @@ def test_criterion_06_conditional_tables():
         for point, (lo, up, lo_s, up_s) in table.items():
             worst = max(
                 worst,
-                abs(disc.conditional_cdf(pair.law, (2,), given, point) - lo),
-                abs(disc.conditional_survival(pair.law, (2,), given, point) - up),
-                abs(disc.conditional_cdf(pair.law_star, (2,), given, point) - lo_s),
-                abs(disc.conditional_survival(pair.law_star, (2,), given, point) - up_s),
+                abs(disc.cdf(disc.conditional(pair.law, (2,), given), point) - lo),
+                abs(disc.survival(disc.conditional(pair.law, (2,), given), point) - up),
+                abs(disc.cdf(disc.conditional(pair.law_star, (2,), given), point) - lo_s),
+                abs(disc.survival(disc.conditional(pair.law_star, (2,), given), point) - up_s),
             )
             checked += 4
     head = disc.marginal(pair.law, (1,))
@@ -188,8 +186,8 @@ def test_criterion_06_conditional_tables():
         checked += 4
     # the two agreement spot values called out explicitly
     agree = (
-        abs(disc.conditional_cdf(pair.law, (2,), c2, (1.0, 2.0)) - 0.25) <= TOL
-        and abs(disc.conditional_cdf(pair.law_star, (2,), c2, (1.0, 2.0)) - 0.25) <= TOL
+        abs(disc.cdf(disc.conditional(pair.law, (2,), c2), (1.0, 2.0)) - 0.25) <= TOL
+        and abs(disc.cdf(disc.conditional(pair.law_star, (2,), c2), (1.0, 2.0)) - 0.25) <= TOL
         and abs(disc.cdf(head, (1.0, 2.0)) - 0.125) <= TOL
         and abs(disc.cdf(head_star, (1.0, 2.0)) - 0.375) <= TOL
     )

@@ -108,6 +108,27 @@ def test_estimate_single_column(capsys, tmp_path):
     assert "two columns" in err
 
 
+@pytest.mark.parametrize("d, message", [("-1", "order -1 is below"), ("9", "order 9 exceeds")])
+def test_estimate_order_outside_range_exits_2(capsys, coincident_csv, d, message):
+    code, _, err = run_cli(capsys, "estimate", coincident_csv, "-d", d)
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "command", [["estimate", "{}"], ["model", "validate", "{}"], ["concordance", "{}", "{}"]]
+)
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x,y\n1,2\n\xff,3\n")
+    code, out, err = run_cli(capsys, *[part.format(path) for part in command])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+    ]
+
+
 def test_estimate_degenerate_exits_3(capsys, tmp_path):
     path = tmp_path / "mono.csv"
     path.write_text("\n".join(f"{i},{i}" for i in range(10)), encoding="utf-8")

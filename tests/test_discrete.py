@@ -13,8 +13,6 @@ from opdep.discrete import (
     DiscreteJoint,
     check_theorem_conditions,
     conditional,
-    conditional_cdf,
-    conditional_survival,
     cdf,
     evaluation_grid,
     exact_opd,
@@ -157,9 +155,10 @@ def test_disintegration_identity():
 
 def test_conditional_cdf_survival_wrappers():
     pair = build_example43()
-    assert conditional_cdf(pair.law, (2,), (10.0, 10.0), (1.0, 2.0)) == 0.0
-    assert conditional_cdf(pair.law, (2,), (10.0, 10.0), (2.0, 3.0)) == 1.0
-    assert conditional_survival(pair.law, (2,), (10.0, 10.0), (2.0, 2.0)) == 0.5
+    given_c1 = conditional(pair.law, (2,), (10.0, 10.0))
+    assert cdf(given_c1, (1.0, 2.0)) == 0.0
+    assert cdf(given_c1, (2.0, 3.0)) == 1.0
+    assert survival(given_c1, (2.0, 2.0)) == 0.5
 
 
 # --- patterns and dependence ---------------------------------------------

@@ -11,6 +11,8 @@ from opdep.errors import (
     DimensionMismatch,
     EmptyInput,
     InvalidParameter,
+    OrderTooLarge,
+    OrderTooSmall,
     SeriesTooShort,
 )
 from opdep.estimator import TimeSeriesPair, empirical_opd
@@ -99,6 +101,16 @@ def test_empirical_opd_too_short_or_zero_step():
         empirical_opd(TimeSeriesPair([1.0, 2.0], [2.0, 1.0]), d=3)
     with pytest.raises(InvalidParameter):
         empirical_opd(TimeSeriesPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]), d=2, step=0)
+
+
+@pytest.mark.parametrize("length", [3, 10])
+@pytest.mark.parametrize("d", [-5, -1, 0, 1, 9])
+def test_empirical_opd_names_the_order_it_was_given(d, length):
+    # The order is checked before any window is cut, so the error names d
+    # itself, whatever the series length.
+    pair = TimeSeriesPair([float(i) for i in range(length)], [float(-i) for i in range(length)])
+    with pytest.raises(OrderTooSmall if d < 2 else OrderTooLarge, match=f"^order {d} "):
+        empirical_opd(pair, d=d)
 
 
 def test_empirical_opd_ties_break_toward_earlier_index():

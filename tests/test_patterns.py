@@ -1,6 +1,5 @@
 """Ordinal core: oracle comparisons, bijections, and invariances."""
 
-import itertools
 import math
 
 import pytest
@@ -28,7 +27,6 @@ from opdep.patterns import (
     pattern_codes,
     pattern_index,
     pattern_of,
-    permute_coordinates,
     rank_table,
 )
 
@@ -178,22 +176,6 @@ def test_non_finite_values_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonFiniteInput):
             pattern_of([1.0, bad])
-
-
-def test_permute_coordinates_matches_rereading_for_distinct_values():
-    # Exhaustive at order 3: every distinct window shape, every relabeling.
-    for base in itertools.permutations((10.0, 20.0, 30.0)):
-        pat = pattern_of(base)
-        for sigma in itertools.permutations((1, 2, 3)):
-            reread = pattern_of([base[s - 1] for s in sigma])
-            assert permute_coordinates(pat, sigma) == reread
-
-
-def test_permute_coordinates_validates():
-    with pytest.raises(InvalidPermutation):
-        permute_coordinates((1, 2), (1, 2, 3))
-    with pytest.raises(InvalidPermutation):
-        permute_coordinates((1, 2), (2, 2))
 
 
 def test_distribution_validation():

