@@ -158,7 +158,14 @@ def _read_series_csv(path: str) -> TimeSeriesPair:
         reader = "bulk parse"
     except (ValueError, Warning) as exc:
         log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
-        xs, ys = _loop_columns(path)
+        try:
+            xs, ys = _loop_columns(path)
+        except UnicodeDecodeError:
+            # The loop's stream decodes a chunk at a time, and its error gives a
+            # position within the chunk.  Decoding the whole file raises the same
+            # error at the byte's offset in the file, counting a byte order mark.
+            Path(path).read_bytes().decode("utf-8")
+            raise
         reader = "row loop"
     pair = TimeSeriesPair(xs, ys)
     log.info("read %d rows from %s by the %s", len(pair), path, reader)

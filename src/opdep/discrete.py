@@ -34,7 +34,7 @@ import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -433,15 +433,6 @@ class ConditionReport(Record):
     tol: float
 
 
-def _coordinate_values(
-    dist: DiscreteJoint, dist_star: DiscreteJoint, coord: int
-) -> list[float]:
-    values = {atom[coord] for atom, _ in dist.atoms}
-    values |= {atom[coord] for atom, _ in dist_star.atoms}
-    ordered = sorted(values)
-    return [ordered[0] - 1.0] + ordered + [ordered[-1] + 1.0]
-
-
 def evaluation_grid(
     dist: DiscreteJoint, dist_star: DiscreteJoint, positions: Sequence[int]
 ) -> list[list[float]]:
@@ -451,8 +442,11 @@ def evaluation_grid(
     below and above; step-function comparisons attain their extremes on
     this grid.
     """
-    coords = subset_coordinates(dist.order, positions)
-    return [_coordinate_values(dist, dist_star, c) for c in coords]
+    grid = []
+    for coord in subset_coordinates(dist.order, positions):
+        values = sorted({atom[coord] for law in (dist, dist_star) for atom, _ in law.atoms})
+        grid.append([values[0] - 1.0] + values + [values[-1] + 1.0])
+    return grid
 
 
 def _compare_laws(
@@ -463,9 +457,9 @@ def _compare_laws(
     outer: str,
     conditioning_point: Point | None,
     tol: float,
-    violations: list[ConditionViolation],
-) -> None:
-    """Record every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s."""
+) -> list[ConditionViolation]:
+    """Every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s."""
+    violations = []
     for point in itertools.product(*grid):
         for side, fn in (("cdf", cdf), ("survival", survival)):
             lhs = fn(lhs_law, point)
@@ -482,50 +476,7 @@ def _compare_laws(
                         rhs=rhs,
                     )
                 )
-
-
-def _sweep_conditional(
-    dist: DiscreteJoint,
-    dist_star: DiscreteJoint,
-    subset: tuple[int, ...],
-    complement: tuple[int, ...],
-    shared: frozenset[int],
-    tol: float,
-    violations: list[ConditionViolation],
-    skipped: list[ConditionSkip],
-) -> None:
-    if set(complement) <= shared:
-        # The compared window parts are literally the same variables, so
-        # both sides of every inequality in these families coincide.
-        return
-    grid = evaluation_grid(dist, dist_star, complement)
-    for outer_name, outer, inner, outer_is_first in (
-        ("first", dist, dist_star, True),
-        ("second", dist_star, dist, False),
-    ):
-        for value, _ in marginal(outer, subset).atoms:
-            own = conditional(outer, subset, value)
-            try:
-                mixed = conditional(inner, subset, value)
-            except ZeroMassCondition:
-                log.debug(
-                    "skipped subset %s, outer law %s, value %s: zero mass in the other law",
-                    subset,
-                    outer_name,
-                    value,
-                )
-                skipped.append(
-                    ConditionSkip(
-                        subset=subset,
-                        outer=outer_name,
-                        conditioning_point=value,
-                        reason="conditioning value has zero mass in the other law",
-                    )
-                )
-                continue
-            # Orient so that lhs belongs to the first law, rhs to the second.
-            lhs_law, rhs_law = (own, mixed) if outer_is_first else (mixed, own)
-            _compare_laws(lhs_law, rhs_law, grid, subset, outer_name, value, tol, violations)
+    return violations
 
 
 def check_theorem_conditions(
@@ -541,9 +492,12 @@ def check_theorem_conditions(
     every positive-mass value of the subset variables, that the first
     law's conditional cdf and survival of the complement positions never
     exceed the second law's (see the module docstring for how the mixed
-    terms are resolved through shared positions).  Variant "B" checks the
-    unconditional domination of cdf and survival for every complement
-    marginal, including the full joint (I empty).
+    terms are resolved through shared positions).  At a value both laws
+    hold, the two variant-A families, conditioned on the first law's values
+    and on the second's, are the same inequalities: the report lists each
+    violation under both ``outer`` names, and the checker computes it once.
+    Variant "B" checks the unconditional domination of cdf and survival
+    for every complement marginal, including the full joint (I empty).
 
     All families are evaluated on the sentinel-extended atom grid, which
     attains the extremes of the step functions involved, so ``holds`` is
@@ -563,20 +517,50 @@ def check_theorem_conditions(
     positions = range(1, d + 1)
     violations: list[ConditionViolation] = []
     skipped: list[ConditionSkip] = []
-    for size in range(0, d):
+    for size in range(0 if variant == "B" else 1, d):
         for subset in itertools.combinations(positions, size):
-            if variant == "A" and not subset:
-                continue
             complement = tuple(i for i in positions if i not in subset)
             if variant == "B":
                 law = marginal(dist, complement) if subset else dist
                 law_star = marginal(dist_star, complement) if subset else dist_star
                 grid = evaluation_grid(dist, dist_star, complement)
-                _compare_laws(law, law_star, grid, subset, "none", None, tol, violations)
-            else:
-                _sweep_conditional(
-                    dist, dist_star, subset, complement, shared, tol, violations, skipped
-                )
+                violations += _compare_laws(law, law_star, grid, subset, "none", None, tol)
+                continue
+            if set(complement) <= shared:
+                # The compared window parts are literally the same variables, so
+                # both sides of every inequality in these families coincide.
+                continue
+            grid = evaluation_grid(dist, dist_star, complement)
+            first, second = ([value for value, _ in marginal(law, subset).atoms] for law in (dist, dist_star))
+            held_by_both = set(first).intersection(second)
+            found: dict[Point, list[ConditionViolation]] = {}
+            for outer, outer_values in (("first", first), ("second", second)):
+                for value in outer_values:
+                    if value not in held_by_both:
+                        log.debug(
+                            "skipped subset %s, outer law %s, value %s: zero mass in the other law",
+                            subset, outer, value,
+                        )
+                        skipped.append(
+                            ConditionSkip(
+                                subset=subset,
+                                outer=outer,
+                                conditioning_point=value,
+                                reason="conditioning value has zero mass in the other law",
+                            )
+                        )
+                    elif outer == "first":
+                        found[value] = _compare_laws(
+                            conditional(dist, subset, value),
+                            conditional(dist_star, subset, value),
+                            grid, subset, outer, value, tol,
+                        )
+                        violations += found[value]
+                    else:
+                        # The second law's own value, which may be a -0.0 where the first's is 0.0.
+                        violations += (
+                            replace(v, outer=outer, conditioning_point=value) for v in found[value]
+                        )
     return ConditionReport(
         variant=variant,
         holds=not violations,

@@ -140,6 +140,12 @@ def pattern_index(pattern: Sequence[int]) -> int:
     return index
 
 
+def _index_at_order(pattern: Sequence[int], order: int) -> int:
+    if len(pattern) != order:
+        raise InvalidPermutation(f"pattern {tuple(pattern)!r} is not of order {order}")
+    return pattern_index(pattern)
+
+
 def index_to_pattern(index: int, d: int) -> Pattern:
     """Pattern of order d at the given lexicographic position.
 
@@ -188,7 +194,7 @@ class PatternDistribution:
 
     def prob_of(self, pattern: Sequence[int]) -> float:
         """Probability of one pattern."""
-        return self.probs[pattern_index(pattern)]
+        return self.probs[_index_at_order(pattern, self.order)]
 
     def as_dict(self) -> dict[Pattern, float]:
         """Mapping from pattern to probability, in lexicographic order."""
@@ -208,7 +214,7 @@ def distribution_from_counts(order: int, counts: dict[Pattern, float]) -> Patter
         raise EmptyInput("no pattern weight to normalize")
     probs = [0.0] * math.factorial(order)
     for pat, c in counts.items():
-        probs[pattern_index(pat)] = c / total
+        probs[_index_at_order(pat, order)] = c / total
     return PatternDistribution(order=order, probs=tuple(probs))
 
 

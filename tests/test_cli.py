@@ -129,6 +129,22 @@ def test_input_that_is_not_utf8_exits_2(capsys, tmp_path, command):
     ]
 
 
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"x,y\n" + b"1,2\n" * 5000 + b"\xff,3\n", 20004), (b"\xef\xbb\xbfx,y\n\xff,3\n", 7)],
+    ids=["past the first chunk", "after a byte order mark"],
+)
+def test_undecodable_byte_is_reported_at_its_file_offset(capsys, tmp_path, data, offset):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(data)
+    code, out, err = run_cli(capsys, "estimate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: input is not UTF-8: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    ]
+
+
 def test_estimate_degenerate_exits_3(capsys, tmp_path):
     path = tmp_path / "mono.csv"
     path.write_text("\n".join(f"{i},{i}" for i in range(10)), encoding="utf-8")

@@ -1,0 +1,264 @@
+"""The condition checker's sweep against the sweep it replaced.
+
+``oracle_check_theorem_conditions`` is ``discrete.check_theorem_conditions``
+as it was when variant A visited each conditioning value once per law and
+compared the two conditionals at a value both laws hold twice.  Its
+helpers are kept verbatim.  Every report must equal the oracle's, as
+records (``==``) and as JSON text, which also tells 0.0 from -0.0.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import logging
+import random
+from dataclasses import replace
+from typing import Iterable, Sequence
+
+import pytest
+
+from opdep.discrete import (
+    ConditionReport,
+    ConditionSkip,
+    ConditionViolation,
+    DiscreteJoint,
+    Point,
+    _check_subset,
+    cdf,
+    check_theorem_conditions,
+    conditional,
+    marginal,
+    shared_position_detect,
+    subset_coordinates,
+    survival,
+)
+from opdep.errors import DimensionMismatch, InvalidParameter, ZeroMassCondition
+from opdep.scenarios import build_example42, build_example43, example42_tail_interleaved
+from test_records import lattice_pairs
+
+log = logging.getLogger(__name__)
+
+
+# -- the oracle: the former sweep, verbatim ----------------------------------------
+
+
+def _coordinate_values(
+    dist: DiscreteJoint, dist_star: DiscreteJoint, coord: int
+) -> list[float]:
+    values = {atom[coord] for atom, _ in dist.atoms}
+    values |= {atom[coord] for atom, _ in dist_star.atoms}
+    ordered = sorted(values)
+    return [ordered[0] - 1.0] + ordered + [ordered[-1] + 1.0]
+
+
+def evaluation_grid(
+    dist: DiscreteJoint, dist_star: DiscreteJoint, positions: Sequence[int]
+) -> list[list[float]]:
+    coords = subset_coordinates(dist.order, positions)
+    return [_coordinate_values(dist, dist_star, c) for c in coords]
+
+
+def _compare_laws(
+    lhs_law: DiscreteJoint,
+    rhs_law: DiscreteJoint,
+    grid: Sequence[Sequence[float]],
+    subset: tuple[int, ...],
+    outer: str,
+    conditioning_point: Point | None,
+    tol: float,
+    violations: list[ConditionViolation],
+) -> None:
+    """Record every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s."""
+    for point in itertools.product(*grid):
+        for side, fn in (("cdf", cdf), ("survival", survival)):
+            lhs = fn(lhs_law, point)
+            rhs = fn(rhs_law, point)
+            if lhs > rhs + tol:
+                violations.append(
+                    ConditionViolation(
+                        subset=subset,
+                        side=side,
+                        outer=outer,
+                        conditioning_point=conditioning_point,
+                        evaluation_point=point,
+                        lhs=lhs,
+                        rhs=rhs,
+                    )
+                )
+
+
+def _sweep_conditional(
+    dist: DiscreteJoint,
+    dist_star: DiscreteJoint,
+    subset: tuple[int, ...],
+    complement: tuple[int, ...],
+    shared: frozenset[int],
+    tol: float,
+    violations: list[ConditionViolation],
+    skipped: list[ConditionSkip],
+) -> None:
+    if set(complement) <= shared:
+        # The compared window parts are literally the same variables, so
+        # both sides of every inequality in these families coincide.
+        return
+    grid = evaluation_grid(dist, dist_star, complement)
+    for outer_name, outer, inner, outer_is_first in (
+        ("first", dist, dist_star, True),
+        ("second", dist_star, dist, False),
+    ):
+        for value, _ in marginal(outer, subset).atoms:
+            own = conditional(outer, subset, value)
+            try:
+                mixed = conditional(inner, subset, value)
+            except ZeroMassCondition:
+                log.debug(
+                    "skipped subset %s, outer law %s, value %s: zero mass in the other law",
+                    subset,
+                    outer_name,
+                    value,
+                )
+                skipped.append(
+                    ConditionSkip(
+                        subset=subset,
+                        outer=outer_name,
+                        conditioning_point=value,
+                        reason="conditioning value has zero mass in the other law",
+                    )
+                )
+                continue
+            # Orient so that lhs belongs to the first law, rhs to the second.
+            lhs_law, rhs_law = (own, mixed) if outer_is_first else (mixed, own)
+            _compare_laws(lhs_law, rhs_law, grid, subset, outer_name, value, tol, violations)
+
+
+def oracle_check_theorem_conditions(
+    dist: DiscreteJoint,
+    dist_star: DiscreteJoint,
+    variant: str,
+    tol: float = 1e-12,
+    shared_positions: Iterable[int] | None = None,
+) -> ConditionReport:
+    if dist.order != dist_star.order:
+        raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
+    if variant not in ("A", "B"):
+        raise InvalidParameter(f"variant must be 'A' or 'B', got {variant!r}")
+    if tol < 0.0:
+        raise InvalidParameter(f"tol must be >= 0, got {tol}")
+    d = dist.order
+    if shared_positions is None:
+        shared = frozenset(shared_position_detect(dist, dist_star, tol=min(tol, 1e-12) or 1e-12))
+    else:
+        shared = frozenset(_check_subset(d, shared_positions, allow_empty=True))
+    positions = range(1, d + 1)
+    violations: list[ConditionViolation] = []
+    skipped: list[ConditionSkip] = []
+    for size in range(0, d):
+        for subset in itertools.combinations(positions, size):
+            if variant == "A" and not subset:
+                continue
+            complement = tuple(i for i in positions if i not in subset)
+            if variant == "B":
+                law = marginal(dist, complement) if subset else dist
+                law_star = marginal(dist_star, complement) if subset else dist_star
+                grid = evaluation_grid(dist, dist_star, complement)
+                _compare_laws(law, law_star, grid, subset, "none", None, tol, violations)
+            else:
+                _sweep_conditional(
+                    dist, dist_star, subset, complement, shared, tol, violations, skipped
+                )
+    return ConditionReport(
+        variant=variant,
+        holds=not violations,
+        violations=tuple(violations),
+        skipped=tuple(skipped),
+        shared_positions=tuple(sorted(shared)),
+        tol=tol,
+    )
+
+
+# -- inputs -------------------------------------------------------------------------
+
+
+def lattice_law_3(rng):
+    points = rng.sample(list(itertools.product((0.0, 1.0), repeat=6)), rng.randint(3, 5))
+    weights = [rng.randint(1, 5) for _ in points]
+    return DiscreteJoint(order=3, atoms=[(p, w / sum(weights)) for p, w in zip(points, weights)])
+
+
+def order3_pairs(count):
+    """The first ``count`` seeded order-3 pairs whose variant-A sweep has violations and skips."""
+    pairs = []
+    for seed in itertools.count():
+        rng = random.Random(seed)
+        pair = lattice_law_3(rng), lattice_law_3(rng)
+        report = oracle_check_theorem_conditions(*pair, "A")
+        if report.violations and report.skipped:
+            pairs.append(pair)
+            if len(pairs) == count:
+                return pairs
+
+
+# The second law holds position 1's value (0.0, 0.0) as (-0.0, 0.0): the
+# laws share the value, and each law's report entries keep its own zero.
+SIGNED_ZERO = (
+    DiscreteJoint(order=2, atoms={(0.0, 1.0, 0.0, 1.0): 0.5, (1.0, 0.0, 1.0, 0.0): 0.5}),
+    DiscreteJoint(order=2, atoms={(-0.0, 1.0, 0.0, 0.0): 0.5, (1.0, 0.0, 1.0, 1.0): 0.5}),
+)
+
+PAIRS = {
+    "example42": tuple(build_example42()),
+    "example42 interleaved": tuple(build_example42(example42_tail_interleaved())),
+    "example43": tuple(build_example43()),
+    "example43 interleaved": tuple(build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5))),
+    "signed zero": SIGNED_ZERO,
+}
+PAIRS.update({f"lattice {i}": pair for i, pair in enumerate(lattice_pairs(20))})
+PAIRS.update({f"order 3, {i}": pair for i, pair in enumerate(order3_pairs(10))})
+
+
+def runs(pair):
+    """Both argument orders; variant A with each shared-positions choice, and variant B.
+
+    Variant B does not read the shared positions beyond reporting them.
+    """
+    first, second = pair
+    for law, law_star in ((first, second), (second, first)):
+        yield law, law_star, "B", None
+        for shared in [None, ()] + [(i,) for i in range(1, law.order + 1)]:
+            yield law, law_star, "A", shared
+
+
+# -- tests --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_reports_match_oracle(name):
+    for law, law_star, variant, shared in runs(PAIRS[name]):
+        report = check_theorem_conditions(law, law_star, variant, shared_positions=shared)
+        expected = oracle_check_theorem_conditions(law, law_star, variant, shared_positions=shared)
+        assert report == expected
+        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_second_family_repeats_the_first(name):
+    for law, law_star, variant, shared in runs(PAIRS[name]):
+        if variant == "A":
+            report = check_theorem_conditions(law, law_star, variant, shared_positions=shared)
+            # Violations arise only at values both laws hold, and each law
+            # lists its values in sorted order, so the two families run in step.
+            first = [v for v in report.violations if v.outer == "first"]
+            second = [v for v in report.violations if v.outer == "second"]
+            assert len(first) + len(second) == len(report.violations)
+            assert [replace(v, outer="first") for v in second] == first
+
+
+def test_relabelled_violations_keep_the_second_laws_value():
+    report = check_theorem_conditions(*SIGNED_ZERO, "A", shared_positions=())
+    points = {
+        outer: {json.dumps(v.conditioning_point) for v in report.violations if v.outer == outer}
+        for outer in ("first", "second")
+    }
+    assert "[0.0, 0.0]" in points["first"] and "[-0.0, 0.0]" not in points["first"]
+    assert "[-0.0, 0.0]" in points["second"] and "[0.0, 0.0]" not in points["second"]

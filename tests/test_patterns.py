@@ -1,6 +1,7 @@
 """Ordinal core: oracle comparisons, bijections, and invariances."""
 
 import math
+import re
 
 import pytest
 import numpy as np
@@ -203,6 +204,16 @@ def test_distribution_from_counts_normalizes():
     assert dist.probs == (0.75, 0.25)
     with pytest.raises(EmptyInput):
         distribution_from_counts(2, {})
+
+
+@pytest.mark.parametrize("pattern", [(2, 1), (1, 2, 3, 4)])
+def test_pattern_of_another_order_is_rejected(pattern):
+    message = re.escape(f"pattern {pattern!r} is not of order 3")
+    with pytest.raises(InvalidPermutation, match=message):
+        distribution_from_counts(3, {pattern: 1.0})
+    uniform = PatternDistribution(order=3, probs=(1.0 / 6,) * 6)
+    with pytest.raises(InvalidPermutation, match=message):
+        uniform.prob_of(pattern)
 
 
 def test_cross_match_probability_uniform():
