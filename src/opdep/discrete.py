@@ -50,6 +50,7 @@ from .errors import (
 )
 from .patterns import (
     PatternDistribution,
+    _check_tol,
     cross_match_probability,
     dependence_from_terms,
     pattern_codes,
@@ -276,10 +277,6 @@ def _atom_codes(dist: DiscreteJoint, axes: Sequence[str]) -> tuple[list[np.ndarr
     return [pattern_codes(windows[axis]) for axis in axes], dist._probs
 
 
-def _coincidence(codes_x: np.ndarray, codes_y: np.ndarray, probs: np.ndarray) -> float:
-    return math.fsum(probs[codes_x == codes_y].tolist())
-
-
 def _pattern_law(order: int, codes: np.ndarray, probs: np.ndarray) -> PatternDistribution:
     weights = np.bincount(codes, weights=probs, minlength=math.factorial(order))
     total = math.fsum(weights.tolist())
@@ -296,21 +293,20 @@ def marginal_pattern_distribution(dist: DiscreteJoint, axis: str) -> PatternDist
 
 def pattern_coincidence(dist: DiscreteJoint) -> float:
     """Exact probability that both windows show the same pattern."""
-    (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
-    return _coincidence(codes_x, codes_y, probs)
+    return pattern_terms(dist)[0]
 
 
 def pattern_terms(dist: DiscreteJoint) -> tuple[float, PatternDistribution, PatternDistribution]:
     """Pattern coincidence and the X and Y pattern laws, from one encoding of the atoms."""
     (codes_x, codes_y), probs = _atom_codes(dist, ("x", "y"))
     return (
-        _coincidence(codes_x, codes_y, probs),
+        math.fsum(probs[codes_x == codes_y].tolist()),
         _pattern_law(dist.order, codes_x, probs),
         _pattern_law(dist.order, codes_y, probs),
     )
 
 
-def exact_opd(dist: DiscreteJoint, tol: float = 1e-12) -> float:
+def exact_opd(dist: DiscreteJoint) -> float:
     """Exact normalized pattern dependence of a discrete law.
 
     Raises:
@@ -318,7 +314,7 @@ def exact_opd(dist: DiscreteJoint, tol: float = 1e-12) -> float:
             when both windows are almost surely in the same fixed pattern.
     """
     coincidence, px, py = pattern_terms(dist)
-    return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
+    return dependence_from_terms(coincidence, cross_match_probability(px, py))
 
 
 # The package-level ``opdep.exact_opd`` is the piecewise one.
@@ -384,6 +380,7 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
     detection is necessary for sharing but cannot see the underlying
     coupling, so explicit knowledge should be passed through when present.
     """
+    _check_tol(tol)
     shared = []
     for i in range(1, dist.order + 1):
         a = marginal(dist, (i,)).as_dict()
@@ -507,8 +504,7 @@ def check_theorem_conditions(
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
     if variant not in ("A", "B"):
         raise InvalidParameter(f"variant must be 'A' or 'B', got {variant!r}")
-    if tol < 0.0:
-        raise InvalidParameter(f"tol must be >= 0, got {tol}")
+    _check_tol(tol)
     d = dist.order
     if shared_positions is None:
         shared = frozenset(shared_position_detect(dist, dist_star, tol=min(tol, 1e-12) or 1e-12))

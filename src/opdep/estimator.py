@@ -21,6 +21,8 @@ enter the computation.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -107,7 +109,7 @@ def _finite_window(series: Sequence[float], start: int, d: int) -> tuple[float, 
     return tuple(window)
 
 
-def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-12) -> OpdEstimate:
+def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1) -> OpdEstimate:
     """Plug-in dependence estimate for a pair of series.
 
     A window offset enters the computation only if the x window and the y
@@ -119,7 +121,7 @@ def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-1
         OrderTooSmall / OrderTooLarge: d outside [2, 8].
         SeriesTooShort: no window of order d fits the series.
         EmptyInput: every window offset was skipped.
-        DegenerateDistribution: the empirical cross term equals 1 within tol.
+        DegenerateDistribution: the empirical cross term equals 1 within 1e-12.
     """
     _check_order(d)
     xs = pair.x
@@ -139,22 +141,12 @@ def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-1
         raise EmptyInput("no common finite window available")
 
     n = len(x_patterns)
-    hits = sum(1 for a, b in zip(x_patterns, y_patterns) if a == b)
-    coincidence = hits / n
-
-    x_counts: dict[Pattern, float] = {}
-    y_counts: dict[Pattern, float] = {}
-    for pat in x_patterns:
-        x_counts[pat] = x_counts.get(pat, 0.0) + 1.0
-    for pat in y_patterns:
-        y_counts[pat] = y_counts.get(pat, 0.0) + 1.0
-    px = distribution_from_counts(d, x_counts)
-    py = distribution_from_counts(d, y_counts)
+    coincidence = sum(map(operator.eq, x_patterns, y_patterns)) / n
+    px = distribution_from_counts(d, Counter(x_patterns))
+    py = distribution_from_counts(d, Counter(y_patterns))
     cross = cross_match_probability(px, py)
-
-    value = dependence_from_terms(coincidence, cross, tol=tol)
     return OpdEstimate(
-        value=value,
+        value=dependence_from_terms(coincidence, cross),
         coincidence=coincidence,
         cross_term=cross,
         window_count=n,

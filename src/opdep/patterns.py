@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidParameter,
     InvalidPermutation,
     ModelStructureError,
     NonFiniteInput,
@@ -80,7 +82,7 @@ def enumerate_patterns(d: int) -> tuple[Pattern, ...]:
 
 @functools.lru_cache(maxsize=None)
 def rank_table(d: int) -> np.ndarray:
-    """Read-only (d!, d) array whose row k is ``index_to_pattern(k, d)``.
+    """Read-only (d!, d) array whose row k is the pattern at lexicographic position k.
 
     Built on first use for each order and cached.
     """
@@ -147,23 +149,16 @@ def _index_at_order(pattern: Sequence[int], order: int) -> int:
 
 
 def index_to_pattern(index: int, d: int) -> Pattern:
-    """Pattern of order d at the given lexicographic position.
+    """Pattern of order d at the given lexicographic position (a row of :func:`rank_table`).
 
     Raises:
         IndexOutOfRange: index outside [0, d! - 1].
     """
-    _check_order(d)
-    total = math.factorial(d)
-    if not 0 <= index < total:
-        raise IndexOutOfRange(f"index {index} outside [0, {total - 1}] for order {d}")
-    remaining = list(range(1, d + 1))
-    ranks: list[int] = []
-    rem = index
-    for i in range(d):
-        f = math.factorial(d - 1 - i)
-        pos, rem = divmod(rem, f)
-        ranks.append(remaining.pop(pos))
-    return tuple(ranks)
+    table = rank_table(d)
+    index = operator.index(index)
+    if not 0 <= index < len(table):
+        raise IndexOutOfRange(f"index {index} outside [0, {len(table) - 1}] for order {d}")
+    return tuple(table[index].tolist())
 
 
 @dataclass(frozen=True)
@@ -225,6 +220,11 @@ def cross_match_probability(p: PatternDistribution, q: PatternDistribution) -> f
     return math.fsum(a * b for a, b in zip(p.probs, q.probs))
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise InvalidParameter(f"tol must be a finite number >= 0, got {tol}")
+
+
 def dependence_from_terms(coincidence: float, cross_term: float, tol: float = 1e-12) -> float:
     """Normalized pattern dependence from its two defining probabilities.
 
@@ -233,9 +233,11 @@ def dependence_from_terms(coincidence: float, cross_term: float, tol: float = 1e
     that perfect coincidence gives 1.
 
     Raises:
+        InvalidParameter: tol is NaN, infinite or negative.
         DegenerateDistribution: the baseline coincidence is 1 within tol, so
             the normalization is undefined.
     """
+    _check_tol(tol)
     denom = 1.0 - cross_term
     if abs(denom) <= tol:
         raise DegenerateDistribution(

@@ -53,6 +53,7 @@ from .errors import (
 from .patterns import (
     Pattern,
     PatternDistribution,
+    _check_tol,
     cross_match_probability,
     dependence_from_terms,
     enumerate_patterns,
@@ -329,11 +330,13 @@ def validate(
     """Check that the model is a density of the expected total mass.
 
     Raises:
+        InvalidParameter: tol is NaN, infinite or negative.
         MassNotOne: the total mass differs from ``expected_mass`` by more
             than ``tol``.
         OverlappingCells: two cells intersect with positive measure, so the
             cell decomposition double-counts density.
     """
+    _check_tol(tol)
     mass = total_mass(model)
     if abs(mass - expected_mass) > tol:
         raise MassNotOne(mass, expected_mass)
@@ -487,22 +490,18 @@ def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.n
     return [np.array(per_axis) for per_axis in laws]
 
 
-def _marginal_from_laws(model: PiecewiseUniformDensity, laws: np.ndarray) -> PatternDistribution:
-    mass = total_mass(model)
+def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
+    """Every cell's mass, and their total."""
     masses = np.array([cell_mass(cell) for cell in model.cells])
+    return masses, math.fsum(masses.tolist())
+
+
+def _marginal_from_laws(
+    order: int, masses: np.ndarray, mass: float, laws: np.ndarray
+) -> PatternDistribution:
     weighted = masses[:, None] * laws
     probs = [math.fsum(column) / mass for column in weighted.T.tolist()]
-    return PatternDistribution(order=model.order, probs=tuple(probs))
-
-
-def _coincidence_from_laws(
-    model: PiecewiseUniformDensity, laws_x: np.ndarray, laws_y: np.ndarray
-) -> float:
-    mass = total_mass(model)
-    diagonal = np.zeros(laws_x.shape[1])
-    for cell, px, py in zip(model.cells, laws_x, laws_y):
-        diagonal += cell_mass(cell) / mass * px * py
-    return math.fsum(diagonal.tolist())
+    return PatternDistribution(order=order, probs=tuple(probs))
 
 
 def marginal_pattern_distribution(
@@ -520,7 +519,7 @@ def marginal_pattern_distribution(
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")
     (laws,) = _cell_laws(model, (axis,))
-    return _marginal_from_laws(model, laws)
+    return _marginal_from_laws(model.order, *_cell_masses(model), laws)
 
 
 def joint_pattern_distribution(
@@ -535,12 +534,12 @@ def joint_pattern_distribution(
     """
     patterns = enumerate_patterns(model.order)
     laws_x, laws_y = _cell_laws(model, AXES)
-    mass = total_mass(model)
+    masses, mass = _cell_masses(model)
     joint: dict[tuple[Pattern, Pattern], float] = {}
-    for cell, px, py in zip(model.cells, laws_x, laws_y):
+    for weight, px, py in zip(masses / mass, laws_x, laws_y):
         xs = np.flatnonzero(px)
         ys = np.flatnonzero(py)
-        terms = ((cell_mass(cell) / mass * px[xs])[:, None] * py[ys]).tolist()
+        terms = ((weight * px[xs])[:, None] * py[ys]).tolist()
         y_patterns = [patterns[j] for j in ys.tolist()]
         for i, row in zip(xs.tolist(), terms):
             pat_x = patterns[i]
@@ -551,28 +550,29 @@ def joint_pattern_distribution(
 
 
 def pattern_coincidence(model: PiecewiseUniformDensity) -> float:
-    """Exact probability that both windows show the same pattern.
-
-    Each cell adds its mass-weighted product of the two axis laws pattern
-    by pattern: the diagonal of :func:`joint_pattern_distribution`, summed
-    in the same order, without the off-diagonal entries.
-    """
-    return _coincidence_from_laws(model, *_cell_laws(model, AXES))
+    """Exact probability that both windows show the same pattern."""
+    return pattern_terms(model)[0]
 
 
 def pattern_terms(
     model: PiecewiseUniformDensity,
 ) -> tuple[float, PatternDistribution, PatternDistribution]:
-    """Pattern coincidence and the X and Y pattern laws, from one pass over the cells."""
+    """Pattern coincidence and the X and Y pattern laws, from one pass over the cells.
+
+    The coincidence is the diagonal of :func:`joint_pattern_distribution`,
+    summed cell by cell in the same order, without the off-diagonal entries.
+    """
     laws_x, laws_y = _cell_laws(model, AXES)
+    masses, mass = _cell_masses(model)
+    diagonal = ((masses / mass)[:, None] * laws_x * laws_y).sum(axis=0)
     return (
-        _coincidence_from_laws(model, laws_x, laws_y),
-        _marginal_from_laws(model, laws_x),
-        _marginal_from_laws(model, laws_y),
+        math.fsum(diagonal.tolist()),
+        _marginal_from_laws(model.order, masses, mass, laws_x),
+        _marginal_from_laws(model.order, masses, mass, laws_y),
     )
 
 
-def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
+def exact_opd(model: PiecewiseUniformDensity) -> float:
     """Exact normalized pattern dependence of the model.
 
     Raises:
@@ -580,7 +580,7 @@ def exact_opd(model: PiecewiseUniformDensity, tol: float = 1e-12) -> float:
             mass, so the coefficient is undefined.
     """
     coincidence, px, py = pattern_terms(model)
-    return dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
+    return dependence_from_terms(coincidence, cross_match_probability(px, py))
 
 
 def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float, float]]:
@@ -631,6 +631,7 @@ def concordance_check(
     is ``points_per_axis`` evenly spaced values per coordinate over the
     joint bounding box widened by 0.5 on each side.
     """
+    _check_tol(tol)
     if model_a.dimension != model_b.dimension:
         raise DimensionMismatch("models have different dimensions")
     if grid is None:
