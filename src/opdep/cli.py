@@ -70,9 +70,10 @@ def _parse_point(raw: str) -> tuple[float, ...]:
 
 
 # On files holding any of these the bulk parse could disagree with the row
-# loop: numpy strips the separators \x1c-\x1f around a number where float()
-# rejects them, and csv rejects NUL on Python 3.10.
-_ROW_LOOP_ONLY = "\x00\x1c\x1d\x1e\x1f"
+# loop: a quote opens a csv field that may span lines, numpy strips the
+# separators \x1c-\x1f around a number where float() rejects them, and
+# csv rejects NUL on Python 3.10.
+_ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 
 def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
@@ -80,11 +81,10 @@ def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
 
     Takes only files on which it gives the row loop's values: a first line
     of two or more fields (a header if either of its first two fields is
-    not a number; its quotes close on the line, and numpy fails a quoted
-    number), then unquoted rows whose first two fields are numbers, with
+    not a number), then rows whose first two fields are numbers, with
     empty lines between them and any fields after the second.  Any other
-    file raises ValueError, csv.Error or a warning turned into an error,
-    and the row loop reads it instead.
+    file raises ValueError (numpy's, or one naming the reason) or a
+    warning turned into an error, and the row loop reads it instead.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
         text = handle.read()
@@ -93,15 +93,10 @@ def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
             raise ValueError(f"the file contains {char!r}")
     # Lines end at \n, \r\n or a lone \r, for the row loop and for numpy's
     # universal newlines alike.
-    first = text.partition("\n")[0].partition("\r")[0]
-    # Past the first line a quote opens a csv field that may span lines.
-    if text.find('"', len(first)) >= 0:
-        raise ValueError("the file contains '\"' after its first line")
+    fields = text.partition("\n")[0].partition("\r")[0].split(",")
     # numpy reads the file again: parsing the text held here would need a
     # StringIO, whose buffer takes four bytes a character.
     del text
-    # Strict: a quoted field that runs past the end of the line raises csv.Error.
-    fields = next(csv.reader([first], strict=True), [])
     if len(fields) < 2 or not any(field.strip() for field in fields):
         raise ValueError("the first line is not a row of two or more fields")
     try:
@@ -161,7 +156,7 @@ def _read_series_csv(path: str) -> TimeSeriesPair:
     try:
         xs, ys = _parse_columns(path)
         reader = "bulk parse"
-    except (ValueError, csv.Error, Warning) as exc:
+    except (ValueError, Warning) as exc:
         log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
         try:
             xs, ys = _loop_columns(path)

@@ -49,6 +49,7 @@ from .errors import (
     NonFiniteInput,
     OverlappingCells,
     UnsupportedChainLength,
+    ZeroMassCondition,
 )
 from .patterns import (
     Pattern,
@@ -491,9 +492,12 @@ def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.n
 
 
 def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
-    """Every cell's mass, and their total."""
+    """Every cell's mass, and their total; ZeroMassCondition if that is 0.0."""
     masses = np.array([cell_mass(cell) for cell in model.cells])
-    return masses, math.fsum(masses.tolist())
+    mass = math.fsum(masses.tolist())
+    if not mass > 0.0:
+        raise ZeroMassCondition(f"the cells' total mass is {mass!r}; pattern laws are undefined")
+    return masses, mass
 
 
 def _marginal_from_laws(
@@ -515,6 +519,7 @@ def marginal_pattern_distribution(
         AmbiguousBlockOrder: some cell has same-axis blocks on overlapping
             interval interiors.
         OrderTooSmall: the model order is below 2.
+        ZeroMassCondition: every cell's mass underflows to 0.0.
     """
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")

@@ -179,10 +179,6 @@ def test_reader_matches_oracle_on_generated_files(csv_path, text):
         "x,y\n#1,3\n",
         "x,y\n1,2 # note\n",
         "nan,-nan\ninf,infinity\n1e400,1e-400\n-inf,-Infinity\n",
-        '"x","y"\n1,2\n',
-        '"x,1","y"\n1,2\n',  # the header's quoted comma is not a field break
-        '"1","2"\n3,4\n',  # a quoted first line of numbers is data
-        '"x\ny",z\n1,2\n',  # the header's quoted field spans two lines
     ],
 )
 def test_reader_matches_oracle_on_hand_cases(tmp_path, text):
@@ -199,13 +195,7 @@ def test_reader_matches_oracle_on_undecodable_files(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    [
-        "1.0,2.0\n2.0,1.0\n3.0,3.0\n",
-        "x,y\n1,2\n3,4\n",
-        '"1",2\n3,4\n',
-        "x,y\n1,2\n  \n3,4\n",
-        '"x","y"\n1,2\n3,4\n',
-    ],
+    ["1.0,2.0\n2.0,1.0\n3.0,3.0\n", "x,y\n1,2\n3,4\n", '"1",2\n3,4\n', "x,y\n1,2\n  \n3,4\n"],
 )
 def test_byte_order_mark_is_not_part_of_the_first_field(tmp_path, text):
     marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
@@ -243,23 +233,3 @@ def test_log_names_the_reader(caplog, tmp_path):
     assert records[0][0] == "DEBUG"
     assert records[0][1].startswith(f"bulk parse of {loop} rejected (") and "'\"'" in records[0][1]
     assert records[1] == ("INFO", f"read 2 rows from {loop} by the row loop")
-
-
-@pytest.mark.parametrize(
-    "data, reader",
-    [
-        (b'"x","y"\n1,2\n3,4\n', "bulk parse"),
-        (b'\xef\xbb\xbf"x","y"\n1,2\n3,4\n', "bulk parse"),
-        (b'"x,1","y"\n1,2\n3,4\n', "bulk parse"),
-        (b'"1","2"\n3,4\n', "row loop"),
-        (b'"x\ny",z\n1,2\n3,4\n', "row loop"),
-    ],
-)
-def test_quoted_header_stays_on_the_bulk_parse(caplog, tmp_path, data, reader):
-    caplog.set_level(logging.INFO, logger="opdep")
-    path = tmp_path / "quoted.csv"
-    path.write_bytes(data)
-    _read_series_csv(str(path))
-    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("INFO", f"read 2 rows from {path} by the {reader}")
-    ]

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from opdep import discrete as disc
 from opdep.discrete import DiscreteJoint
-from opdep.errors import AmbiguousBlockOrder, OrderTooSmall
+from opdep.errors import AmbiguousBlockOrder, OrderTooSmall, ZeroMassCondition
 from opdep.modelio import load_model
 from opdep.patterns import (
     PatternDistribution,
@@ -256,6 +256,17 @@ def test_order_one_model_raises_order_too_small():
         with pytest.raises(OrderTooSmall):
             fn(model)
     with pytest.raises(OrderTooSmall):
+        marginal_pattern_distribution(model, "x")
+
+
+def test_model_whose_mass_underflows_raises_zero_mass_condition():
+    # The cell value is accepted, but value * 0.5 ** 4 rounds to 0.0.
+    model = PiecewiseUniformDensity(order=2, cells=(_free_cell(2, hi=0.5, value=5e-324),))
+    assert total_mass(model) == 0.0
+    for fn in (pattern_coincidence, exact_opd, joint_pattern_distribution):
+        with pytest.raises(ZeroMassCondition):
+            fn(model)
+    with pytest.raises(ZeroMassCondition):
         marginal_pattern_distribution(model, "x")
 
 
