@@ -1,8 +1,9 @@
 """Discrete bivariate window laws and dependence-ordering conditions.
 
 A :class:`DiscreteJoint` is a finitely supported joint law of two windows
-``X = (X_1, ..., X_d)`` and ``Y = (Y_1, ..., Y_d)``, stored as atoms over
-the flat coordinate layout ``(x_1, ..., x_d, y_1, ..., y_d)``.
+``X = (X_1, ..., X_d)`` and ``Y = (Y_1, ..., Y_d)``, stored as an array of
+atom points over the flat coordinate layout ``(x_1, ..., x_d, y_1, ..., y_d)``
+and a vector of their probabilities.
 
 Position subsets select window positions, not flat coordinates: subset
 ``I`` of ``{1, ..., d}`` refers to the pairs ``(X_i, Y_i), i in I``, and a
@@ -30,6 +31,7 @@ skipped and logged rather than treated as violations.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import logging
 import math
@@ -64,19 +66,22 @@ _FLOAT = frozenset({float})
 AtomItems = Iterable[tuple[Sequence[float], float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DiscreteJoint:
     """Finitely supported joint law of paired windows of one order.
 
-    ``atoms`` maps distinct points of length ``2 * order`` to positive
-    probabilities summing to 1 within 1e-12.  Atoms are kept sorted by
-    point, so equal laws have equal representations.  The same atoms are
-    also kept as a read-only ``(n, 2 * order)`` point array and a
-    probability vector, in the same order, for the array computations.
+    The law is held as two read-only arrays: ``_points``, the distinct
+    atom points of length ``2 * order`` as an ``(n, 2 * order)`` array
+    sorted lexicographically, and ``_probs``, their positive probabilities
+    in the same order, summing to 1 within 1e-12.  ``atoms`` is the same
+    law as ``(point, probability)`` pairs in that order; it is built from
+    the arrays the first time it is read and then kept, so a law used only
+    through the arrays (pattern laws, sampling) never builds its point
+    tuples.  Equality, hashing and ``repr`` go through ``atoms``, so equal
+    laws have equal representations.
     """
 
     order: int
-    atoms: tuple[tuple[Point, float], ...]
 
     def __init__(self, order: int, atoms: Mapping[Sequence[float], float] | AtomItems) -> None:
         order = int(order)
@@ -101,16 +106,71 @@ class DiscreteJoint:
             # so their errors take precedence over the conversion error.
             _check_atoms(order, points[: len(probs)], probs)
             raise unconverted
-        if not points:
+        if not set(map(len, points)) <= {2 * order}:
+            _check_atoms(order, points, probs)
+        point_array = np.array(points, dtype=float).reshape(len(points), 2 * order)
+        self._store(order, point_array, np.array(probs, dtype=float))
+
+    @classmethod
+    def _from_arrays(cls, order: int, points: np.ndarray, probs: np.ndarray) -> DiscreteJoint:
+        """A law from an ``(n, 2 * order)`` float array of points and their
+        probabilities, in input order, checked as the constructor checks its
+        atoms.  For readers that convert atoms in bulk; ``order`` must be >= 1.
+        """
+        law = cls.__new__(cls)
+        law._store(order, points, probs)
+        return law
+
+    def _store(self, order: int, points: np.ndarray, probs: np.ndarray) -> None:
+        """Check the atoms, sort them by point and keep them as read-only arrays.
+
+        Raises, in this order of precedence: ModelStructureError if there
+        is no atom, the error of the first bad atom in input order (see
+        :func:`_check_atoms`), and MassNotOne.
+        """
+        if not len(probs):
             raise ModelStructureError("a law needs at least one atom")
-        rank, point_array, prob_array = _sorted_atom_arrays(order, points, probs)
-        mass = math.fsum(probs)
+        # Stable, so equal points stay in input order; the last key is the primary one.
+        by_point = np.lexsort(points.T[::-1])
+        sorted_points = points[by_point]
+        prob_list = probs.tolist()
+        # Only a law with a bad atom fails these screens (a NaN or infinite
+        # probability makes the sum non-finite), and it is then checked atom by
+        # atom; so is a law whose huge probabilities overflow the sum.  Equal
+        # points end up adjacent, and 0.0 == -0.0, so a point written with
+        # either sign of zero is one point.
+        if not (
+            min(prob_list) > 0.0
+            and math.isfinite(sum(prob_list))
+            and np.isfinite(points).all()
+            and not (sorted_points[1:] == sorted_points[:-1]).all(axis=1).any()
+        ):
+            _check_atoms(order, list(map(tuple, points.tolist())), prob_list)
+        mass = math.fsum(prob_list)
         if abs(mass - 1.0) > 1e-12:
             raise MassNotOne(mass)
+        sorted_probs = probs[by_point]
+        sorted_points.flags.writeable = False
+        sorted_probs.flags.writeable = False
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "atoms", tuple(zip(map(points.__getitem__, rank), prob_array.tolist())))
-        object.__setattr__(self, "_points", point_array)
-        object.__setattr__(self, "_probs", prob_array)
+        object.__setattr__(self, "_points", sorted_points)
+        object.__setattr__(self, "_probs", sorted_probs)
+
+    @functools.cached_property
+    def atoms(self) -> tuple[tuple[Point, float], ...]:
+        """The ``(point, probability)`` pairs, sorted by point."""
+        return tuple(zip(map(tuple, self._points.tolist()), self._probs.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.order, self.atoms) == (other.order, other.atoms)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.atoms))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(order={self.order!r}, atoms={self.atoms!r})"
 
     @property
     def dimension(self) -> int:
@@ -125,39 +185,6 @@ class DiscreteJoint:
         if i < len(self.atoms) and self.atoms[i][0] == pt:
             return self.atoms[i][1]
         return 0.0
-
-
-def _sorted_atom_arrays(
-    order: int, points: list[Point], probs: list[float]
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Check converted atoms and sort them by point.
-
-    Returns the input indices in sorted order, and the read-only point
-    array and probability vector in that order.  Raises the error of the
-    first bad atom, as :func:`_check_atoms` does.
-    """
-    # Only a law without a bad atom passes these screens (a NaN or infinite
-    # probability makes the sum non-finite).  A law that fails them, which
-    # an overflowing sum of huge probabilities also does, is checked atom
-    # by atom.
-    if not (
-        set(map(len, points)) <= {2 * order}
-        and len(set(points)) == len(points)
-        and min(probs) > 0.0
-        and math.isfinite(sum(probs))
-    ):
-        _check_atoms(order, points, probs)
-    point_array = np.array(points, dtype=float)
-    if not np.isfinite(point_array).all():
-        _check_atoms(order, points, probs)
-    # Stable, so equal points stay in input order; the last key is the primary one.
-    by_point = np.lexsort(point_array.T[::-1])
-    point_array = point_array[by_point]
-    rank = by_point.tolist()
-    prob_array = np.array(list(map(probs.__getitem__, rank)), dtype=float)
-    point_array.flags.writeable = False
-    prob_array.flags.writeable = False
-    return rank, point_array, prob_array
 
 
 def _check_atoms(order: int, points: list[Point], probs: list[float]) -> None:
@@ -328,10 +355,9 @@ def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
     if n < 1:
         raise InvalidParameter(f"n must be >= 1, got {n}")
     rng = make_rng(seed)
-    probs = [prob for _, prob in dist.atoms]
-    total = math.fsum(probs)
-    idx = rng.choice(len(dist.atoms), size=n, p=[p / total for p in probs])
-    return [dist.atoms[i][0] for i in idx]
+    total = math.fsum(dist._probs.tolist())
+    idx = rng.choice(len(dist._probs), size=n, p=dist._probs / total)
+    return list(map(tuple, dist._points[idx].tolist()))
 
 
 def product_extend(head: DiscreteJoint, tail: DiscreteJoint) -> DiscreteJoint:

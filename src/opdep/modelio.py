@@ -18,13 +18,22 @@ Two kinds are supported and distinguished by the top-level ``kind`` field:
 
     {"kind": "discrete", "order": 2, "atoms": [
         {"point": ["1.0", "5.0", "3.0", "5.0"], "prob": "0.25"}]}
+
+A discrete law whose atoms are all plain (exactly these two keys, a point
+of ``2 * order`` numbers or decimal strings) is converted in bulk into the
+point array and probability vector that :class:`DiscreteJoint` keeps;
+otherwise it is read atom by atom, and that reader raises every schema
+error with its field path.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .discrete import DiscreteJoint
 from .errors import ModelFormatError, OpdepError
@@ -178,34 +187,44 @@ def _atom_from_dict(data: Any, field: str) -> tuple[tuple[float, ...], float]:
     return point, _real_in(obj["prob"], f"{field}.prob")
 
 
-def _plain_atom(data: Any) -> tuple[tuple[float, ...], float] | None:
-    """An atom made only of plain JSON values, converted in bulk; else None.
+def _plain_atom_arrays(raw_atoms: list, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Points and probabilities of a list of plain atoms, converted in bulk
+    and in input order; None if any atom is not plain.
 
-    ``float`` strips whitespace as ``_real_in`` does, so a plain atom gets
-    the same values; every other atom goes through the field checkers.
+    A plain atom has exactly the keys ``point`` and ``prob``, a list of
+    ``width`` coordinates, and only JSON numbers and strings (not booleans)
+    that ``float`` converts.  ``float`` strips whitespace as ``_real_in``
+    does, so plain atoms get the field checkers' values.
     """
-    if type(data) is dict and data.keys() == _ATOM_FIELDS:
-        point, prob = data["point"], data["prob"]
-        if (
-            type(point) is list
-            and type(prob) in _PLAIN_REALS
-            and _PLAIN_REALS.issuperset(map(type, point))
-        ):
-            try:
-                return tuple(map(float, point)), float(prob)
-            except (ValueError, OverflowError):
-                pass
-    return None
+    if not all(type(atom) is dict and atom.keys() == _ATOM_FIELDS for atom in raw_atoms):
+        return None
+    points = [atom["point"] for atom in raw_atoms]
+    probs = [atom["prob"] for atom in raw_atoms]
+    if not all(type(point) is list and len(point) == width for point in points):
+        return None
+    values = list(itertools.chain.from_iterable(points))
+    if not (_PLAIN_REALS.issuperset(map(type, values)) and _PLAIN_REALS.issuperset(map(type, probs))):
+        return None
+    try:
+        values = list(map(float, values))
+        probs = list(map(float, probs))
+    except (ValueError, OverflowError):
+        return None
+    return np.array(values, dtype=float).reshape(len(points), width), np.array(probs, dtype=float)
 
 
 def _discrete_from_dict(data: dict) -> DiscreteJoint:
     order = _order_in(data)
-    atoms = [
-        _plain_atom(raw_atom) or _atom_from_dict(raw_atom, f"atoms[{ai}]")
-        for ai, raw_atom in enumerate(_list_in(data["atoms"], "atoms"))
-    ]
+    raw_atoms = _list_in(data["atoms"], "atoms")
+    arrays = _plain_atom_arrays(raw_atoms, 2 * order)
     try:
+        if arrays is not None:
+            return DiscreteJoint._from_arrays(order, *arrays)
+        # Atom by atom: the field checkers raise every schema error.
+        atoms = [_atom_from_dict(raw_atom, f"atoms[{ai}]") for ai, raw_atom in enumerate(raw_atoms)]
         return DiscreteJoint(order=order, atoms=atoms)
+    except ModelFormatError:
+        raise
     except OpdepError as exc:
         raise ModelFormatError("atoms", str(exc)) from exc
 

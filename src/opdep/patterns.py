@@ -111,9 +111,14 @@ def pattern_codes(windows: np.ndarray | Sequence[Sequence[float]]) -> np.ndarray
     _check_order(d)
     if not np.isfinite(w).all():
         raise NonFiniteInput("windows contain a non-finite value")
+    # One contiguous row per window position: d(d-1)/2 comparisons of whole
+    # columns cost less than a strided comparison block per position.
+    columns = np.ascontiguousarray(w.T)
     codes = np.zeros(w.shape[0], dtype=np.int64)
     for i in range(d - 1):
-        smaller_after = np.count_nonzero(w[:, i + 1 :] < w[:, i : i + 1], axis=1)
+        smaller_after = np.zeros(w.shape[0], dtype=np.int64)
+        for j in range(i + 1, d):
+            smaller_after += columns[j] < columns[i]
         codes += smaller_after * math.factorial(d - 1 - i)
     return codes
 

@@ -4,6 +4,7 @@ import logging
 import math
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -284,6 +285,39 @@ def test_sample_discrete_deterministic_and_supported():
     assert set(a) == support
     with pytest.raises(InvalidParameter):
         sample(law, 0, seed=1)
+
+
+def oracle_sample(dist, n, seed):
+    """Former ``discrete.sample`` body, which drew from ``atoms``."""
+    from opdep.randomness import make_rng
+
+    rng = make_rng(seed)
+    probs = [prob for _, prob in dist.atoms]
+    total = math.fsum(probs)
+    idx = rng.choice(len(dist.atoms), size=n, p=[p / total for p in probs])
+    return [dist.atoms[i][0] for i in idx]
+
+
+def _bits(points):
+    return np.array(points, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9, 2**40 + 3])
+def test_sample_draws_the_former_body_bit_for_bit(seed):
+    uneven = DiscreteJoint(2, [
+        ((0.0, -0.0, 1.0, 2.0), 0.1),
+        ((-0.0, 1.0, 0.0, 2.0), 0.2),
+        ((1e-300, 3.0, -2.5, 0.0), 0.3),
+        ((7.0, 7.0, 7.0, 7.0), 0.4 - 1e-13),
+        ((-1.0, 2.0, 2.0, -1.0), 1e-13),
+    ])
+    for law in (build_example43().law, uneven, head_law()):
+        fresh = DiscreteJoint(law.order, law.atoms)
+        drawn = sample(fresh, 500, seed=seed)
+        assert "atoms" not in vars(fresh)
+        expected = oracle_sample(law, 500, seed=seed)
+        assert all(type(point) is tuple for point in drawn)
+        assert _bits(drawn) == _bits(expected)
 
 
 # --- condition sweeps --------------------------------------------------------

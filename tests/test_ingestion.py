@@ -12,11 +12,13 @@ import functools
 import math
 import warnings
 from collections.abc import Mapping
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opdep import modelio
 from opdep.discrete import DiscreteJoint
 from opdep.errors import (
     DimensionMismatch,
@@ -217,6 +219,93 @@ def test_valid_law_dicts_load_as_the_per_atom_oracle(data):
 @given(faulty_law_dicts())
 def test_faulty_law_dicts_fail_as_the_per_atom_oracle(data):
     assert outcome(model_from_dict, data) == outcome(oracle_model_from_dict, data)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(law_dicts())
+def test_bulk_loaded_arrays_match_the_oracle_bit_for_bit(data):
+    with mock.patch.object(modelio, "_atom_from_dict", side_effect=AssertionError("read atom by atom")):
+        law = model_from_dict(data)
+    assert "atoms" not in vars(law)
+    order, atoms = oracle_model_from_dict(data)
+    points = [point for point, _ in atoms]
+    probs = [prob for _, prob in atoms]
+    assert law.order == order
+    assert law._points.shape == (len(atoms), 2 * order)
+    assert np.array_equal(_bits(law._points), _bits(points))
+    assert np.array_equal(_bits(law._probs), _bits(probs))
+    assert np.array_equal(_bits([point for point, _ in law.atoms]), _bits(points))
+    assert np.array_equal(_bits([prob for _, prob in law.atoms]), _bits(probs))
+    assert all(type(point) is tuple for point, _ in law.atoms)
+
+
+def _with_second_atom(**fields):
+    """A valid order-1 law dict whose second atom has the given fields replaced."""
+    atoms = [{"point": ["0.0", "1.0"], "prob": "0.25"}, {"point": ["1.0", "0.0"], "prob": "0.75"}]
+    atoms[1].update(fields)
+    return {"kind": "discrete", "order": 1, "atoms": atoms}
+
+
+SCREEN_CASES = {
+    "padded strings": _with_second_atom(point=[" 1.0", "\u20030.0\t"], prob="\n0.75 "),
+    "underscore digits": _with_second_atom(point=["1_0", "0.0"]),
+    "underscore prob": _with_second_atom(prob="0.7_5"),
+    "ints": _with_second_atom(point=[1, 0]),
+    "int prob": _with_second_atom(prob=1),
+    "huge int": _with_second_atom(point=[10**400, 0]),
+    "bool coordinate": _with_second_atom(point=[True, 0.0]),
+    "bool prob": _with_second_atom(prob=False),
+    "overflowing string": _with_second_atom(point=["1e400", "0.0"]),
+    "overflowing prob": _with_second_atom(prob="1e400"),
+    "nan string": _with_second_atom(point=["nan", "0.0"]),
+    "nan prob": _with_second_atom(prob="nan"),
+    "not a number": _with_second_atom(point=["1.0", "one"]),
+    "signed zero duplicate": _with_second_atom(point=["-0.0", "1.0"]),
+    "exact duplicate": _with_second_atom(point=[0, 1]),
+    "short point": _with_second_atom(point=["1.0"]),
+    "long point": _with_second_atom(point=["1.0", "0.0", "2.0"]),
+    "empty point": _with_second_atom(point=[]),
+    "point is a string": _with_second_atom(point="1.0 0.0"),
+    "point is an object": _with_second_atom(point={"x": "1.0", "y": "0.0"}),
+    "point is null": _with_second_atom(point=None),
+    "extra key": _with_second_atom(weight=1),
+    "atom is a list": {"kind": "discrete", "order": 1, "atoms": [
+        {"point": ["0.0", "1.0"], "prob": "0.5"}, [["1.0", "0.0"], "0.5"]]},
+    "no atoms": {"kind": "discrete", "order": 1, "atoms": []},
+    "mass off": _with_second_atom(prob="0.7500001"),
+}
+
+
+@pytest.mark.parametrize("name", SCREEN_CASES)
+def test_screened_atoms_give_the_oracle_outcome(name):
+    data = SCREEN_CASES[name]
+    assert outcome(model_from_dict, data) == outcome(oracle_model_from_dict, data)
+
+
+def test_a_law_compares_hashes_and_prints_as_before_atoms_is_read():
+    data = {"kind": "discrete", "order": 1, "atoms": [
+        {"point": ["2.0", "-0.0"], "prob": "0.5"}, {"point": [0, 1], "prob": 0.25},
+        {"point": ["-0.0", " 3.5"], "prob": "0.25"}]}
+    eager = model_from_dict(data)
+    eager.atoms
+    built = DiscreteJoint(1, [((2.0, -0.0), 0.5), ((0.0, 1.0), 0.25), ((-0.0, 3.5), 0.25)])
+    # 0.0 and -0.0 tie, so the second coordinate orders the first two atoms.
+    expected = "DiscreteJoint(order=1, atoms=(((0.0, 1.0), 0.25), ((-0.0, 3.5), 0.25), ((2.0, -0.0), 0.5)))"
+    for compare in (
+        lambda law: law == eager and eager == law and law == built and not law != eager,
+        lambda law: hash(law) == hash(eager) == hash(built) == hash((1, eager.atoms)),
+        lambda law: repr(law) == repr(eager) == repr(built) == expected,
+    ):
+        law = model_from_dict(data)
+        assert "atoms" not in vars(law)
+        assert compare(law)
+    other = model_from_dict(_with_second_atom())
+    assert other != eager and eager != other
+    assert eager != (1, eager.atoms)
 
 
 def test_first_bad_atom_in_input_order_is_reported():

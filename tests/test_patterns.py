@@ -160,6 +160,47 @@ def test_pattern_codes_match_pattern_index_on_tied_windows(rows):
     assert codes.tolist() == [pattern_index(pattern_of(row)) for row in rows]
 
 
+def oracle_pattern_codes(w):
+    """Former ``pattern_codes`` body: one strided comparison block per position."""
+    d = w.shape[1]
+    codes = np.zeros(w.shape[0], dtype=np.int64)
+    for i in range(d - 1):
+        smaller_after = np.count_nonzero(w[:, i + 1 :] < w[:, i : i + 1], axis=1)
+        codes += smaller_after * math.factorial(d - 1 - i)
+    return codes
+
+
+# Few distinct values, so most windows hold ties; 0.0 and -0.0 are a tie too.
+signed_zero_tie_arrays = st.integers(min_value=2, max_value=8).flatmap(
+    lambda d: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=d, max_size=d),
+        min_size=0,
+        max_size=40,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), d))
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(signed_zero_tie_arrays)
+def test_pattern_codes_match_the_former_body_bit_for_bit(w):
+    codes = pattern_codes(w)
+    expected = oracle_pattern_codes(w)
+    assert codes.dtype == expected.dtype == np.int64
+    assert codes.shape == (w.shape[0],)
+    assert np.array_equal(codes, expected)
+
+
+def test_pattern_codes_match_the_former_body_on_wide_and_empty_batches():
+    rng = np.random.default_rng(5)
+    for d in range(2, 9):
+        w = rng.integers(-2, 3, size=(5000, d)).astype(float)
+        w[rng.random(w.shape) < 0.2] = -0.0
+        # A non-contiguous view, as the discrete engine passes its x and y halves.
+        halves = np.hstack([w, w[:, ::-1]])[:, :d]
+        for batch in (w, halves, w[:0], w[::-3]):
+            assert np.array_equal(pattern_codes(batch), oracle_pattern_codes(batch))
+
+
 def test_pattern_codes_validation():
     assert pattern_codes(np.empty((0, 4))).tolist() == []
     with pytest.raises(DimensionMismatch):

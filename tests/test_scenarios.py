@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from opdep import piecewise as pw
 from opdep.errors import InvalidParameter
 from opdep.scenarios import (
     SCENARIOS,
+    build_counterexample,
     run_scenario,
     verify_counterexample,
     verify_example42,
@@ -74,3 +76,17 @@ def test_tolerance_is_threaded_through():
 def test_reports_match_the_pinned_checks(name):
     pinned = json.loads(PINNED_REPORTS.read_text(encoding="utf-8"))[name]
     assert run_scenario(name).to_dict() == pinned
+
+
+def test_counterexample_takes_the_pattern_terms_of_each_law_once(monkeypatch):
+    calls = []
+    terms = pw.pattern_terms
+
+    def counted(model):
+        calls.append(model)
+        return terms(model)
+
+    monkeypatch.setattr(pw, "pattern_terms", counted)
+    assert verify_counterexample().passed
+    f, f_star = build_counterexample()[:2]
+    assert calls == [f, f_star]
