@@ -199,8 +199,11 @@ def _pattern_table(dist) -> dict[str, float]:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
+    if args.tol is not None and args.action not in ("validate", "opd"):
+        raise InvalidParameter(f"--tol applies to validate and opd only, not to {args.action}")
+    tol = 1e-12 if args.tol is None else args.tol
     # Checked before validate's try block, which reports every error as "invalid:".
-    _check_tol(args.tol)
+    _check_tol(tol)
     model = load_model(args.path)
     # Both engine modules answer the same calls.  They are looked up on the
     # module at each call, so a rebound module attribute takes effect here.
@@ -213,7 +216,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.action == "validate":
         if engine is pw:
             try:
-                pw.validate(model, tol=args.tol)
+                pw.validate(model, tol=tol)
             except OpdepError as exc:
                 _emit_payload(
                     {"valid": False, "kind": kind, "order": model.order, "error": str(exc)},
@@ -232,7 +235,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     if args.action == "opd":
         coincidence, px, py = engine.pattern_terms(model)
-        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=args.tol)
+        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0
@@ -321,8 +324,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mod.add_argument("--count", type=int, default=1000, help="sample size (default 1000)")
     p_mod.add_argument("--seed", type=int, default=None, help="RNG seed (required for sample)")
     p_mod.add_argument(
-        "--tol", type=float, default=1e-12,
-        help="tolerance of validate and opd (default 1e-12)",
+        "--tol", type=float, default=None,
+        help="tolerance of validate and opd only (default 1e-12)",
     )
     add_common(p_mod)
     p_mod.set_defaults(func=cmd_model)

@@ -3,7 +3,8 @@
 A :class:`DiscreteJoint` is a finitely supported joint law of two windows
 ``X = (X_1, ..., X_d)`` and ``Y = (Y_1, ..., Y_d)``, stored as an array of
 atom points over the flat coordinate layout ``(x_1, ..., x_d, y_1, ..., y_d)``
-and a vector of their probabilities.
+and a vector of their probabilities.  Every operation below computes on
+these two arrays, and every law it derives is built from arrays.
 
 Position subsets select window positions, not flat coordinates: subset
 ``I`` of ``{1, ..., d}`` refers to the pairs ``(X_i, Y_i), i in I``, and a
@@ -62,7 +63,6 @@ from .records import Record
 log = logging.getLogger(__name__)
 
 Point = tuple[float, ...]
-_FLOAT = frozenset({float})
 AtomItems = Iterable[tuple[Sequence[float], float]]
 
 
@@ -73,12 +73,11 @@ class DiscreteJoint:
     The law is held as two read-only arrays: ``_points``, the distinct
     atom points of length ``2 * order`` as an ``(n, 2 * order)`` array
     sorted lexicographically, and ``_probs``, their positive probabilities
-    in the same order, summing to 1 within 1e-12.  ``atoms`` is the same
-    law as ``(point, probability)`` pairs in that order; it is built from
-    the arrays the first time it is read and then kept, so a law used only
-    through the arrays (pattern laws, sampling) never builds its point
-    tuples.  Equality, hashing and ``repr`` go through ``atoms``, so equal
-    laws have equal representations.
+    in the same order, summing to 1 within 1e-12.  Every operation reads
+    these arrays.  ``atoms``, the same law as ``(point, probability)``
+    pairs in that order, is the view for ``repr``, equality, hashing and
+    serialization, so equal laws have equal representations; it is built
+    the first time it is read and then kept.
     """
 
     order: int
@@ -92,10 +91,7 @@ class DiscreteJoint:
         probs: list[float] = []
         try:
             for raw_point, raw_prob in items:
-                # A tuple of floats is already converted; keeping it saves a copy.
-                if type(raw_point) is not tuple or not _FLOAT.issuperset(map(type, raw_point)):
-                    raw_point = tuple(map(float, raw_point))
-                points.append(raw_point)
+                points.append(tuple(map(float, raw_point)))
                 probs.append(float(raw_prob))
         except Exception as exc:
             unconverted = exc
@@ -115,7 +111,8 @@ class DiscreteJoint:
     def _from_arrays(cls, order: int, points: np.ndarray, probs: np.ndarray) -> DiscreteJoint:
         """A law from an ``(n, 2 * order)`` float array of points and their
         probabilities, in input order, checked as the constructor checks its
-        atoms.  For readers that convert atoms in bulk; ``order`` must be >= 1.
+        atoms.  For bulk readers and for laws derived from other laws' arrays;
+        ``order`` must be >= 1.
         """
         law = cls.__new__(cls)
         law._store(order, points, probs)
@@ -221,17 +218,13 @@ def _check_point(dist: DiscreteJoint, point: Sequence[float]) -> Point:
 def cdf(dist: DiscreteJoint, point: Sequence[float]) -> float:
     """P(all coordinates <= point), exactly."""
     pt = _check_point(dist, point)
-    return math.fsum(
-        prob for atom, prob in dist.atoms if all(a <= t for a, t in zip(atom, pt))
-    )
+    return math.fsum(dist._probs[(dist._points <= pt).all(axis=1)].tolist())
 
 
 def survival(dist: DiscreteJoint, point: Sequence[float]) -> float:
     """P(all coordinates >= point), exactly.  Not ``1 - cdf`` beyond dimension 1."""
     pt = _check_point(dist, point)
-    return math.fsum(
-        prob for atom, prob in dist.atoms if all(a >= t for a, t in zip(atom, pt))
-    )
+    return math.fsum(dist._probs[(dist._points >= pt).all(axis=1)].tolist())
 
 
 def _check_subset(d: int, subset: Iterable[int], allow_empty: bool = False) -> tuple[int, ...]:
@@ -251,13 +244,14 @@ def subset_coordinates(order: int, positions: Sequence[int]) -> list[int]:
 def marginal(dist: DiscreteJoint, subset: Iterable[int]) -> DiscreteJoint:
     """Joint law of the window pairs at the given positions."""
     positions = _check_subset(dist.order, subset)
-    # A subset has an x and a y coordinate per position, so this returns tuples.
-    project = operator.itemgetter(*subset_coordinates(dist.order, positions))
-    out: dict[Point, float] = {}
-    for atom, prob in dist.atoms:
-        key = project(atom)
-        out[key] = out.get(key, 0.0) + prob
-    return DiscreteJoint(order=len(positions), atoms=out)
+    points = dist._points[:, subset_coordinates(dist.order, positions)]
+    # Stable, so a run of equal rows keeps its atoms in atom order: the merged
+    # point keeps the first atom's sign of zero, and bincount adds in atom order.
+    by_point = np.lexsort(points.T[::-1])
+    sorted_points = points[by_point]
+    starts = np.append(True, (sorted_points[1:] != sorted_points[:-1]).any(axis=1))
+    probs = np.bincount(np.cumsum(starts) - 1, weights=dist._probs[by_point])
+    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs)
 
 
 def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float]) -> DiscreteJoint:
@@ -281,20 +275,14 @@ def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[floa
         raise DimensionMismatch(
             f"conditioning point has {len(value)} coordinates, subset needs {2 * len(positions)}"
         )
-    project_cond = operator.itemgetter(*subset_coordinates(dist.order, positions))
-    project_keep = operator.itemgetter(*subset_coordinates(dist.order, complement))
-    out: dict[Point, float] = {}
-    mass = 0.0
-    for atom, prob in dist.atoms:
-        if project_cond(atom) != value:
-            continue
-        mass += prob
-        key = project_keep(atom)
-        out[key] = out.get(key, 0.0) + prob
-    if mass <= 0.0:
+    rows = (dist._points[:, subset_coordinates(dist.order, positions)] == value).all(axis=1)
+    if not rows.any():
         raise ZeroMassCondition(f"no mass at positions {positions} = {value}")
-    scaled = {point: prob / mass for point, prob in out.items()}
-    return DiscreteJoint(order=len(complement), atoms=scaled)
+    # The selected atoms are distinct on the kept coordinates, since they
+    # agree on the others.  cumsum adds in atom order, one term at a time.
+    probs = dist._probs[rows]
+    points = dist._points[rows][:, subset_coordinates(dist.order, complement)]
+    return DiscreteJoint._from_arrays(len(complement), points, probs / np.cumsum(probs)[-1])
 
 
 def _atom_codes(dist: DiscreteJoint, axes: Sequence[str]) -> tuple[list[np.ndarray], np.ndarray]:
@@ -362,7 +350,7 @@ def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
 
 def product_extend(head: DiscreteJoint, tail: DiscreteJoint) -> DiscreteJoint:
     """Independent concatenation: head positions first, then tail positions."""
-    return mixture_from_conditionals(tail, {point: head for point, _ in tail.atoms})
+    return _interleave([head] * len(tail._probs), tail)
 
 
 def mixture_from_conditionals(
@@ -389,14 +377,18 @@ def mixture_from_conditionals(
     orders = {law.order for law in keyed.values()}
     if len(orders) != 1:
         raise InvalidMixture(f"conditional head laws disagree in order: {sorted(orders)}")
-    d1 = orders.pop()
-    d2 = tail.order
-    out: dict[Point, float] = {}
-    for tp, weight in tail.atoms:
-        for hp, hprob in keyed[tp].atoms:
-            point = hp[:d1] + tp[:d2] + hp[d1:] + tp[d2:]
-            out[point] = out.get(point, 0.0) + weight * hprob
-    return DiscreteJoint(order=d1 + d2, atoms=out)
+    return _interleave([keyed[point] for point, _ in tail.atoms], tail)
+
+
+def _interleave(heads: Sequence[DiscreteJoint], tail: DiscreteJoint) -> DiscreteJoint:
+    """The mixture of ``heads[k]`` at the ``k``-th tail atom; heads share one order."""
+    d1, d2 = heads[0].order, tail.order
+    # Rows from different tail atoms differ on the tail coordinates, so all rows are distinct.
+    tail_rows = np.repeat(np.arange(len(heads)), [len(law._probs) for law in heads])
+    hp, tp = np.concatenate([law._points for law in heads]), tail._points[tail_rows]
+    points = np.hstack([hp[:, :d1], tp[:, :d2], hp[:, d1:], tp[:, d2:]])
+    probs = tail._probs[tail_rows] * np.concatenate([law._probs for law in heads])
+    return DiscreteJoint._from_arrays(d1 + d2, points, probs)
 
 
 def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: float = 1e-12) -> tuple[int, ...]:
@@ -406,12 +398,14 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
     detection is necessary for sharing but cannot see the underlying
     coupling, so explicit knowledge should be passed through when present.
     """
+    if dist.order != dist_star.order:
+        raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
     _check_tol(tol)
     shared = []
     for i in range(1, dist.order + 1):
-        a = marginal(dist, (i,)).as_dict()
-        b = marginal(dist_star, (i,)).as_dict()
-        if set(a) == set(b) and all(abs(a[k] - b[k]) <= tol for k in a):
+        # Both marginals are sorted by point, so equal supports line up row by row.
+        a, b = marginal(dist, (i,)), marginal(dist_star, (i,))
+        if np.array_equal(a._points, b._points) and (np.abs(a._probs - b._probs) <= tol).all():
             shared.append(i)
     return tuple(shared)
 
@@ -465,9 +459,14 @@ def evaluation_grid(
     below and above; step-function comparisons attain their extremes on
     this grid.
     """
+    if dist.order != dist_star.order:
+        raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
     grid = []
     for coord in subset_coordinates(dist.order, positions):
-        values = sorted({atom[coord] for law in (dist, dist_star) for atom, _ in law.atoms})
+        column = np.concatenate([dist._points[:, coord], dist_star._points[:, coord]])
+        # Stable, so of 0.0 and -0.0 the one met first is kept.
+        ordered = column[np.argsort(column, kind="stable")]
+        values = ordered[np.append(True, ordered[1:] != ordered[:-1])].tolist()
         grid.append([values[0] - 1.0] + values + [values[-1] + 1.0])
     return grid
 

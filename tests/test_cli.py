@@ -247,6 +247,17 @@ def test_model_opd_uses_tol(capsys):
     assert code == 3 and "undefined" in err
 
 
+@pytest.mark.parametrize("action", ["patterns", "cdf", "sample"])
+@pytest.mark.parametrize("tol", ["5", "1e-12", "nan"])
+def test_model_refuses_tol_where_it_is_unused(capsys, action, tol):
+    path = str(MODEL_FILES[0].parent / "example43_law.json")
+    argv = ["model", action, path, "--point=2,20,3,20", "--seed=1", "--count=3"]
+    code, out, err = run_cli(capsys, *argv, "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: --tol applies to validate and opd only, not to {action}\n"
+    assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_model_patterns(capsys, f_model_path):
     code, out, _ = run_cli(capsys, "model", "patterns", f_model_path, "--format", "json")
     assert code == 0

@@ -3,8 +3,10 @@
 ``oracle_check_theorem_conditions`` is ``discrete.check_theorem_conditions``
 as it was when variant A visited each conditioning value once per law and
 compared the two conditionals at a value both laws hold twice.  Its
-helpers are kept verbatim.  Every report must equal the oracle's, as
-records (``==``) and as JSON text, which also tells 0.0 from -0.0.
+helpers are kept verbatim, and the law operations it calls are the former
+tuple bodies kept in ``test_discrete_oracles``.  Every report must equal
+the oracle's, as records (``==``) and as JSON text, which also tells 0.0
+from -0.0.
 """
 
 from __future__ import annotations
@@ -25,16 +27,12 @@ from opdep.discrete import (
     DiscreteJoint,
     Point,
     _check_subset,
-    cdf,
     check_theorem_conditions,
-    conditional,
-    marginal,
-    shared_position_detect,
     subset_coordinates,
-    survival,
 )
 from opdep.errors import DimensionMismatch, InvalidParameter, ZeroMassCondition
 from opdep.scenarios import build_example42, build_example43, example42_tail_interleaved
+from test_discrete_oracles import cdf, conditional, marginal, shared_position_detect, survival
 from test_records import lattice_pairs
 
 log = logging.getLogger(__name__)

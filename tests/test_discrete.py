@@ -333,6 +333,31 @@ def test_evaluation_grid_includes_sentinels():
     assert grid_tail[0] == [4.0, 5.0, 6.0, 7.0]
 
 
+def test_laws_of_different_orders_are_refused():
+    # An order-1 and an order-2 law keep their y coordinates in different columns.
+    short, long = head_law(), build_example42().law
+    for first, second in ((short, long), (long, short)):
+        with pytest.raises(DimensionMismatch, match="orders differ: "):
+            evaluation_grid(first, second, (1,))
+        with pytest.raises(DimensionMismatch, match="orders differ: "):
+            shared_position_detect(first, second)
+
+
+def test_law_operations_never_build_atoms():
+    law, law_star = (DiscreteJoint(p.order, p.atoms) for p in build_example43())
+    head = DiscreteJoint(1, head_law().atoms)
+    cdf(law, (2.0, 20.0, 3.0, 20.0))
+    survival(law, (2.0, 20.0, 3.0, 20.0))
+    marginal(law, (1,))
+    conditional(law, (2,), (10.0, 10.0))
+    with pytest.raises(ZeroMassCondition):
+        conditional(law, (2,), (15.0, 15.0))
+    evaluation_grid(law, law_star, (1, 2))
+    shared_position_detect(law, law_star)
+    product_extend(head, law)
+    assert not {"atoms"} & (vars(law).keys() | vars(law_star).keys() | vars(head).keys())
+
+
 def test_conditions_hold_on_worked_pairs():
     for pair in (build_example42(), build_example43()):
         for variant in ("A", "B"):
