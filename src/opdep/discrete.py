@@ -457,10 +457,12 @@ def evaluation_grid(
 
     All coordinate values occurring in either law, extended by one sentinel
     below and above; step-function comparisons attain their extremes on
-    this grid.
+    this grid.  Positions keep the caller's order.
     """
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
+    positions = tuple(positions)
+    _check_subset(dist.order, positions, allow_empty=True)
     grid = []
     for coord in subset_coordinates(dist.order, positions):
         column = np.concatenate([dist._points[:, coord], dist_star._points[:, coord]])

@@ -36,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -170,6 +171,18 @@ class PiecewiseUniformDensity:
     @property
     def dimension(self) -> int:
         return 2 * self.order
+
+    @cached_property
+    def _orthant_plan(self) -> tuple:
+        """Per cell (value, blocks), per block (interval product?, lo, hi, size, coordinates)."""
+        return tuple(
+            (cell.value, tuple(
+                (b.kind == "free" or b.size == 1, b.lo, b.hi, b.size,
+                 tuple(coordinate_index(self.order, b.axis, p) for p in b.positions))
+                for b in cell.blocks
+            ))
+            for cell in self.cells
+        )
 
 
 class McResult(NamedTuple):
@@ -347,18 +360,14 @@ def validate(
 
 
 def _check_point(model: PiecewiseUniformDensity, point: Sequence[float]) -> tuple[float, ...]:
-    pt = tuple(float(v) for v in point)
+    pt = tuple(map(float, point))
     if len(pt) != model.dimension:
         raise DimensionMismatch(
             f"point has {len(pt)} coordinates, model needs {model.dimension}"
         )
-    if any(math.isnan(v) for v in pt):
+    if any(map(math.isnan, pt)):
         raise NonFiniteInput("point contains NaN")
     return pt
-
-
-def _interval_lower(lo: float, hi: float, t: float) -> float:
-    return max(0.0, min(t, hi) - lo)
 
 
 def _chain2_lower(lo: float, hi: float, t1: float, t2: float) -> float:
@@ -370,45 +379,34 @@ def _chain2_lower(lo: float, hi: float, t1: float, t2: float) -> float:
     return (a - lo) * (a - lo) / 2.0 + (a - lo) * (beta - a)
 
 
-def _block_orthant_volume(block: Block, thresholds: Sequence[float], lower: bool) -> float:
-    """Volume of the block's region cut by per-coordinate half-lines.
-
-    For the upper orthant the chain case uses the reflection
-    ``u -> lo + hi - u``, which maps the simplex onto itself with the
-    coordinate order reversed.
-    """
-    if block.kind == "free" or block.size == 1:
-        vol = 1.0
-        for t in thresholds:
-            if lower:
-                vol *= _interval_lower(block.lo, block.hi, t)
-            else:
-                vol *= _interval_lower(block.lo, block.hi, block.lo + block.hi - t)
-            if vol == 0.0:
-                return 0.0
-        return vol
-    if block.size == 2:
-        t1, t2 = thresholds
-        if lower:
-            return _chain2_lower(block.lo, block.hi, t1, t2)
-        return _chain2_lower(block.lo, block.hi, block.lo + block.hi - t2, block.lo + block.hi - t1)
-    raise UnsupportedChainLength(
-        f"no closed-form orthant volume for a chain of size {block.size}; use mc_probability"
-    )
-
-
 def _orthant_probability(
     model: PiecewiseUniformDensity, point: Sequence[float], lower: bool
 ) -> float:
+    """Sum over cells of the value times each block's volume inside the orthant.
+
+    The upper orthant reflects by ``u -> lo + hi - u``, which maps a chain onto itself reversed.
+    """
     pt = _check_point(model, point)
     terms: list[float] = []
-    for cell in model.cells:
-        term = cell.value
-        for block in cell.blocks:
-            thresholds = [
-                pt[coordinate_index(model.order, block.axis, p)] for p in block.positions
-            ]
-            term *= _block_orthant_volume(block, thresholds, lower)
+    for term, blocks in model._orthant_plan:
+        for interval, lo, hi, size, coords in blocks:
+            if interval:
+                vol = 1.0
+                for c in coords:
+                    t = pt[c] if lower else lo + hi - pt[c]
+                    vol *= max(0.0, min(t, hi) - lo)
+                    if vol == 0.0:
+                        break
+            elif size == 2:
+                t1, t2 = pt[coords[0]], pt[coords[1]]
+                if lower:
+                    vol = _chain2_lower(lo, hi, t1, t2)
+                else:
+                    vol = _chain2_lower(lo, hi, lo + hi - t2, lo + hi - t1)
+            else:
+                message = f"no closed-form orthant volume for a chain of size {size}; use mc_probability"
+                raise UnsupportedChainLength(message)
+            term *= vol
             if term == 0.0:
                 break
         terms.append(term)
@@ -422,7 +420,7 @@ def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
     with the remaining coordinates at +inf.
 
     Raises:
-        UnsupportedChainLength: the model has a chain block of size >= 3.
+        UnsupportedChainLength: a cell not yet zero at ``point`` reaches a chain of size >= 3.
     """
     return _orthant_probability(model, point, lower=True)
 

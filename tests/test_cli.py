@@ -433,6 +433,31 @@ def test_concordance_grid_flag(capsys, f_model_path, f_star_model_path):
     assert code == 2
 
 
+CONCORDANCE_GOLDENS = Path(__file__).resolve().parent / "data" / "concordance"
+
+
+@pytest.mark.parametrize(
+    "first, second, grid, expected_code",
+    [
+        ("counterexample_f", "counterexample_f_star", 9, 0),
+        ("counterexample_f_star", "counterexample_f", 9, 1),
+        ("counterexample_f", "counterexample_f_star", 15, 0),
+        ("counterexample_f_star", "counterexample_f", 15, 1),
+        ("example42_continuous", "example42_continuous_star", 9, 0),
+        ("example42_continuous_star", "example42_continuous", 9, 1),
+    ],
+)
+def test_concordance_json_matches_golden_bytes(capsys, first, second, grid, expected_code):
+    models = MODEL_FILES[0].parent
+    code, out, _ = run_cli(
+        capsys, "concordance", str(models / f"{first}.json"), str(models / f"{second}.json"),
+        "--grid", str(grid), "--format", "json",
+    )
+    golden = CONCORDANCE_GOLDENS / f"{first}__{second}__grid{grid}.json"
+    assert code == expected_code
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
 def test_concordance_rejects_discrete(capsys, f_model_path, discrete_model_path):
     code, _, err = run_cli(capsys, "concordance", f_model_path, discrete_model_path)
     assert code == 2

@@ -333,6 +333,22 @@ def test_evaluation_grid_includes_sentinels():
     assert grid_tail[0] == [4.0, 5.0, 6.0, 7.0]
 
 
+def test_evaluation_grid_refuses_positions_outside_the_order():
+    pair = build_example42()
+    # Position 0 used to wrap around to the last columns, position 3 to raise IndexError.
+    for positions in ((0,), (3,), (1, 3), (-1, 2)):
+        with pytest.raises(InvalidParameter, match=r"outside 1\.\.2"):
+            evaluation_grid(pair.law, pair.law_star, positions)
+
+
+def test_evaluation_grid_keeps_the_callers_order_of_positions():
+    pair = build_example42()
+    head = evaluation_grid(pair.law, pair.law_star, (1,))
+    tail = evaluation_grid(pair.law, pair.law_star, (2,))
+    assert evaluation_grid(pair.law, pair.law_star, (2, 1)) == [tail[0], head[0], tail[1], head[1]]
+    assert evaluation_grid(pair.law, pair.law_star, range(1, 3)) == [head[0], tail[0], head[1], tail[1]]
+
+
 def test_laws_of_different_orders_are_refused():
     # An order-1 and an order-2 law keep their y coordinates in different columns.
     short, long = head_law(), build_example42().law
