@@ -177,7 +177,12 @@ class DiscreteJoint:
         return dict(self.atoms)
 
     def prob_of(self, point: Sequence[float]) -> float:
-        pt = tuple(float(v) for v in point)
+        """Probability of the atom at ``point``; 0.0 if there is none, as for a NaN point.
+
+        Raises:
+            DimensionMismatch: ``point`` does not have ``dimension`` coordinates.
+        """
+        pt = _check_dimension(self, tuple(float(v) for v in point))
         i = bisect.bisect_left(self.atoms, pt, key=operator.itemgetter(0))
         if i < len(self.atoms) and self.atoms[i][0] == pt:
             return self.atoms[i][1]
@@ -204,12 +209,16 @@ def _check_atoms(order: int, points: list[Point], probs: list[float]) -> None:
         seen.add(point)
 
 
-def _check_point(dist: DiscreteJoint, point: Sequence[float]) -> Point:
-    pt = tuple(float(v) for v in point)
+def _check_dimension(dist: DiscreteJoint, pt: Point) -> Point:
     if len(pt) != dist.dimension:
         raise DimensionMismatch(
             f"point has {len(pt)} coordinates, law needs {dist.dimension}"
         )
+    return pt
+
+
+def _check_point(dist: DiscreteJoint, point: Sequence[float]) -> Point:
+    pt = _check_dimension(dist, tuple(float(v) for v in point))
     if any(math.isnan(v) for v in pt):
         raise NonFiniteInput("point contains NaN")
     return pt
@@ -338,10 +347,9 @@ exact_opd_discrete = exact_opd
 
 def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
     """Draw ``n`` atoms by probability; Philox-seeded like continuous sampling."""
-    from .randomness import make_rng
+    from .randomness import check_count, make_rng
 
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
+    check_count(n)
     rng = make_rng(seed)
     total = math.fsum(dist._probs.tolist())
     idx = rng.choice(len(dist._probs), size=n, p=dist._probs / total)

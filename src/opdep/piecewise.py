@@ -37,7 +37,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .patterns import (
     pattern_codes,
     rank_table,
 )
-from .randomness import make_rng
+from .randomness import check_count, make_rng
 from .records import Record
 
 AXES = ("x", "y")
@@ -670,6 +670,43 @@ def concordance_check(
     )
 
 
+def _cell_draws(
+    model: PiecewiseUniformDensity, n: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per cell with draws, its rows of the sample and their (2*order, rows) coordinates.
+
+    ``n`` and ``seed`` are checked and the cells chosen by one ``choice`` at
+    once; each cell's ``uniform`` draws, block by block and sorted along each
+    row for a chain, are made when the iterator reaches the cell.
+    """
+    check_count(n)
+    rng = make_rng(seed)
+    masses = np.array([cell_mass(c) for c in model.cells])
+    choice = rng.choice(len(model.cells), size=n, p=masses / masses.sum())
+
+    def draws() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for ci, cell in enumerate(model.cells):
+            rows = np.flatnonzero(choice == ci)
+            if rows.size == 0:
+                continue
+            columns = np.empty((model.dimension, rows.size))
+            for block in cell.blocks:
+                block_draws = rng.uniform(block.lo, block.hi, size=(rows.size, block.size))
+                coords = [coordinate_index(model.order, block.axis, p) for p in block.positions]
+                if block.kind == "chain" and block.size == 2:
+                    # Uniform draws hold no NaN and no -0.0, so min and max sort a pair exactly.
+                    first, second = block_draws.T
+                    np.minimum(first, second, out=columns[coords[0]])
+                    np.maximum(first, second, out=columns[coords[1]])
+                    continue
+                if block.kind == "chain" and block.size > 2:
+                    block_draws.sort(axis=1)
+                columns[coords] = block_draws.T
+            yield rows, columns
+
+    return draws()
+
+
 def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` points from the model; returns an (n, 2*order) array.
 
@@ -677,22 +714,10 @@ def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
     yields the same draw on every platform.  Sub-probability models are
     sampled from their normalized law.
     """
-    if n < 1:
-        raise InvalidParameter(f"n must be >= 1, got {n}")
-    rng = make_rng(seed)
-    masses = np.array([cell_mass(c) for c in model.cells])
-    choice = rng.choice(len(model.cells), size=n, p=masses / masses.sum())
+    draws = _cell_draws(model, n, seed)
     out = np.empty((n, model.dimension))
-    for ci, cell in enumerate(model.cells):
-        rows = np.flatnonzero(choice == ci)
-        if rows.size == 0:
-            continue
-        for block in cell.blocks:
-            draws = rng.uniform(block.lo, block.hi, size=(rows.size, block.size))
-            if block.kind == "chain" and block.size > 1:
-                draws.sort(axis=1)
-            for col, p in enumerate(block.positions):
-                out[rows, coordinate_index(model.order, block.axis, p)] = draws[:, col]
+    for rows, columns in draws:
+        out[rows] = columns.T
     return out
 
 
@@ -703,23 +728,23 @@ def mc_probability(
 
     The standard error is the binomial ``sqrt(p * (1 - p) / n)``.  This
     path works for any chain size, unlike the closed-form cdf/survival.
+    The draws of :func:`sample` are counted cell by cell, never gathered
+    into one (n, 2*order) array.
 
     Raises:
         OrderTooSmall / OrderTooLarge: a pattern event on a model whose
             order is outside [2, 8].
     """
-    points = sample(model, n, seed)
+    draws = _cell_draws(model, n, seed)
     if isinstance(event, PatternCoincidence):
         d = model.order
-        hits = pattern_codes(points[:, :d]) == pattern_codes(points[:, d:])
+        hits = (pattern_codes(cols[:d].T) == pattern_codes(cols[d:].T) for _, cols in draws)
     elif isinstance(event, (LowerOrthant, UpperOrthant)):
-        pt = _check_point(model, event.point)
-        if isinstance(event, LowerOrthant):
-            hits = np.all(points <= np.asarray(pt), axis=1)
-        else:
-            hits = np.all(points >= np.asarray(pt), axis=1)
+        pt = np.asarray(_check_point(model, event.point))[:, None]
+        inside = np.less_equal if isinstance(event, LowerOrthant) else np.greater_equal
+        hits = (inside(cols, pt).all(axis=0) for _, cols in draws)
     else:
         raise InvalidParameter(f"unknown event {event!r}")
-    estimate = float(hits.mean())
+    estimate = float(sum(int(np.count_nonzero(cell_hits)) for cell_hits in hits) / n)
     std_error = math.sqrt(estimate * (1.0 - estimate) / n)
     return McResult(estimate=estimate, std_error=std_error)

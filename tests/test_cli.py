@@ -458,6 +458,24 @@ def test_concordance_json_matches_golden_bytes(capsys, first, second, grid, expe
     assert out.encode("utf-8") == golden.read_bytes()
 
 
+SAMPLE_GOLDENS = Path(__file__).resolve().parent / "data" / "sample"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "counterexample_f", "counterexample_f_star", "counterexample_h", "counterexample_h_star",
+        "example42_continuous", "example42_continuous_star", "example42_head", "example42_head_star",
+    ],
+)
+def test_model_sample_matches_golden_bytes(capsys, name):
+    path = MODEL_FILES[0].parent / f"{name}.json"
+    assert isinstance(load_model(path), PiecewiseUniformDensity)
+    code, out, _ = run_cli(capsys, "model", "sample", str(path), "--seed", "3", "--count", "40")
+    assert code == 0
+    assert out.encode("utf-8") == (SAMPLE_GOLDENS / f"{name}__seed3__count40.txt").read_bytes()
+
+
 def test_concordance_rejects_discrete(capsys, f_model_path, discrete_model_path):
     code, _, err = run_cli(capsys, "concordance", f_model_path, discrete_model_path)
     assert code == 2

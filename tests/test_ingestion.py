@@ -12,6 +12,7 @@ import functools
 import math
 import warnings
 from collections.abc import Mapping
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -434,9 +435,23 @@ def test_prob_of_matches_a_dict_lookup(data, draws):
         for _ in range(10)
     ] + [points[0][:-1], points[0] + (1.0,), (math.nan,) * (2 * law.order), [int(v) for v in points[0]]]
     for query in queries:
+        if len(query) != law.dimension:
+            message = f"point has {len(query)} coordinates, law needs {law.dimension}"
+            with pytest.raises(DimensionMismatch) as info:
+                law.prob_of(query)
+            assert str(info.value) == message
+            continue
         expected = table.get(tuple(float(v) for v in query), 0.0)
         got = law.prob_of(query)
         assert repr(got) == repr(expected)
+
+
+def test_prob_of_refuses_a_point_of_the_wrong_length():
+    law = modelio.load_model(Path(__file__).resolve().parent.parent / "models" / "example42_law.json")
+    with pytest.raises(DimensionMismatch) as info:
+        law.prob_of((1.0,))
+    assert str(info.value) == "point has 1 coordinates, law needs 4"
+    assert law.prob_of((math.nan,) * 4) == 0.0
 
 
 def test_prob_of_does_not_rebuild_the_atom_dict(monkeypatch):

@@ -3,8 +3,8 @@
 The oracles below are the engines' former code paths: the piecewise one
 asks every pattern of every cell whether it is admissible and builds the
 dense (d!)^2 joint; the discrete one computes ``pattern_of`` for every
-atom and tallies dicts; the Monte Carlo one ranks each sampled window
-with a stable argsort.  The vector paths do the same arithmetic in the
+atom and tallies dicts; the Monte Carlo one ranks each window drawn by
+the former sampler with a stable argsort.  The vector paths do the same arithmetic in the
 same order, so results must be equal, not merely close.
 """
 
@@ -43,9 +43,9 @@ from opdep.piecewise import (
     marginal_pattern_distribution,
     mc_probability,
     pattern_coincidence,
-    sample,
     total_mass,
 )
+from test_sampling_oracles import oracle_sample
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -149,7 +149,7 @@ def oracle_stable_rank_rows(values: np.ndarray) -> np.ndarray:
 
 
 def oracle_mc_coincidence(model, n, seed):
-    points = sample(model, n, seed)
+    points = oracle_sample(model, n, seed)
     d = model.order
     ranks_x = oracle_stable_rank_rows(points[:, :d])
     ranks_y = oracle_stable_rank_rows(points[:, d:])
