@@ -38,7 +38,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -418,13 +418,13 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
     return tuple(shared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionViolation(Record):
     """One broken inequality: an unstarred value exceeding the starred one.
 
     ``outer`` names the law whose values were conditioned on ("first",
     "second", or "none" for unconditional families), ``side`` is "cdf" or
-    "survival".
+    "survival".  Slotted, since a sweep can report thousands.
     """
 
     subset: tuple[int, ...]
@@ -481,6 +481,51 @@ def evaluation_grid(
     return grid
 
 
+def _orthant_tensors(
+    law: DiscreteJoint, cells: np.ndarray, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The law's cdf and survival at every point of a grid, as two float tensors of ``shape``.
+
+    ``cells`` holds each atom's index on every axis of a grid that has every
+    coordinate of the law.  Forward cumulative sums of the atoms' histogram
+    along every axis give the cdf, reverse ones the survival.  Law points are
+    distinct, so a cell holds at most one atom, and each entry sums
+    nonnegative terms in a tree of depth below the sum of the axis lengths:
+    within that many units of 2**-53 of the exact sum, relative to the
+    law's mass.  The tensors take 16 B per grid point, so
+    :func:`_compare_laws` holds about 33 B per point of the grid it sweeps,
+    with both laws' tensors and a boolean mask.
+    """
+    survival = np.zeros(shape)
+    survival[tuple(cells.T)] = law._probs
+    cdf = survival.copy()
+    reverse = survival[(slice(None, None, -1),) * len(shape)]
+    for axis in range(len(shape)):
+        np.cumsum(cdf, axis=axis, out=cdf)
+        np.cumsum(reverse, axis=axis, out=reverse)
+    return cdf, survival
+
+
+def _exact_sums(
+    law: DiscreteJoint, cells: np.ndarray, points: np.ndarray, inside: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> list[float]:
+    """Per row of grid indices in ``points``, ``math.fsum`` of the probabilities
+    of the atoms whose cells satisfy ``inside(cell, point)`` on every axis: with
+    ``operator.le`` the value of :func:`cdf` at that grid point, with
+    ``operator.ge`` that of :func:`survival`.
+    """
+    probs = law._probs.tolist()
+    sums: list[float] = []
+    rows = max(1, 2**16 // len(probs))  # bounds the mask of one chunk
+    for start in range(0, len(points), rows):
+        chunk = points[start : start + rows]
+        selected = np.ones((len(chunk), len(probs)), dtype=bool)
+        for axis in range(cells.shape[1]):
+            selected &= inside(cells[:, axis], chunk[:, axis, None])
+        sums += (math.fsum(itertools.compress(probs, row)) for row in selected.tolist())
+    return sums
+
+
 def _compare_laws(
     lhs_law: DiscreteJoint,
     rhs_law: DiscreteJoint,
@@ -490,25 +535,47 @@ def _compare_laws(
     conditioning_point: Point | None,
     tol: float,
 ) -> list[ConditionViolation]:
-    """Every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s."""
-    violations = []
-    for point in itertools.product(*grid):
-        for side, fn in (("cdf", cdf), ("survival", survival)):
-            lhs = fn(lhs_law, point)
-            rhs = fn(rhs_law, point)
-            if lhs > rhs + tol:
-                violations.append(
-                    ConditionViolation(
-                        subset=subset,
-                        side=side,
-                        outer=outer,
-                        conditioning_point=conditioning_point,
-                        evaluation_point=point,
-                        lhs=lhs,
-                        rhs=rhs,
-                    )
-                )
-    return violations
+    """Every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s by more than ``tol``.
+
+    Violations come in ``itertools.product`` order of the grid, cdf before
+    survival at a point, with the ``lhs`` and ``rhs`` that :func:`cdf` and
+    :func:`survival` return there.  The two laws' orthant tensors screen the
+    grid; only where their difference exceeds ``tol`` less a rounding margin
+    are both sides summed exactly.  With ``n`` the sum of the axis lengths and
+    masses at most 2, the tensor errors, the roundings of the exact sums, of
+    ``rhs + tol`` and of the screen's subtractions add up to about
+    ``(4 * n + 8 + 2 * tol) * 2**-53``; the margin is ``8 * (n + 2 + tol) * 2**-53``.
+    """
+    axes = [np.asarray(values) for values in grid]
+    shape = tuple(map(len, axes))
+    laws = (lhs_law, rhs_law)
+    cells = [np.column_stack(list(map(np.searchsorted, axes, law._points.T))) for law in laws]
+    lhs_tensors, rhs_tensors = (_orthant_tensors(law, law_cells, shape) for law, law_cells in zip(laws, cells))
+    threshold = tol - 8 * (sum(shape) + 2 + tol) * 2.0**-53
+    found = []
+    for rank, inside in enumerate((operator.le, operator.ge)):
+        difference = np.subtract(lhs_tensors[rank], rhs_tensors[rank], out=lhs_tensors[rank])
+        flat = np.flatnonzero(difference > threshold)
+        points = np.column_stack(np.unravel_index(flat, shape))
+        lhs, rhs = (_exact_sums(law, law_cells, points, inside) for law, law_cells in zip(laws, cells))
+        found += (
+            (index, rank, point, left, right)
+            for index, point, left, right in zip(flat.tolist(), points.tolist(), lhs, rhs)
+            if left > right + tol
+        )
+    found.sort(key=operator.itemgetter(0, 1))
+    return [
+        ConditionViolation(
+            subset=subset,
+            side=("cdf", "survival")[rank],
+            outer=outer,
+            conditioning_point=conditioning_point,
+            evaluation_point=tuple(map(operator.getitem, grid, point)),
+            lhs=left,
+            rhs=right,
+        )
+        for _, rank, point, left, right in found
+    ]
 
 
 def check_theorem_conditions(
@@ -533,7 +600,9 @@ def check_theorem_conditions(
 
     All families are evaluated on the sentinel-extended atom grid, which
     attains the extremes of the step functions involved, so ``holds`` is
-    exact for the swept family up to ``tol``.
+    exact for the swept family up to ``tol``.  Cumulative-sum tensors screen
+    the grid and exact sums decide each verdict (see :func:`_compare_laws`),
+    so the values reported are those of :func:`cdf` and :func:`survival`.
     """
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")

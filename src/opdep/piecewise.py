@@ -490,11 +490,21 @@ def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.n
 
 
 def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
-    """Every cell's mass, and their total; ZeroMassCondition if that is 0.0."""
-    masses = np.array([cell_mass(cell) for cell in model.cells])
-    mass = math.fsum(masses.tolist())
+    """Every cell's mass, and their total.
+
+    Raises:
+        ModelStructureError: a cell's mass or the total overflows.
+        ZeroMassCondition: the total is 0.0, as when every cell's mass underflows.
+    """
+    try:
+        masses = np.array([cell_mass(cell) for cell in model.cells])
+        mass = math.fsum(masses.tolist())
+    except OverflowError:
+        mass = math.inf
+    if mass == math.inf:
+        raise ModelStructureError("the cells' total mass overflows; the model's law is undefined")
     if not mass > 0.0:
-        raise ZeroMassCondition(f"the cells' total mass is {mass!r}; pattern laws are undefined")
+        raise ZeroMassCondition(f"the cells' total mass is {mass!r}; the model's law is undefined")
     return masses, mass
 
 
@@ -517,7 +527,8 @@ def marginal_pattern_distribution(
         AmbiguousBlockOrder: some cell has same-axis blocks on overlapping
             interval interiors.
         OrderTooSmall: the model order is below 2.
-        ZeroMassCondition: every cell's mass underflows to 0.0.
+        ZeroMassCondition / ModelStructureError: the cells' total mass
+            underflows to 0.0 or overflows.
     """
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")
@@ -681,7 +692,7 @@ def _cell_draws(
     """
     check_count(n)
     rng = make_rng(seed)
-    masses = np.array([cell_mass(c) for c in model.cells])
+    masses, _ = _cell_masses(model)
     choice = rng.choice(len(model.cells), size=n, p=masses / masses.sum())
 
     def draws() -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -713,6 +724,10 @@ def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
     The stream is the counter-based Philox generator, so a given seed
     yields the same draw on every platform.  Sub-probability models are
     sampled from their normalized law.
+
+    Raises:
+        ZeroMassCondition / ModelStructureError: the cells' total mass
+            underflows to 0.0 or overflows.
     """
     draws = _cell_draws(model, n, seed)
     out = np.empty((n, model.dimension))
@@ -734,6 +749,8 @@ def mc_probability(
     Raises:
         OrderTooSmall / OrderTooLarge: a pattern event on a model whose
             order is outside [2, 8].
+        ZeroMassCondition / ModelStructureError: the cells' total mass
+            underflows to 0.0 or overflows.
     """
     draws = _cell_draws(model, n, seed)
     if isinstance(event, PatternCoincidence):

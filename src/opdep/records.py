@@ -11,8 +11,11 @@ class Record:
     :meth:`to_dict` maps each field to a key, in declaration order; a field
     whose metadata holds ``"key"`` is written under that key instead of its
     name.  Tuples become lists and nested records dicts, at any depth, so
-    the result is ready for ``json.dumps``.
+    the result is ready for ``json.dumps``.  It has no instance fields of
+    its own, so a slotted subclass has no ``__dict__``.
     """
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

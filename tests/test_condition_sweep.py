@@ -2,11 +2,13 @@
 
 ``oracle_check_theorem_conditions`` is ``discrete.check_theorem_conditions``
 as it was when variant A visited each conditioning value once per law and
-compared the two conditionals at a value both laws hold twice.  Its
-helpers are kept verbatim, and the law operations it calls are the former
-tuple bodies kept in ``test_discrete_oracles``.  Every report must equal
-the oracle's, as records (``==``) and as JSON text, which also tells 0.0
-from -0.0.
+compared the two conditionals at a value both laws hold twice, and when
+``_compare_laws`` called ``cdf`` and ``survival`` at every grid point
+instead of screening the grid with cumulative-sum tensors.  Its helpers
+are kept verbatim, and the law operations it calls are the former tuple
+bodies kept in ``test_discrete_oracles``.  Every report must equal the
+oracle's, as records (``==``) and as JSON text, which also tells 0.0 from
+-0.0.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 import random
 from dataclasses import replace
 from typing import Iterable, Sequence
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from opdep import discrete as disc
 from opdep.discrete import (
     ConditionReport,
     ConditionSkip,
@@ -32,7 +38,7 @@ from opdep.discrete import (
 )
 from opdep.errors import DimensionMismatch, InvalidParameter, ZeroMassCondition
 from opdep.scenarios import build_example42, build_example43, example42_tail_interleaved
-from test_discrete_oracles import cdf, conditional, marginal, shared_position_detect, survival
+from test_discrete_oracles import cdf, conditional, lattice_laws, marginal, shared_position_detect, survival
 from test_records import lattice_pairs
 
 log = logging.getLogger(__name__)
@@ -230,13 +236,118 @@ def runs(pair):
 # -- tests --------------------------------------------------------------------------
 
 
+def assert_matches_oracle(law, law_star, variant, tol=1e-12, shared=None):
+    report = check_theorem_conditions(law, law_star, variant, tol=tol, shared_positions=shared)
+    expected = oracle_check_theorem_conditions(law, law_star, variant, tol=tol, shared_positions=shared)
+    assert report == expected
+    assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+    return report
+
+
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_reports_match_oracle(name):
     for law, law_star, variant, shared in runs(PAIRS[name]):
-        report = check_theorem_conditions(law, law_star, variant, shared_positions=shared)
-        expected = oracle_check_theorem_conditions(law, law_star, variant, shared_positions=shared)
-        assert report == expected
-        assert json.dumps(report.to_dict()) == json.dumps(expected.to_dict())
+        assert_matches_oracle(law, law_star, variant, shared=shared)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.25])
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_reports_match_oracle_at_other_tolerances(name, tol):
+    first, second = PAIRS[name]
+    for law, law_star in ((first, second), (second, first)):
+        for variant in ("A", "B"):
+            assert_matches_oracle(law, law_star, variant, tol=tol)
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(pair=st.integers(1, 2).flatmap(lambda d: st.tuples(lattice_laws(d), lattice_laws(d))))
+def test_lattice_pairs_with_signed_zeros_match_oracle(variant, pair):
+    for law, law_star in (pair, pair[::-1]):
+        assert_matches_oracle(law, law_star, variant)
+
+
+@pytest.fixture
+def exact_points(monkeypatch):
+    """How many grid points each call of ``_compare_laws`` summed exactly, per law and side."""
+    counts = []
+    exact_sums = disc._exact_sums
+
+    def counted(law, cells, points, inside):
+        counts.append(len(points))
+        return exact_sums(law, cells, points, inside)
+
+    monkeypatch.setattr(disc, "_exact_sums", counted)
+    return counts
+
+
+def test_a_difference_at_or_within_rounding_of_tol_is_decided_by_exact_sums(exact_points):
+    # At the lower left grid points the cdfs are 0.75 and 0.5, so lhs - rhs
+    # is 0.25 exactly.  0.5 + tol rounds to 0.75 for the two largest tols, so
+    # those hold; the other three are broken.
+    law = DiscreteJoint(order=1, atoms={(0.0, 0.0): 0.75, (1.0, 1.0): 0.25})
+    law_star = DiscreteJoint(order=1, atoms={(0.0, 0.0): 0.5, (1.0, 1.0): 0.5})
+    verdicts = []
+    for k in range(5):
+        exact_points.clear()
+        report = assert_matches_oracle(law, law_star, "B", tol=0.25 - k * 2.0**-54)
+        assert sum(exact_points) > 0
+        verdicts.append(report.holds)
+    assert verdicts == [True, True, False, False, False]
+
+
+def test_a_one_ulp_excess_is_a_violation_at_tol_zero(exact_points):
+    # fsum(0.1, 0.2) is 0.30000000000000004, one ulp above 0.3.
+    law = DiscreteJoint(order=1, atoms={(0.0, 0.0): 0.1, (0.0, 1.0): 0.2, (1.0, 1.0): 0.7})
+    law_star = DiscreteJoint(order=1, atoms={(0.0, 0.0): 0.3, (1.0, 1.0): 0.7})
+    report = assert_matches_oracle(law, law_star, "B", tol=0.0)
+    broken = [v for v in report.violations if v.side == "cdf"]
+    assert [v.evaluation_point for v in broken] == [(0.0, 1.0), (0.0, 2.0)]
+    assert {(v.lhs, v.rhs) for v in broken} == {(0.30000000000000004, 0.3)}
+    # The survival at (0, 1) is 0.9 against 0.7, a violation at any tol below 0.2.
+    assert {v.side for v in assert_matches_oracle(law, law_star, "B").violations} == {"survival"}
+
+
+def test_a_violation_that_the_tensors_round_away_is_kept():
+    # On the diagonal the cdf tensor adds the first three probabilities in
+    # order, to 0.676300578034682; their fsum is one ulp larger.  The second
+    # law's cdf there is exactly the smaller value, so only the margin makes
+    # the point a candidate, and at tol 0 it is a violation.
+    weights = (63, 4, 50, 56)
+    law = DiscreteJoint(order=1, atoms={(float(i), float(i)): w / 173 for i, w in enumerate(weights)})
+    low = 63 / 173 + 4 / 173 + 50 / 173
+    law_star = DiscreteJoint(order=1, atoms={(0.0, 0.0): low, (5.0, 5.0): 1.0 - low})
+    report = assert_matches_oracle(law, law_star, "B", tol=0.0)
+    assert ConditionViolation(
+        subset=(), side="cdf", outer="none", conditioning_point=None,
+        evaluation_point=(2.0, 2.0), lhs=0.6763005780346821, rhs=low,
+    ) in report.violations
+
+
+def test_a_law_against_itself_at_tol_zero_sums_every_grid_point(exact_points):
+    law = PAIRS["order 3, 0"][0]
+    grid = disc.evaluation_grid(law, law, range(1, 4))
+    report = check_theorem_conditions(law, law, "B", tol=0.0)
+    assert report.holds
+    # Both laws on both sides for the full joint, the first family swept.
+    assert exact_points[:4] == [math.prod(map(len, grid))] * 4
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_orthant_tensors_match_the_scalar_values(name):
+    law, law_star = PAIRS[name]
+    d = law.order
+    for size in range(1, d + 1):
+        for positions in itertools.combinations(range(1, d + 1), size):
+            grid = disc.evaluation_grid(law, law_star, positions)
+            axes = [np.asarray(values) for values in grid]
+            shape = tuple(map(len, axes))
+            for part in (disc.marginal(law, positions), disc.marginal(law_star, positions)):
+                cells = np.column_stack([np.searchsorted(a, c) for a, c in zip(axes, part._points.T)])
+                tensors = disc._orthant_tensors(part, cells, shape)
+                for index, point in zip(np.ndindex(shape), itertools.product(*grid)):
+                    assert abs(tensors[0][index] - disc.cdf(part, point)) <= 1e-12
+                    assert abs(tensors[1][index] - disc.survival(part, point)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))

@@ -9,14 +9,16 @@ a tuple from a list, and the ``json.dumps`` text fixes the key order.
 import itertools
 import json
 import math
+import pickle
 import random
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import piecewise as pw
-from opdep.discrete import DiscreteJoint, check_theorem_conditions, product_extend
+from opdep.discrete import ConditionViolation, DiscreteJoint, check_theorem_conditions, product_extend
 from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.modelio import load_model
 from opdep.scenarios import SCENARIOS, run_scenario
@@ -190,3 +192,21 @@ def test_product_extend_matches_the_former_body(head, tail):
     law, expected = product_extend(head, tail), oracle_product_extend(head, tail)
     assert law.order == expected.order
     assert repr(law.atoms) == repr(expected.atoms)
+
+
+def test_violations_are_slotted_records():
+    report = check_theorem_conditions(*lattice_pairs(1)[0], "A")
+    violation = report.violations[0]
+    assert type(violation) is ConditionViolation and not hasattr(violation, "__dict__")
+    copy = ConditionViolation(**{name: getattr(violation, name) for name in ConditionViolation.__slots__})
+    assert copy == violation and hash(copy) == hash(violation)
+    assert replace(violation, lhs=2.0) != violation
+    assert replace(violation, lhs=2.0).lhs == 2.0 and violation.lhs != 2.0
+    with pytest.raises(FrozenInstanceError):
+        violation.lhs = 2.0
+    assert json.dumps(violation.to_dict()) == json.dumps(oracle_violation(violation))
+    for v in report.violations:
+        restored = pickle.loads(pickle.dumps(v))
+        assert restored == v and hash(restored) == hash(v) and repr(restored) == repr(v)
+    restored = pickle.loads(pickle.dumps(report))
+    assert restored == report and json.dumps(restored.to_dict()) == json.dumps(report.to_dict())

@@ -11,6 +11,7 @@ an equal ``McResult``, and an error must match in type and message.
 from __future__ import annotations
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from opdep import discrete as disc
 from opdep import piecewise as pw
-from opdep.errors import InvalidParameter
+from opdep.errors import InvalidParameter, ModelStructureError, ZeroMassCondition
 from opdep.modelio import load_model
 from opdep.patterns import pattern_codes
 from opdep.piecewise import (
@@ -233,6 +234,42 @@ def test_errors_match_the_former_bodies():
         expected = outcome(oracle_sample, model, n, seed)
         assert isinstance(expected[0], str)
         assert outcome(pw.sample, model, n, seed) == expected
+
+
+def _free_cells(*value_and_length):
+    """One cell per (value, length) pair, each a free block of both positions on each axis."""
+    return PiecewiseUniformDensity(order=2, cells=tuple(
+        Cell(value, (Block("x", (1, 2), 0.0, length, "free"), Block("y", (1, 2), 0.0, length, "free")))
+        for value, length in value_and_length
+    ))
+
+
+@pytest.mark.parametrize(
+    "model, error, message",
+    [
+        # value * length ** 4 underflows to 0.0.
+        (_free_cells((1e-300, 1e-10)), ZeroMassCondition, r"^the cells' total mass is 0\.0; "),
+        # value * length ** 4 overflows to inf.
+        (_free_cells((1e308, 10.0)), ModelStructureError, r"^the cells' total mass overflows; "),
+        # length ** 2 overflows in cell_mass.
+        (_free_cells((1.0, 1e200)), ModelStructureError, r"^the cells' total mass overflows; "),
+        # Each mass is finite and their sum overflows.
+        (_free_cells((1e307, 2.0), (1e307, 2.0)), ModelStructureError, r"^the cells' total mass overflows; "),
+    ],
+)
+def test_a_total_mass_out_of_range_is_refused_without_a_warning(model, error, message):
+    calls = [
+        lambda: pw.sample(model, 5, 1),
+        lambda: pw.mc_probability(model, PatternCoincidence(), 5, 1),
+        lambda: pw.mc_probability(model, LowerOrthant((0.5,) * 4), 5, 1),
+        lambda: pw.pattern_terms(model),
+        lambda: pw.marginal_pattern_distribution(model, "y"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(error, match=message):
+                call()
 
 
 @pytest.mark.parametrize("n", [True, False, 2.5, 3.0, "3", None, np.float64(4.0), np.bool_(True)])
