@@ -37,7 +37,7 @@ import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -482,100 +482,174 @@ def evaluation_grid(
 
 
 def _orthant_tensors(
-    law: DiscreteJoint, cells: np.ndarray, shape: tuple[int, ...]
+    laws: np.ndarray, groups: np.ndarray, low: np.ndarray, high: np.ndarray, probs: np.ndarray, shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The law's cdf and survival at every point of a grid, as two float tensors of ``shape``.
+    """Two laws' cdf and survival for a batch of groups at every point of a grid, as two tensors of shape ``(2, *shape)``.
 
-    ``cells`` holds each atom's index on every axis of a grid that has every
-    coordinate of the law.  Forward cumulative sums of the atoms' histogram
-    along every axis give the cdf, reverse ones the survival.  Law points are
-    distinct, so a cell holds at most one atom, and each entry sums
-    nonnegative terms in a tree of depth below the sum of the axis lengths:
-    within that many units of 2**-53 of the exact sum, relative to the
-    law's mass.  The tensors take 16 B per grid point, so
-    :func:`_compare_laws` holds about 33 B per point of the grid it sweeps,
-    with both laws' tensors and a boolean mask.
+    ``shape`` is the number of groups, then the grid's axis lengths.  Each
+    atom has its law (0 or 1) in ``laws``, its group in ``groups`` and its
+    cell on every axis of a grid that has every coordinate of the laws in a
+    column of ``low`` and of ``high``: in ``low`` the first index of the
+    coordinate's value on the axis, in ``high`` the last.  They differ only
+    where an axis repeats a value, as when a sentinel ``v - 1.0`` rounds to
+    ``v``.  Forward cumulative sums of the ``low`` histogram along every
+    grid axis give the cdf, reverse ones of the ``high`` histogram the
+    survival.  A group of one law has distinct points, so a cell holds at
+    most one of its atoms, and each entry sums nonnegative terms in a tree
+    of depth below the sum of the grid's axis lengths: within that many
+    units of 2**-53 of the exact sum, relative to the group's mass.
     """
-    survival = np.zeros(shape)
-    survival[tuple(cells.T)] = law._probs
-    cdf = survival.copy()
-    reverse = survival[(slice(None, None, -1),) * len(shape)]
-    for axis in range(len(shape)):
+    cdf = np.zeros((2, *shape))
+    cdf[(laws, groups, *low)] = probs
+    survival = np.zeros((2, *shape))
+    survival[(laws, groups, *high)] = probs
+    reverse = survival[(slice(None),) * 2 + (slice(None, None, -1),) * (len(shape) - 1)]
+    for axis in range(2, len(shape) + 1):
         np.cumsum(cdf, axis=axis, out=cdf)
         np.cumsum(reverse, axis=axis, out=reverse)
     return cdf, survival
 
 
 def _exact_sums(
-    law: DiscreteJoint, cells: np.ndarray, points: np.ndarray, inside: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> list[float]:
-    """Per row of grid indices in ``points``, ``math.fsum`` of the probabilities
-    of the atoms whose cells satisfy ``inside(cell, point)`` on every axis: with
-    ``operator.le`` the value of :func:`cdf` at that grid point, with
-    ``operator.ge`` that of :func:`survival`.
+    probs: np.ndarray,
+    groups: np.ndarray,
+    cells: np.ndarray,
+    points: tuple[np.ndarray, ...],
+    inside: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[list[float], list[float]]:
+    """Per point of ``points`` (index arrays: a group, then each grid axis) and
+    per law, ``math.fsum`` of the probabilities of that law's atoms of the
+    group whose cells satisfy ``inside(cell, index)`` on every grid axis:
+    with ``operator.le`` on the ``low`` cells of :func:`_orthant_tensors` the
+    value of :func:`cdf` at that grid point, with ``operator.ge`` on the
+    ``high`` cells that of :func:`survival`.  Row ``k`` of ``probs`` holds
+    the atoms' probabilities in law ``k`` and 0.0 at the other law's atoms,
+    which leave an ``fsum`` unchanged.
     """
-    probs = law._probs.tolist()
-    sums: list[float] = []
-    rows = max(1, 2**16 // len(probs))  # bounds the mask of one chunk
-    for start in range(0, len(points), rows):
-        chunk = points[start : start + rows]
-        selected = np.ones((len(chunk), len(probs)), dtype=bool)
-        for axis in range(cells.shape[1]):
-            selected &= inside(cells[:, axis], chunk[:, axis, None])
-        sums += (math.fsum(itertools.compress(probs, row)) for row in selected.tolist())
+    prob_lists = probs.tolist()
+    sums: tuple[list[float], list[float]] = ([], [])
+    rows = max(1, 2**16 // len(groups))  # bounds the mask of one chunk
+    for start in range(0, len(points[0]), rows):
+        group, *chunk = (index[start : start + rows, None] for index in points)
+        selected = groups == group
+        for cell, index in zip(cells, chunk):
+            selected &= inside(cell, index)
+        # Many points select the same atoms, so each distinct selection, as
+        # bytes of 0 and 1, is summed once.
+        keys = selected.view(np.dtype((np.void, len(groups)))).ravel().tolist()
+        distinct = dict.fromkeys(keys)
+        for prob_list, law_sums in zip(prob_lists, sums):
+            sum_of = dict(zip(distinct, map(math.fsum, map(itertools.compress, itertools.repeat(prob_list), distinct))))
+            law_sums += map(sum_of.__getitem__, keys)
     return sums
 
 
-def _compare_laws(
-    lhs_law: DiscreteJoint,
-    rhs_law: DiscreteJoint,
+def _sweep_groups(
+    atoms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    count: int,
     grid: Sequence[Sequence[float]],
-    subset: tuple[int, ...],
-    outer: str,
-    conditioning_point: Point | None,
     tol: float,
-) -> list[ConditionViolation]:
-    """Every grid point where a cdf or survival of ``lhs_law`` exceeds ``rhs_law``'s by more than ``tol``.
+) -> list[tuple[int, str, Point, float, float]]:
+    """Where the first law's cdf or survival exceeds the second's by more than ``tol``, group by group.
 
-    Violations come in ``itertools.product`` order of the grid, cdf before
-    survival at a point, with the ``lhs`` and ``rhs`` that :func:`cdf` and
-    :func:`survival` return there.  The two laws' orthant tensors screen the
-    grid; only where their difference exceeds ``tol`` less a rounding margin
-    are both sides summed exactly.  With ``n`` the sum of the axis lengths and
-    masses at most 2, the tensor errors, the roundings of the exact sums, of
-    ``rhs + tol`` and of the screen's subtractions add up to about
-    ``(4 * n + 8 + 2 * tol) * 2**-53``; the margin is ``8 * (n + 2 + tol) * 2**-53``.
+    ``atoms`` holds both laws' atoms as their laws (0 for the first, 1 for
+    the second), groups (ascending, in ``range(count)``), points on the
+    grid's axes and probabilities; group ``g`` of the first law is compared
+    with group ``g`` of the second, each as a law of its own.  Returns
+    ``(group, side, evaluation point, lhs, rhs)`` in order of group, then of
+    the grid in ``itertools.product`` order, "cdf" before "survival" at a
+    point; ``lhs`` and ``rhs`` are what :func:`cdf` and :func:`survival`
+    return there on the group's two laws.  Each grid point's evaluation
+    point is one tuple however often it occurs.
+
+    Groups are swept in batches of ``max(1, 2**16 // grid size)``, so a batch
+    has at most the larger of one group's grid and 2**16 entries per law.
+    The two laws' orthant tensors of a batch screen it; only where their
+    difference exceeds ``tol`` less a rounding margin are both sides summed
+    exactly.  With ``n`` the sum of the grid's axis lengths and masses at
+    most 2, the tensor errors, the roundings of the exact sums, of ``rhs +
+    tol`` and of the screen's subtractions add up to about ``(4 * n + 8 + 2
+    * tol) * 2**-53``; the margin is ``8 * (n + 2 + tol) * 2**-53``.
     """
+    laws, groups, points, probs = atoms
     axes = [np.asarray(values) for values in grid]
     shape = tuple(map(len, axes))
-    laws = (lhs_law, rhs_law)
-    cells = [np.column_stack(list(map(np.searchsorted, axes, law._points.T))) for law in laws]
-    lhs_tensors, rhs_tensors = (_orthant_tensors(law, law_cells, shape) for law, law_cells in zip(laws, cells))
+    size = math.prod(shape)
+    per_batch = max(1, 2**16 // size)
     threshold = tol - 8 * (sum(shape) + 2 + tol) * 2.0**-53
-    found = []
-    for rank, inside in enumerate((operator.le, operator.ge)):
-        difference = np.subtract(lhs_tensors[rank], rhs_tensors[rank], out=lhs_tensors[rank])
-        flat = np.flatnonzero(difference > threshold)
-        points = np.column_stack(np.unravel_index(flat, shape))
-        lhs, rhs = (_exact_sums(law, law_cells, points, inside) for law, law_cells in zip(laws, cells))
-        found += (
-            (index, rank, point, left, right)
-            for index, point, left, right in zip(flat.tolist(), points.tolist(), lhs, rhs)
-            if left > right + tol
-        )
-    found.sort(key=operator.itemgetter(0, 1))
-    return [
-        ConditionViolation(
-            subset=subset,
-            side=("cdf", "survival")[rank],
-            outer=outer,
-            conditioning_point=conditioning_point,
-            evaluation_point=tuple(map(operator.getitem, grid, point)),
-            lhs=left,
-            rhs=right,
-        )
-        for _, rank, point, left, right in found
-    ]
+    low = np.array([np.searchsorted(axis, column) for axis, column in zip(axes, points.T)])
+    high = np.array([np.searchsorted(axis, column, side="right") for axis, column in zip(axes, points.T)]) - 1
+    law_probs = np.where(laws == np.array([[0], [1]]), probs, 0.0)
+    evaluation_points: dict[int, Point] = {}
+    violations = []
+    for start in range(0, count, per_batch):
+        batch_shape = (min(per_batch, count - start), *shape)
+        rows = slice(*np.searchsorted(groups, (start, start + per_batch)).tolist())
+        batch_groups = groups[rows] - start
+        tensors = _orthant_tensors(laws[rows], batch_groups, low[:, rows], high[:, rows], probs[rows], batch_shape)
+        found = []
+        for side, (inside, cells) in enumerate(((operator.le, low), (operator.ge, high))):
+            first, second = tensors[side]
+            flat = np.flatnonzero(np.subtract(first, second, out=first) > threshold)
+            candidates = np.unravel_index(flat, batch_shape)
+            lhs, rhs = _exact_sums(law_probs[:, rows], batch_groups, cells[:, rows], candidates, inside)
+            found += (
+                (index, side, coords, left, right)
+                for index, coords, left, right in zip(flat.tolist(), zip(*(c.tolist() for c in candidates[1:])), lhs, rhs)
+                if left > right + tol
+            )
+        found.sort(key=operator.itemgetter(0, 1))
+        for index, side, coords, left, right in found:
+            group, at = divmod(index, size)
+            if at not in evaluation_points:
+                evaluation_points[at] = tuple(map(operator.getitem, grid, coords))
+            violations.append((start + group, ("cdf", "survival")[side], evaluation_points[at], left, right))
+    return violations
+
+
+def _conditional_atoms(
+    dist: DiscreteJoint, dist_star: DiscreteJoint, subset: tuple[int, ...], complement: tuple[int, ...]
+) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+    """Both laws' conditional laws at each value at ``subset`` that both hold, for :func:`_sweep_groups`.
+
+    Returns, per law, a flag for each of its values in sorted order (the
+    order of its :func:`marginal`'s atoms) telling whether the other law
+    holds it too; the atoms of those values, as :func:`_sweep_groups` takes
+    them, in groups numbered in sorted order of value, with points on
+    ``complement`` and probabilities divided by their law's group total as
+    :func:`conditional` divides them; and the number of groups.  0.0 and
+    -0.0 are one value.  bincount adds a group's probabilities in atom
+    order, one term at a time, as the ``np.cumsum`` of :func:`conditional` does.
+
+    Raises:
+        MassNotOne: where :func:`conditional` would refuse one of the laws,
+            taken value by value, the first law's before the second's.
+    """
+    laws = np.repeat((0, 1), (len(dist._probs), len(dist_star._probs)))
+    points = np.concatenate([dist._points, dist_star._points])
+    values = points[:, subset_coordinates(dist.order, subset)]
+    by_value = np.lexsort(values.T[::-1])
+    ordered = values[by_value]
+    ids = np.empty(len(values), dtype=np.intp)
+    ids[by_value] = np.cumsum(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))) - 1
+    held = [np.bincount(ids[laws == law], minlength=ids.max() + 1) > 0 for law in (0, 1)]
+    both = held[0] & held[1]
+    count = int(both.sum())
+    rows = np.flatnonzero(both[ids])
+    # Ordered by group, then law, and within each in atom order.
+    key = 2 * (np.cumsum(both) - 1)[ids[rows]] + laws[rows]
+    by_key = np.argsort(key, kind="stable")
+    rows, key = rows[by_key], key[by_key]
+    probs = np.concatenate([dist._probs, dist_star._probs])[rows]
+    probs = probs / np.bincount(key, weights=probs)[key]
+    bounds = np.searchsorted(key, np.arange(2 * count + 1)).tolist()
+    prob_list = probs.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        mass = math.fsum(prob_list[start:stop])
+        if abs(mass - 1.0) > 1e-12:
+            raise MassNotOne(mass)
+    complement_points = points[rows][:, subset_coordinates(dist.order, complement)]
+    return [both[law_held] for law_held in held], (key % 2, key // 2, complement_points, probs), count
 
 
 def check_theorem_conditions(
@@ -601,8 +675,20 @@ def check_theorem_conditions(
     All families are evaluated on the sentinel-extended atom grid, which
     attains the extremes of the step functions involved, so ``holds`` is
     exact for the swept family up to ``tol``.  Cumulative-sum tensors screen
-    the grid and exact sums decide each verdict (see :func:`_compare_laws`),
+    the grid and exact sums decide each verdict (see :func:`_sweep_groups`),
     so the values reported are those of :func:`cdf` and :func:`survival`.
+    Variant A sweeps all values of one subset together, a batch of them at
+    a time, as conditional laws normalized as :func:`conditional` does.
+
+    The grid of a family has, over the swept coordinates, the product of
+    (distinct values in either law + 2) points, and a sweep holds about 33 B
+    per grid point of a batch: both laws' cdf and survival tensors and the
+    screen's mask.  For example, the full-joint grid of the ``exact``
+    benchmark workload's order-5 law has 6e7 points (about 2 GB), and that
+    of its order-6 law 2.2e9 (about 72 GB).
+
+    Raises:
+        MassNotOne: a conditional law that :func:`conditional` would refuse.
     """
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
@@ -617,26 +703,33 @@ def check_theorem_conditions(
     positions = range(1, d + 1)
     violations: list[ConditionViolation] = []
     skipped: list[ConditionSkip] = []
+    # Reports repeat values often, so each distinct lhs or rhs is kept once.
+    values_seen: dict[float, float] = {}
     for size in range(0 if variant == "B" else 1, d):
         for subset in itertools.combinations(positions, size):
             complement = tuple(i for i in positions if i not in subset)
-            if variant == "B":
-                law = marginal(dist, complement) if subset else dist
-                law_star = marginal(dist_star, complement) if subset else dist_star
-                grid = evaluation_grid(dist, dist_star, complement)
-                violations += _compare_laws(law, law_star, grid, subset, "none", None, tol)
-                continue
-            if set(complement) <= shared:
+            if variant == "A" and set(complement) <= shared:
                 # The compared window parts are literally the same variables, so
                 # both sides of every inequality in these families coincide.
                 continue
             grid = evaluation_grid(dist, dist_star, complement)
-            first, second = ([value for value, _ in marginal(law, subset).atoms] for law in (dist, dist_star))
-            held_by_both = set(first).intersection(second)
-            found: dict[Point, list[ConditionViolation]] = {}
-            for outer, outer_values in (("first", first), ("second", second)):
-                for value in outer_values:
-                    if value not in held_by_both:
+            if variant == "B":
+                laws = [marginal(law, complement) if subset else law for law in (dist, dist_star)]
+                atoms = (
+                    np.repeat((0, 1), [len(law._probs) for law in laws]),
+                    np.zeros(sum(len(law._probs) for law in laws), dtype=np.intp),
+                    np.concatenate([law._points for law in laws]),
+                    np.concatenate([law._probs for law in laws]),
+                )
+                outers = [("none", [None])]
+                count = 1
+            else:
+                # Each law's own values: the second's may hold -0.0 where the first's holds 0.0.
+                values_of = [[value for value, _ in marginal(law, subset).atoms] for law in (dist, dist_star)]
+                held, atoms, count = _conditional_atoms(dist, dist_star, subset, complement)
+                outers = []
+                for outer, law_values, law_held in zip(("first", "second"), values_of, held):
+                    for value in itertools.compress(law_values, ~law_held):
                         log.debug(
                             "skipped subset %s, outer law %s, value %s: zero mass in the other law",
                             subset, outer, value,
@@ -649,18 +742,17 @@ def check_theorem_conditions(
                                 reason="conditioning value has zero mass in the other law",
                             )
                         )
-                    elif outer == "first":
-                        found[value] = _compare_laws(
-                            conditional(dist, subset, value),
-                            conditional(dist_star, subset, value),
-                            grid, subset, outer, value, tol,
-                        )
-                        violations += found[value]
-                    else:
-                        # The second law's own value, which may be a -0.0 where the first's is 0.0.
-                        violations += (
-                            replace(v, outer=outer, conditioning_point=value) for v in found[value]
-                        )
+                    outers.append((outer, list(itertools.compress(law_values, law_held))))
+            found = _sweep_groups(atoms, count, grid, tol)
+            if not found:
+                continue
+            groups, sides, points, lhs, rhs = zip(*found)
+            lhs, rhs = (list(map(values_seen.setdefault, column, column)) for column in (lhs, rhs))
+            for outer, conditioning_points in outers:
+                violations += map(
+                    ConditionViolation, itertools.repeat(subset), sides, itertools.repeat(outer),
+                    map(conditioning_points.__getitem__, groups), points, lhs, rhs,
+                )
     return ConditionReport(
         variant=variant,
         holds=not violations,

@@ -1,14 +1,13 @@
 """The condition checker's sweep against the sweep it replaced.
 
 ``oracle_check_theorem_conditions`` is ``discrete.check_theorem_conditions``
-as it was when variant A visited each conditioning value once per law and
-compared the two conditionals at a value both laws hold twice, and when
-``_compare_laws`` called ``cdf`` and ``survival`` at every grid point
-instead of screening the grid with cumulative-sum tensors.  Its helpers
-are kept verbatim, and the law operations it calls are the former tuple
-bodies kept in ``test_discrete_oracles``.  Every report must equal the
-oracle's, as records (``==``) and as JSON text, which also tells 0.0 from
--0.0.
+as it was when variant A built the two conditional laws at each
+conditioning value, once per law, and compared them at every grid point by
+calling ``cdf`` and ``survival``, where the checker now sweeps all values
+of a subset in batches of cumulative-sum tensors.  Its helpers are kept
+verbatim, and the law operations it calls are the former tuple bodies kept
+in ``test_discrete_oracles``.  Every report must equal the oracle's, as
+records (``==``) and as JSON text, which also tells 0.0 from -0.0.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from opdep.discrete import (
     check_theorem_conditions,
     subset_coordinates,
 )
-from opdep.errors import DimensionMismatch, InvalidParameter, ZeroMassCondition
+from opdep.errors import DimensionMismatch, InvalidParameter, MassNotOne, ZeroMassCondition
 from opdep.scenarios import build_example42, build_example43, example42_tail_interleaved
 from test_discrete_oracles import cdf, conditional, lattice_laws, marginal, shared_position_detect, survival
 from test_records import lattice_pairs
@@ -210,12 +209,21 @@ SIGNED_ZERO = (
     DiscreteJoint(order=2, atoms={(-0.0, 1.0, 0.0, 0.0): 0.5, (1.0, 0.0, 1.0, 1.0): 0.5}),
 )
 
+# Beyond 2**53 the sentinels v - 1.0 and v + 1.0 round back to v, so every
+# axis of the grid repeats its lowest and highest value.
+BIG, BIGGER = 1e17, 1e17 + 64
+REPEATED_SENTINELS = (
+    DiscreteJoint(order=2, atoms={(BIG, BIG, BIG, BIGGER): 0.5, (BIG, BIG, BIGGER, BIG): 0.5}),
+    DiscreteJoint(order=2, atoms={(BIG, BIG, BIG, BIG): 0.5, (BIGGER, BIGGER, BIG, BIG): 0.5}),
+)
+
 PAIRS = {
     "example42": tuple(build_example42()),
     "example42 interleaved": tuple(build_example42(example42_tail_interleaved())),
     "example43": tuple(build_example43()),
     "example43 interleaved": tuple(build_example43(c1=(1.5, 2.5), c2=(2.5, 1.5))),
     "signed zero": SIGNED_ZERO,
+    "repeated sentinels": REPEATED_SENTINELS,
 }
 PAIRS.update({f"lattice {i}": pair for i, pair in enumerate(lattice_pairs(20))})
 PAIRS.update({f"order 3, {i}": pair for i, pair in enumerate(order3_pairs(10))})
@@ -259,23 +267,122 @@ def test_reports_match_oracle_at_other_tolerances(name, tol):
             assert_matches_oracle(law, law_star, variant, tol=tol)
 
 
+lattice_law_pairs = st.integers(1, 2).flatmap(lambda d: st.tuples(lattice_laws(d), lattice_laws(d)))
+
+
 @pytest.mark.parametrize("variant", ["A", "B"])
 @settings(max_examples=100, derandomize=True, deadline=None)
-@given(pair=st.integers(1, 2).flatmap(lambda d: st.tuples(lattice_laws(d), lattice_laws(d))))
+@given(pair=lattice_law_pairs)
 def test_lattice_pairs_with_signed_zeros_match_oracle(variant, pair):
     for law, law_star in (pair, pair[::-1]):
         assert_matches_oracle(law, law_star, variant)
 
 
+@pytest.mark.parametrize("tol", [0.0, 0.25])
+@pytest.mark.parametrize("variant", ["A", "B"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(pair=lattice_law_pairs)
+def test_lattice_pairs_match_oracle_at_other_tolerances(variant, tol, pair):
+    for law, law_star in (pair, pair[::-1]):
+        assert_matches_oracle(law, law_star, variant, tol=tol)
+
+
+def test_order_3_reports_cover_both_subset_sizes():
+    sizes = set()
+    for law, law_star in order3_pairs(10):
+        sizes |= {len(v.subset) for v in assert_matches_oracle(law, law_star, "A", shared=()).violations}
+    assert sizes == {1, 2}
+
+
+def test_repeated_sentinels_keep_the_extreme_atoms():
+    # The atoms at the lowest value sit under both copies of it on an axis;
+    # summing the survival from the first copy only dropped them at the second.
+    law, law_star = REPEATED_SENTINELS
+    assert disc.evaluation_grid(law, law_star, (1,))[0] == [BIG, BIG, BIGGER, BIGGER]
+    report = assert_matches_oracle(law, law_star, "B")
+    assert len(report.violations) == 96
+    # Both survivals are 1 at the lowest point, which the first copies alone reported as 0.5 against 0.
+    assert disc.survival(law, (BIG,) * 4) == disc.survival(law_star, (BIG,) * 4) == 1.0
+    assert not [v for v in report.violations if v.evaluation_point == (BIG,) * 4]
+
+
+def many_values_pair(values):
+    """An order-2 pair holding ``values`` values (i, i) at position 1, each with two atoms in each law.
+
+    The laws' position-2 values lie on different lattices, so no value at
+    position 2 is held by both, and the complement grid is 32 by 32.
+    """
+    rng = random.Random(0)
+    laws = []
+    for parity in (0, 1):
+        atoms = set()
+        for i in range(values):
+            while len(atoms) < 2 * (i + 1):
+                atoms.add((float(i), float(2 * rng.randrange(15) + parity), float(i), float(2 * rng.randrange(15) + parity)))
+        laws.append(DiscreteJoint(order=2, atoms=[(point, 1 / len(atoms)) for point in atoms]))
+    return laws
+
+
+def test_values_swept_in_several_batches_match_oracle(monkeypatch):
+    law, law_star = many_values_pair(65)
+    grid = disc.evaluation_grid(law, law_star, (2,))
+    assert math.prod(map(len, grid)) == 1024  # so a batch holds 2**16 // 1024 = 64 values
+    batches = []
+    tensors = disc._orthant_tensors
+
+    def counted(laws, groups, low, high, probs, shape):
+        batches.append(shape[0])
+        return tensors(laws, groups, low, high, probs, shape)
+
+    monkeypatch.setattr(disc, "_orthant_tensors", counted)
+    report = assert_matches_oracle(law, law_star, "A", shared=())
+    assert report.violations and report.skipped
+    # The values at position 1 take two batches; no value at position 2 is held by both laws.
+    assert batches == [64, 1]
+
+
+def test_a_conditional_law_that_conditional_refuses_is_refused():
+    # Added one at a time after 0.5, each 2**-55 rounds away, so the running
+    # total of the value (0, 0) at position 1 stays 0.5: the marginal law there
+    # misses 7.5e-13 of its mass, within 1e-12, and the conditional law
+    # normalized by that total has mass 1 + 1.5e-12.
+    tiny = 2.0**-55
+    atoms = {(0.0, float(k), 0.0, float(k)): tiny for k in range(1, 27_001)}
+    atoms[(0.0, 0.0, 0.0, 0.0)] = 0.5
+    atoms[(1.0, 0.0, 1.0, 0.0)] = 0.5 - 27_000 * tiny
+    law = DiscreteJoint(order=2, atoms=atoms)
+    law_star = DiscreteJoint(order=2, atoms={(0.0, 0.0, 0.0, 0.0): 0.5, (1.0, 0.0, 1.0, 0.0): 0.5})
+    with pytest.raises(MassNotOne) as refused:
+        disc.conditional(law, (1,), (0.0, 0.0))
+    with pytest.raises(MassNotOne) as checked:
+        check_theorem_conditions(law, law_star, "A")
+    assert checked.value.actual == refused.value.actual > 1.0 + 1e-12
+
+
+def test_violations_at_one_grid_point_share_its_evaluation_point():
+    repeated = 0
+    for law, law_star, variant, shared in runs(PAIRS["example42"]):
+        report = check_theorem_conditions(law, law_star, variant, shared_positions=shared)
+        points, values = {}, {}
+        for v in report.violations:
+            # repr tells 0.0 from -0.0, which are one key of a dict.
+            group = points.setdefault((v.subset, repr(v.evaluation_point)), [])
+            group.append(v.evaluation_point)
+            assert v.evaluation_point is group[0]
+            assert v.lhs is values.setdefault(v.lhs, v.lhs) and v.rhs is values.setdefault(v.rhs, v.rhs)
+        repeated += sum(len(group) > 1 for group in points.values())
+    assert repeated
+
+
 @pytest.fixture
 def exact_points(monkeypatch):
-    """How many grid points each call of ``_compare_laws`` summed exactly, per law and side."""
+    """How many grid points each batch of a sweep summed exactly, per side, for both laws at once."""
     counts = []
     exact_sums = disc._exact_sums
 
-    def counted(law, cells, points, inside):
-        counts.append(len(points))
-        return exact_sums(law, cells, points, inside)
+    def counted(probs, groups, cells, points, inside):
+        counts.append(len(points[0]))
+        return exact_sums(probs, groups, cells, points, inside)
 
     monkeypatch.setattr(disc, "_exact_sums", counted)
     return counts
@@ -329,8 +436,8 @@ def test_a_law_against_itself_at_tol_zero_sums_every_grid_point(exact_points):
     grid = disc.evaluation_grid(law, law, range(1, 4))
     report = check_theorem_conditions(law, law, "B", tol=0.0)
     assert report.holds
-    # Both laws on both sides for the full joint, the first family swept.
-    assert exact_points[:4] == [math.prod(map(len, grid))] * 4
+    # Both sides for the full joint, the first family swept.
+    assert exact_points[:2] == [math.prod(map(len, grid))] * 2
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
@@ -342,12 +449,17 @@ def test_orthant_tensors_match_the_scalar_values(name):
             grid = disc.evaluation_grid(law, law_star, positions)
             axes = [np.asarray(values) for values in grid]
             shape = tuple(map(len, axes))
-            for part in (disc.marginal(law, positions), disc.marginal(law_star, positions)):
-                cells = np.column_stack([np.searchsorted(a, c) for a, c in zip(axes, part._points.T)])
-                tensors = disc._orthant_tensors(part, cells, shape)
+            parts = (disc.marginal(law, positions), disc.marginal(law_star, positions))
+            points = np.concatenate([part._points for part in parts])
+            laws = np.repeat((0, 1), [len(part._probs) for part in parts])
+            low = np.array([np.searchsorted(a, c) for a, c in zip(axes, points.T)])
+            high = np.array([np.searchsorted(a, c, side="right") for a, c in zip(axes, points.T)]) - 1
+            probs = np.concatenate([part._probs for part in parts])
+            tensors = disc._orthant_tensors(laws, np.zeros(len(laws), dtype=np.intp), low, high, probs, (1, *shape))
+            for k, part in enumerate(parts):
                 for index, point in zip(np.ndindex(shape), itertools.product(*grid)):
-                    assert abs(tensors[0][index] - disc.cdf(part, point)) <= 1e-12
-                    assert abs(tensors[1][index] - disc.survival(part, point)) <= 1e-12
+                    assert abs(tensors[0][(k, 0, *index)] - disc.cdf(part, point)) <= 1e-12
+                    assert abs(tensors[1][(k, 0, *index)] - disc.survival(part, point)) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(PAIRS))
