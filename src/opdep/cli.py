@@ -3,7 +3,8 @@
 Commands:
     estimate     empirical pattern dependence from a two-column CSV
     verify       run a named scenario verifier (exit 0 only if it passes)
-    model        operations on a serialized model file
+    model        operations on a serialized model file (validate, opd, patterns,
+                 cdf, sample), each action taking only the options it reads
     concordance  grid domination check between two piecewise models
 
 Exit codes: 0 success (and, for verify/concordance, the property holds);
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -199,11 +201,9 @@ def _pattern_table(dist) -> dict[str, float]:
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    if args.tol is not None and args.action not in ("validate", "opd"):
-        raise InvalidParameter(f"--tol applies to validate and opd only, not to {args.action}")
-    tol = 1e-12 if args.tol is None else args.tol
-    # Checked before validate's try block, which reports every error as "invalid:".
-    _check_tol(tol)
+    if "tol" in args:
+        # Checked before validate's try block, which reports every error as "invalid:".
+        _check_tol(args.tol)
     model = load_model(args.path)
     # Both engine modules answer the same calls.  They are looked up on the
     # module at each call, so a rebound module attribute takes effect here.
@@ -216,7 +216,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.action == "validate":
         if engine is pw:
             try:
-                pw.validate(model, tol=tol)
+                pw.validate(model, tol=args.tol)
             except OpdepError as exc:
                 _emit_payload(
                     {"valid": False, "kind": kind, "order": model.order, "error": str(exc)},
@@ -235,7 +235,7 @@ def cmd_model(args: argparse.Namespace) -> int:
 
     if args.action == "opd":
         coincidence, px, py = engine.pattern_terms(model)
-        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=tol)
+        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=args.tol)
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0
@@ -252,8 +252,6 @@ def cmd_model(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "cdf":
-        if args.point is None:
-            raise InvalidParameter("model cdf requires --point")
         point = _parse_point(args.point)
         lower = engine.cdf(model, point)
         upper = engine.survival(model, point)
@@ -261,15 +259,11 @@ def cmd_model(args: argparse.Namespace) -> int:
         _emit_payload(payload, [f"cdf {lower}", f"survival {upper}"], args)
         return 0
 
-    if args.action == "sample":
-        if args.seed is None:
-            raise InvalidParameter("model sample requires an explicit --seed")
-        rows = engine.sample(model, args.count, args.seed)
-        text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
-        _emit(text, args.out)
-        return 0
-
-    raise InvalidParameter(f"unknown model action {args.action!r}")
+    # The parser admits no other action.
+    rows = engine.sample(model, args.count, args.seed)
+    text = "\n".join(",".join(repr(float(v)) for v in row) for row in rows)
+    _emit(text, args.out)
+    return 0
 
 
 def cmd_concordance(args: argparse.Namespace) -> int:
@@ -294,6 +288,7 @@ def cmd_concordance(args: argparse.Namespace) -> int:
     return 0 if report.dominated else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opdep",
@@ -318,17 +313,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_mod = sub.add_parser("model", help="operate on a serialized model")
-    p_mod.add_argument("action", choices=("validate", "opd", "patterns", "cdf", "sample"))
-    p_mod.add_argument("path", help="model JSON file")
-    p_mod.add_argument("--point", default=None, help="comma-separated coordinates for cdf")
-    p_mod.add_argument("--count", type=int, default=1000, help="sample size (default 1000)")
-    p_mod.add_argument("--seed", type=int, default=None, help="RNG seed (required for sample)")
-    p_mod.add_argument(
-        "--tol", type=float, default=None,
-        help="tolerance of validate and opd only (default 1e-12)",
-    )
-    add_common(p_mod)
     p_mod.set_defaults(func=cmd_model)
+    actions = p_mod.add_subparsers(dest="action", required=True)
+    p_act = {name: actions.add_parser(name) for name in ("validate", "opd", "patterns", "cdf", "sample")}
+    for name, p in p_act.items():
+        p.add_argument("path", help="model JSON file")
+        if name in ("validate", "opd"):
+            p.add_argument("--tol", type=float, default=1e-12, help="tolerance (default 1e-12)")
+        if name != "sample":
+            add_common(p)
+    p_act["cdf"].add_argument("--point", required=True, help="comma-separated coordinates")
+    p_act["sample"].add_argument("--count", type=int, default=1000, help="sample size (default 1000)")
+    p_act["sample"].add_argument("--seed", type=int, required=True, help="RNG seed")
+    p_act["sample"].add_argument("--out", default=None, help="write output to this file")
 
     p_con = sub.add_parser("concordance", help="cdf/survival domination of two models")
     p_con.add_argument("first", help="model whose distribution functions must lie below")

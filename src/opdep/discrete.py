@@ -31,7 +31,6 @@ skipped and logged rather than treated as violations.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import logging
@@ -183,10 +182,12 @@ class DiscreteJoint:
             DimensionMismatch: ``point`` does not have ``dimension`` coordinates.
         """
         pt = _check_dimension(self, tuple(float(v) for v in point))
-        i = bisect.bisect_left(self.atoms, pt, key=operator.itemgetter(0))
-        if i < len(self.atoms) and self.atoms[i][0] == pt:
-            return self.atoms[i][1]
-        return 0.0
+        # Lexsorted rows: those matching pt's first k coordinates are one block, sorted on k.
+        lo, hi = 0, len(self._points)
+        for k, value in enumerate(pt):
+            column = self._points[lo:hi, k]
+            lo, hi = lo + column.searchsorted(value, "left"), lo + column.searchsorted(value, "right")
+        return float(self._probs[lo]) if lo < hi else 0.0
 
 
 def _check_atoms(order: int, points: list[Point], probs: list[float]) -> None:

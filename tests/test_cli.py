@@ -10,7 +10,7 @@ import pytest
 
 from opdep import discrete as disc
 from opdep import piecewise as pw
-from opdep.cli import main
+from opdep.cli import _build_parser, main
 from opdep.errors import DegenerateDistribution, OpdepError
 from opdep.modelio import load_model, save_model
 from opdep.patterns import enumerate_patterns
@@ -247,15 +247,67 @@ def test_model_opd_uses_tol(capsys):
     assert code == 3 and "undefined" in err
 
 
+def _assert_unrecognized(capsys, argv, extra):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *extra])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
+
+
+# The options each model action reads, with the ones it requires given.
+MODEL_ACTION_OPTIONS = {
+    "validate": [],
+    "opd": [],
+    "patterns": [],
+    "cdf": ["--point=2,20,3,20"],
+    "sample": ["--seed=1", "--count=3"],
+}
+UNREAD_OPTIONS = {
+    "validate": ["--point", "--count", "--seed"],
+    "opd": ["--point", "--count", "--seed"],
+    "patterns": ["--point", "--count", "--seed"],
+    "cdf": ["--count", "--seed"],
+    "sample": ["--point", "--format"],
+}
+OPTION_VALUES = {"--point": "1,1,2,2", "--count": "3", "--seed": "1", "--format": "json"}
+
+
 @pytest.mark.parametrize("action", ["patterns", "cdf", "sample"])
 @pytest.mark.parametrize("tol", ["5", "1e-12", "nan"])
 def test_model_refuses_tol_where_it_is_unused(capsys, action, tol):
     path = str(MODEL_FILES[0].parent / "example43_law.json")
-    argv = ["model", action, path, "--point=2,20,3,20", "--seed=1", "--count=3"]
-    code, out, err = run_cli(capsys, *argv, "--tol", tol)
-    assert (code, out) == (2, "")
-    assert err == f"error: --tol applies to validate and opd only, not to {action}\n"
+    argv = ["model", action, path, *MODEL_ACTION_OPTIONS[action]]
+    _assert_unrecognized(capsys, argv, ["--tol", tol])
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "action, option", [(a, o) for a, options in UNREAD_OPTIONS.items() for o in options]
+)
+def test_model_refuses_options_it_does_not_read(capsys, action, option):
+    """Every option but --tol, which the test above covers, on every action that ignores it."""
+    path = str(MODEL_FILES[0].parent / "counterexample_f.json")
+    argv = ["model", action, path, *MODEL_ACTION_OPTIONS[action]]
+    _assert_unrecognized(capsys, argv, [option, OPTION_VALUES[option]])
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, f_model_path):
+    path = str(MODEL_FILES[0].parent / "example42_interleaved_law.json")
+    assert run_cli(capsys, "model", "opd", path, "--tol", "0.9")[0] == 3
+    assert run_cli(capsys, "model", "opd", path)[:2] == (0, "value -0.6\ncoincidence 0.0\n")
+    calls = {
+        "cdf": ["model", "cdf", f_model_path, "--point", "1,1,2,2"],
+        "sample": ["model", "sample", f_model_path, "--seed", "7", "--count", "5"],
+    }
+    alone = {}
+    for action, argv in calls.items():
+        _build_parser.cache_clear()
+        alone[action] = run_cli(capsys, *argv)
+    assert _build_parser() is _build_parser()
+    for action in ("cdf", "sample", "cdf"):
+        assert run_cli(capsys, *calls[action]) == alone[action]
 
 
 def test_model_patterns(capsys, f_model_path):
@@ -275,17 +327,19 @@ def test_model_cdf(capsys, f_model_path):
     payload = json.loads(out)
     assert payload["cdf"] == 0.5
     assert payload["survival"] == 0.0
-    code, _, err = run_cli(capsys, "model", "cdf", f_model_path)
-    assert code == 2
-    assert "--point" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "cdf", f_model_path])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --point" in capsys.readouterr().err
     code, _, err = run_cli(capsys, "model", "cdf", f_model_path, "--point", "1,zap")
     assert code == 2
 
 
 def test_model_sample_requires_seed(capsys, f_model_path):
-    code, _, err = run_cli(capsys, "model", "sample", f_model_path)
-    assert code == 2
-    assert "--seed" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["model", "sample", f_model_path])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --seed" in capsys.readouterr().err
 
 
 def test_model_sample_deterministic(capsys, f_model_path, discrete_model_path, tmp_path):

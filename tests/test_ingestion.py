@@ -464,3 +464,5 @@ def test_prob_of_does_not_rebuild_the_atom_dict(monkeypatch):
     assert law.prob_of((1.0, 0.0)) == 0.75
     assert law.prob_of((-0.0, 1)) == 0.25
     assert law.prob_of((0.5, 0.5)) == 0.0
+    # It reads the arrays, so the law builds no atoms view.
+    assert "atoms" not in vars(law)
