@@ -288,13 +288,30 @@ def cmd_concordance(args: argparse.Namespace) -> int:
     return 0 if report.dominated else 1
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which reports arguments it does not take under its own usage.
+
+    argparse would hand them up to the top-level parser, whose message shows
+    only ``usage: opdep [-h] {estimate,...}``.
+    """
+
+    def parse_known_args(
+        self, args: Sequence[str] | None = None, namespace: argparse.Namespace | None = None
+    ) -> tuple[argparse.Namespace, list[str]]:
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opdep",
         description="Ordinal pattern dependence: estimation, exact models, verification.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # The model actions' parsers inherit the class.
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="text")

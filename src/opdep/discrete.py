@@ -410,13 +410,25 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
     _check_tol(tol)
-    shared = []
-    for i in range(1, dist.order + 1):
-        # Both marginals are sorted by point, so equal supports line up row by row.
-        a, b = marginal(dist, (i,)), marginal(dist_star, (i,))
-        if np.array_equal(a._points, b._points) and (np.abs(a._probs - b._probs) <= tol).all():
-            shared.append(i)
-    return tuple(shared)
+    return _shared_positions(_position_marginals(dist, dist_star), tol)
+
+
+def _position_marginals(
+    dist: DiscreteJoint, dist_star: DiscreteJoint
+) -> dict[tuple[int, ...], tuple[DiscreteJoint, DiscreteJoint]]:
+    """Both laws' :func:`marginal` at each single position, keyed by the subset ``(i,)``."""
+    return {(i,): (marginal(dist, (i,)), marginal(dist_star, (i,))) for i in range(1, dist.order + 1)}
+
+
+def _shared_positions(
+    marginals: dict[tuple[int, ...], tuple[DiscreteJoint, DiscreteJoint]], tol: float
+) -> tuple[int, ...]:
+    # Both marginals are sorted by point, so equal supports line up row by row.
+    return tuple(
+        i
+        for (i,), (a, b) in marginals.items()
+        if np.array_equal(a._points, b._points) and (np.abs(a._probs - b._probs) <= tol).all()
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -697,10 +709,17 @@ def check_theorem_conditions(
         raise InvalidParameter(f"variant must be 'A' or 'B', got {variant!r}")
     _check_tol(tol)
     d = dist.order
+    # Single-position marginals that detection builds are reused by the sweep.
+    marginals = {}
     if shared_positions is None:
-        shared = frozenset(shared_position_detect(dist, dist_star, tol=min(tol, 1e-12) or 1e-12))
+        marginals = _position_marginals(dist, dist_star)
+        shared = frozenset(_shared_positions(marginals, min(tol, 1e-12) or 1e-12))
     else:
         shared = frozenset(_check_subset(d, shared_positions, allow_empty=True))
+
+    def marginals_at(positions: tuple[int, ...]) -> tuple[DiscreteJoint, DiscreteJoint]:
+        return marginals.get(positions) or (marginal(dist, positions), marginal(dist_star, positions))
+
     positions = range(1, d + 1)
     violations: list[ConditionViolation] = []
     skipped: list[ConditionSkip] = []
@@ -715,7 +734,7 @@ def check_theorem_conditions(
                 continue
             grid = evaluation_grid(dist, dist_star, complement)
             if variant == "B":
-                laws = [marginal(law, complement) if subset else law for law in (dist, dist_star)]
+                laws = marginals_at(complement) if subset else (dist, dist_star)
                 atoms = (
                     np.repeat((0, 1), [len(law._probs) for law in laws]),
                     np.zeros(sum(len(law._probs) for law in laws), dtype=np.intp),
@@ -726,7 +745,7 @@ def check_theorem_conditions(
                 count = 1
             else:
                 # Each law's own values: the second's may hold -0.0 where the first's holds 0.0.
-                values_of = [[value for value, _ in marginal(law, subset).atoms] for law in (dist, dist_star)]
+                values_of = [[value for value, _ in law.atoms] for law in marginals_at(subset)]
                 held, atoms, count = _conditional_atoms(dist, dist_star, subset, complement)
                 outers = []
                 for outer, law_values, law_held in zip(("first", "second"), values_of, held):

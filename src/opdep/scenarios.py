@@ -417,9 +417,11 @@ def _pmf_close(a: dict, b: dict, tol: float) -> bool:
 
 
 def _coordinate_pmf(law: DiscreteJoint, coord: int) -> dict[float, float]:
+    """Law of one flat coordinate: the pair marginal at its position, summed over the other window."""
+    axis, position = divmod(coord, law.order)
     out: dict[float, float] = {}
-    for atom, prob in law.atoms:
-        out[atom[coord]] = out.get(atom[coord], 0.0) + prob
+    for pair, prob in disc.marginal(law, (position + 1,)).atoms:
+        out[pair[axis]] = out.get(pair[axis], 0.0) + prob
     return out
 
 

@@ -248,11 +248,14 @@ def test_model_opd_uses_tol(capsys):
 
 
 def _assert_unrecognized(capsys, argv, extra):
+    """``argv`` plus ``extra`` exits 2, and the parser of ``argv``'s command reports ``extra``."""
     with pytest.raises(SystemExit) as exc:
         main([*argv, *extra])
     captured = capsys.readouterr()
     assert (exc.value.code, captured.out) == (2, "")
-    assert f"unrecognized arguments: {' '.join(extra)}" in captured.err
+    prog = "opdep " + " ".join(argv[:2] if argv[0] == "model" else argv[:1])
+    assert captured.err.startswith(f"usage: {prog} [-h]")
+    assert captured.err.endswith(f"\n{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
 
 
 # The options each model action reads, with the ones it requires given.
@@ -291,6 +294,24 @@ def test_model_refuses_options_it_does_not_read(capsys, action, option):
     argv = ["model", action, path, *MODEL_ACTION_OPTIONS[action]]
     _assert_unrecognized(capsys, argv, [option, OPTION_VALUES[option]])
     assert run_cli(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("action", sorted(MODEL_ACTION_OPTIONS))
+def test_model_action_reports_a_leftover_argument(capsys, action):
+    path = str(MODEL_FILES[0].parent / "counterexample_f.json")
+    extra = ["--point", "1"] if action == "sample" else ["--seed", "1"]
+    _assert_unrecognized(capsys, ["model", action, path, *MODEL_ACTION_OPTIONS[action]], extra)
+
+
+@pytest.mark.parametrize("command", ["estimate", "verify", "concordance"])
+def test_command_reports_a_leftover_argument(capsys, command):
+    models = MODEL_FILES[0].parent
+    argv = {
+        "estimate": ["estimate", str(Path(__file__).resolve().parent / "data" / "series_small.csv")],
+        "verify": ["verify", "example43"],
+        "concordance": ["concordance", str(models / "counterexample_f.json"), str(models / "counterexample_f_star.json")],
+    }[command]
+    _assert_unrecognized(capsys, argv, ["--seed", "1"])
 
 
 def test_cached_parser_keeps_no_state_between_calls(capsys, f_model_path):

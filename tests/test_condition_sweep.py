@@ -294,6 +294,23 @@ def test_order_3_reports_cover_both_subset_sizes():
     assert sizes == {1, 2}
 
 
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_each_marginal_is_built_once(monkeypatch, variant):
+    """The single-position marginals that shared-position detection builds are the sweep's too."""
+    built = []
+    marginal_of = disc.marginal
+
+    def counted(law, subset):
+        built.append((id(law), tuple(subset)))
+        return marginal_of(law, subset)
+
+    monkeypatch.setattr(disc, "marginal", counted)
+    for law, law_star in [*order3_pairs(3), PAIRS["example43"]]:
+        built.clear()
+        assert_matches_oracle(law, law_star, variant)
+        assert built and len(built) == len(set(built))
+
+
 def test_repeated_sentinels_keep_the_extreme_atoms():
     # The atoms at the lowest value sit under both copies of it on an axis;
     # summing the survival from the first copy only dropped them at the second.

@@ -5,11 +5,16 @@ The oracles below are the former bodies of ``modelio._discrete_from_dict``
 of ``DiscreteJoint.__init__`` (a per-atom validate-and-insert loop, then
 ``sorted``).  The array path must store the same atoms in the same order,
 with the same signs of zero, and raise the same exception type, message
-and field path at the same first bad atom.
+and field path at the same first bad atom.  The JSON loader, which packs
+atoms while the text is decoded, is held to the former loader that decoded
+the whole text and then converted a list of plain atoms in bulk.
 """
 
 import functools
+import itertools
+import json
 import math
+import tracemalloc
 import warnings
 from collections.abc import Mapping
 from pathlib import Path
@@ -29,7 +34,20 @@ from opdep.errors import (
     NonFiniteInput,
     OpdepError,
 )
-from opdep.modelio import _dict_in, _int_in, _list_in, _real_in, model_from_dict, model_from_json
+from opdep.modelio import (
+    _atom_from_dict,
+    _dict_in,
+    _int_in,
+    _list_in,
+    _order_in,
+    _piecewise_from_dict,
+    _real_in,
+    model_from_dict,
+    model_from_json,
+    model_to_dict,
+    save_model,
+)
+from opdep.scenarios import build_counterexample
 
 
 # --- oracles: the former per-atom code ---------------------------------------
@@ -84,6 +102,71 @@ def oracle_discrete_from_dict(data):
 def oracle_model_from_dict(data):
     _dict_in(data, "", {"kind", "order", "atoms"})
     return oracle_discrete_from_dict(data)
+
+
+_ATOM_FIELDS = frozenset({"point", "prob"})
+_PLAIN_REALS = frozenset({float, int, str})
+
+
+def _plain_atom_arrays(raw_atoms: list, width: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Points and probabilities of a list of plain atoms, converted in bulk
+    and in input order; None if any atom is not plain.
+
+    A plain atom has exactly the keys ``point`` and ``prob``, a list of
+    ``width`` coordinates, and only JSON numbers and strings (not booleans)
+    that ``float`` converts.  ``float`` strips whitespace as ``_real_in``
+    does, so plain atoms get the field checkers' values.
+    """
+    if not all(type(atom) is dict and atom.keys() == _ATOM_FIELDS for atom in raw_atoms):
+        return None
+    points = [atom["point"] for atom in raw_atoms]
+    probs = [atom["prob"] for atom in raw_atoms]
+    if not all(type(point) is list and len(point) == width for point in points):
+        return None
+    values = list(itertools.chain.from_iterable(points))
+    if not (_PLAIN_REALS.issuperset(map(type, values)) and _PLAIN_REALS.issuperset(map(type, probs))):
+        return None
+    try:
+        values = list(map(float, values))
+        probs = list(map(float, probs))
+    except (ValueError, OverflowError):
+        return None
+    return np.array(values, dtype=float).reshape(len(points), width), np.array(probs, dtype=float)
+
+
+def former_discrete_from_dict(data):
+    """Former ``modelio._discrete_from_dict``: the bulk converter above, else atom by atom."""
+    order = _order_in(data)
+    raw_atoms = _list_in(data["atoms"], "atoms")
+    arrays = _plain_atom_arrays(raw_atoms, 2 * order)
+    try:
+        if arrays is not None:
+            return DiscreteJoint._from_arrays(order, *arrays)
+        # Atom by atom: the field checkers raise every schema error.
+        atoms = [_atom_from_dict(raw_atom, f"atoms[{ai}]") for ai, raw_atom in enumerate(raw_atoms)]
+        return DiscreteJoint(order=order, atoms=atoms)
+    except ModelFormatError:
+        raise
+    except OpdepError as exc:
+        raise ModelFormatError("atoms", str(exc)) from exc
+
+
+def former_model_from_json(text):
+    """Former ``modelio.model_from_json``: decode the whole text, then read the tree."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError("", f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelFormatError("", f"expected a JSON object, got {type(data).__name__}")
+    kind = data.get("kind")
+    if kind == "piecewise":
+        _dict_in(data, "", {"kind", "order", "cells"})
+        return _piecewise_from_dict(data)
+    if kind == "discrete":
+        _dict_in(data, "", {"kind", "order", "atoms"})
+        return former_discrete_from_dict(data)
+    raise ModelFormatError("kind", f"expected 'piecewise' or 'discrete', got {kind!r}")
 
 
 def outcome(fn, *args):
@@ -333,6 +416,204 @@ def test_loader_keeps_json_values_and_signed_zeros():
         '{"point": [" -0.0 ", 1], "prob": 0.5}, {"point": [0.0, "\\u2003 2.5"], "prob": "0.5"}]}'
     )
     assert repr(law.atoms) == "(((-0.0, 1.0), 0.5), ((0.0, 2.5), 0.5))"
+
+
+# --- the JSON loader ----------------------------------------------------------------
+
+# An order-1 atom, for objects of atom shape outside a law's own atoms.
+STRAY_ATOM = {"point": ["0.0", "1.0"], "prob": "1.0"}
+ODD_VALUES = [True, False, None, [1.0], {"v": 1.0}, STRAY_ATOM, " 1.0 ", "\t-0.0\n", "1_0", "0.2_5",
+              "\u0661\u0662", "\u0663.\u0665", "\uff11", "nan", "-inf", math.nan, math.inf, 10**400,
+              -(10**30), 0, 1, "abc", "", "1e400", "0x10"]
+ATOM_FAULTS = ["reordered", "odd coordinate", "odd prob", "duplicate prob", "duplicate point", "extra key",
+               "missing key", "short", "long", "nested", "not an object", "point not a list",
+               "wrapped in a list", "wrapped in an object"]
+
+
+def _atom_text(point, prob):
+    return f'{{"point": {json.dumps(point)}, "prob": {json.dumps(prob)}}}'
+
+
+@st.composite
+def atom_texts(draw, atom):
+    """One atom as JSON text, as written or with one fault."""
+    point, prob = list(atom["point"]), atom["prob"]
+    fault = draw(st.sampled_from(["none"] * len(ATOM_FAULTS) + ATOM_FAULTS))
+    odd = st.sampled_from(ODD_VALUES)
+    if fault == "reordered":
+        return f'{{"prob": {json.dumps(prob)}, "point": {json.dumps(point)}}}'
+    if fault == "odd coordinate":
+        point[draw(st.integers(min_value=0, max_value=len(point) - 1))] = draw(odd)
+    elif fault == "odd prob":
+        prob = draw(odd)
+    elif fault in ("duplicate prob", "duplicate point"):
+        # JSON keeps the last of duplicate keys; either one may be the odd value.
+        key, value = ("prob", prob) if fault == "duplicate prob" else ("point", point)
+        values = [value, draw(st.sampled_from([*ODD_VALUES, "0.5", ["1.0"] * len(point)]))]
+        first, last = values if draw(st.booleans()) else values[::-1]
+        other = "point" if key == "prob" else "prob"
+        return (f'{{"{key}": {json.dumps(first)}, "{other}": {json.dumps(atom[other])}, '
+                f'"{key}": {json.dumps(last)}}}')
+    elif fault == "extra key":
+        return f'{{"point": {json.dumps(point)}, "prob": {json.dumps(prob)}, "weight": 1}}'
+    elif fault == "missing key":
+        return f'{{"point": {json.dumps(point)}}}'
+    elif fault == "short":
+        point.pop()
+    elif fault == "long":
+        point.append("1.0")
+    elif fault == "nested":
+        point[0] = STRAY_ATOM
+    elif fault == "not an object":
+        return json.dumps([point, prob])
+    elif fault == "point not a list":
+        return _atom_text(" ".join(map(str, point)), prob)
+    elif fault == "wrapped in a list":
+        return f"[{_atom_text(point, prob)}]"
+    elif fault == "wrapped in an object":
+        return f'{{"atom": {_atom_text(point, prob)}}}'
+    return _atom_text(point, prob)
+
+
+LAW_LAYOUTS = ["order last", "empty atoms", "extra key", "stray atom at top level", "odd order", "odd kind",
+               "duplicate order", "duplicate atoms", "wrapped in a list", "repeated atom", "truncated"]
+
+
+@st.composite
+def law_texts(draw):
+    """Discrete-law JSON texts, as ``save_model`` writes them or with faults in the atoms or around them."""
+    data = draw(law_dicts(max_order=4, max_atoms=8))
+    atoms = [draw(atom_texts(atom)) for atom in data["atoms"]] if draw(st.booleans()) else [
+        json.dumps(atom) for atom in data["atoms"]]
+    fields = [("kind", '"discrete"'), ("order", json.dumps(data["order"]))]
+    layout = draw(st.sampled_from(["none"] * len(LAW_LAYOUTS) + LAW_LAYOUTS))
+    if layout == "empty atoms":
+        atoms = []
+    elif layout == "repeated atom":
+        atoms.append(atoms[0])
+    fields.append(("atoms", "[" + ", ".join(atoms) + "]"))
+    if layout == "order last":
+        fields.append(fields.pop(1))
+    elif layout == "extra key":
+        fields.append(("note", '"x"'))
+    elif layout == "stray atom at top level":
+        fields.insert(draw(st.integers(min_value=0, max_value=3)), ("stray", json.dumps(STRAY_ATOM)))
+    elif layout == "odd order":
+        fields[1] = ("order", json.dumps(draw(st.sampled_from([0, -1, True, "2", 2.0, None, 10**30, STRAY_ATOM]))))
+    elif layout == "odd kind":
+        fields[0] = ("kind", json.dumps(draw(st.sampled_from(["piecewise", "Discrete", None, STRAY_ATOM]))))
+    elif layout == "duplicate order":
+        fields.insert(draw(st.integers(min_value=0, max_value=3)), ("order", json.dumps(data["order"] + 1)))
+    elif layout == "duplicate atoms":
+        fields.insert(draw(st.integers(min_value=0, max_value=3)), ("atoms", "[" + json.dumps(STRAY_ATOM) + "]"))
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+    if layout == "wrapped in a list":
+        text = f"[{text}]"
+    elif layout == "truncated":
+        text = text[:-1]
+    return text
+
+
+@st.composite
+def piecewise_texts(draw):
+    """A piecewise model's JSON text, with an object of atom shape in one place or none."""
+    data = model_to_dict(build_counterexample().f)
+    place = draw(st.sampled_from(["none", "top level", "cell value", "cell key", "block lo", "cells"]))
+    cell = data["cells"][draw(st.integers(min_value=0, max_value=len(data["cells"]) - 1))]
+    if place == "top level":
+        data["stray"] = STRAY_ATOM
+    elif place == "cell value":
+        cell["value"] = STRAY_ATOM
+    elif place == "cell key":
+        cell["stray"] = STRAY_ATOM
+    elif place == "block lo":
+        cell["blocks"][0]["lo"] = STRAY_ATOM
+    elif place == "cells":
+        data["cells"].append(STRAY_ATOM)
+    return json.dumps(data)
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(st.one_of(law_texts(), piecewise_texts()))
+def test_json_loader_matches_the_former_loader(text):
+    assert outcome(model_from_json, text) == outcome(former_model_from_json, text)
+
+
+def _law_text(*atoms, order="1", extra=""):
+    return f'{{"kind": "discrete", "order": {order}, "atoms": [{", ".join(atoms)}]{extra}}}'
+
+
+FIRST, SECOND = '{"point": ["0.0", "1.0"], "prob": "0.25"}', '{"point": ["1.0", "0.0"], "prob": "0.75"}'
+JSON_CASES = {
+    "plain": _law_text(FIRST, SECOND),
+    "order last": '{"kind": "discrete", "atoms": [' + FIRST + ", " + SECOND + '], "order": 1}',
+    "padded strings": _law_text(FIRST, '{"point": [" 1.0 ", "\\u2003 0.0\\t"], "prob": "\\n0.75 "}'),
+    "underscore digits": _law_text(FIRST, '{"point": ["1_0", "0.0"], "prob": "0.7_5"}'),
+    "non-ASCII digits": _law_text(FIRST, '{"point": ["\\u0661", "\\uff10"], "prob": "0.75"}'),
+    "numbers": _law_text(FIRST, '{"point": [1, -0.0], "prob": 0.75}'),
+    "nan": _law_text(FIRST, '{"point": ["nan", "0.0"], "prob": "0.75"}'),
+    "huge integer": _law_text(FIRST, '{"point": [' + "9" * 400 + ', "0.0"], "prob": "0.75"}'),
+    "true coordinate": _law_text('{"point": ["0.0", true], "prob": "1.0"}'),
+    "null prob": _law_text(FIRST, '{"point": ["1.0", "0.0"], "prob": null}'),
+    "nested point": _law_text(FIRST, '{"point": [' + FIRST + ', "0.0"], "prob": "0.75"}'),
+    "duplicate key, last plain": _law_text(FIRST, '{"point": ["1.0", "0.0"], "prob": true, "prob": "0.75"}'),
+    "duplicate key, last odd": _law_text(FIRST, '{"point": ["1.0", "0.0"], "prob": "0.75", "prob": true}'),
+    "duplicate atom": _law_text(FIRST, FIRST.replace("0.25", "0.75")),
+    "short point": _law_text(FIRST, '{"point": ["1.0"], "prob": "0.75"}'),
+    "all points too short": _law_text(FIRST, SECOND, order="2"),
+    "order 0": _law_text(FIRST, SECOND, order="0"),
+    "order true": _law_text(FIRST, SECOND, order="true"),
+    "order 1.0": _law_text(FIRST, SECOND, order="1.0"),
+    "empty atoms": _law_text(),
+    "atom wrapped in a list": _law_text(FIRST, f"[{SECOND}]"),
+    "atom wrapped in an object": _law_text(FIRST, f'{{"atom": {SECOND}}}'),
+    "atom outside atoms": _law_text(FIRST, SECOND, extra=f', "note": {FIRST}'),
+    "piecewise with an atom": json.dumps(dict(model_to_dict(build_counterexample().f), note=STRAY_ATOM)),
+    "atom-shaped cell": json.dumps(
+        dict(model_to_dict(build_counterexample().f), cells=[STRAY_ATOM])),
+    "top level is an atom": FIRST,
+    "invalid JSON": _law_text(FIRST, SECOND)[:-1],
+}
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_json_cases_give_the_former_loaders_outcome(name):
+    text = JSON_CASES[name]
+    assert outcome(model_from_json, text) == outcome(former_model_from_json, text)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(law_dicts())
+def test_a_plain_law_text_is_decoded_once(data):
+    text = json.dumps(data)
+    with mock.patch.object(json, "loads", wraps=json.loads) as loads, mock.patch.object(
+        modelio, "model_from_dict", side_effect=AssertionError("read from the decoded tree")
+    ):
+        law = model_from_json(text)
+    assert loads.call_count == 1
+    assert outcome(lambda: law) == outcome(former_model_from_json, text)
+
+
+def test_loading_a_large_law_peaks_below_a_quarter_of_the_former_loader(tmp_path):
+    # 20,000 distinct order-6 atoms on the lattice {0, ..., 4}, as the benchmark's largest law.
+    rng = np.random.default_rng(6)
+    points = np.unique(rng.integers(0, 5, size=(20_500, 12)).astype(float), axis=0)
+    points = points[rng.permutation(len(points))[:20_000]]
+    probs = rng.random(20_000) + 0.5
+    law = DiscreteJoint._from_arrays(6, points, probs / probs.sum())
+    path = tmp_path / "law.json"
+    save_model(law, path)
+    text = path.read_text(encoding="utf-8")
+    peaks = {}
+    for name, load in (("packed", model_from_json), ("former", former_model_from_json)):
+        tracemalloc.start()
+        try:
+            loaded = load(text)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == law
+    assert peaks["packed"] <= peaks["former"] / 4, peaks
 
 
 # --- the constructor ---------------------------------------------------------------
