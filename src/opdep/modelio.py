@@ -58,7 +58,10 @@ def _real_in(value: Any, field: str) -> float:
     if isinstance(value, bool):
         raise ModelFormatError(field, f"expected a real number, got {value!r}")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ModelFormatError(field, "integer too large for a real number") from None
     if isinstance(value, str):
         try:
             return float(value.strip())
@@ -302,7 +305,8 @@ def model_from_json(text: str) -> Model:
     packer = _AtomPacker()
     try:
         data = json.loads(text, object_hook=packer)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal beyond Python's digit limit.
         raise ModelFormatError("", f"invalid JSON: {exc}") from exc
     if not packer.count:
         # Nothing was packed, so ``data`` is the plain decoding.

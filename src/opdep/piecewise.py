@@ -62,11 +62,13 @@ from .patterns import (
     pattern_codes,
     rank_table,
 )
-from .randomness import check_count, make_rng
+from .randomness import check_count, make_rng, take_words
 from .records import Record
 
 AXES = ("x", "y")
 KINDS = ("chain", "free")
+# Rows of one cell drawn at a time by the sampler.
+_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -684,11 +686,14 @@ def concordance_check(
 def _cell_draws(
     model: PiecewiseUniformDensity, n: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per cell with draws, its rows of the sample and their (2*order, rows) coordinates.
+    """Per cell with draws, chunks of its rows of the sample and their (2*order, rows) coordinates.
 
     ``n`` and ``seed`` are checked and the cells chosen by one ``choice`` at
-    once; each cell's ``uniform`` draws, block by block and sorted along each
-    row for a chain, are made when the iterator reaches the cell.
+    once.  When the iterator reaches a cell, each of its blocks takes its
+    part of the stream (:func:`take_words`), and the blocks' ``uniform``
+    draws, sorted along each row for a chain, are made ``_CHUNK`` rows at a
+    time.  A cell's draws are thus the values of one draw per block, and
+    the cell choices and each cell's row indices stay O(n).
     """
     check_count(n)
     rng = make_rng(seed)
@@ -700,20 +705,23 @@ def _cell_draws(
             rows = np.flatnonzero(choice == ci)
             if rows.size == 0:
                 continue
-            columns = np.empty((model.dimension, rows.size))
-            for block in cell.blocks:
-                block_draws = rng.uniform(block.lo, block.hi, size=(rows.size, block.size))
-                coords = [coordinate_index(model.order, block.axis, p) for p in block.positions]
-                if block.kind == "chain" and block.size == 2:
-                    # Uniform draws hold no NaN and no -0.0, so min and max sort a pair exactly.
-                    first, second = block_draws.T
-                    np.minimum(first, second, out=columns[coords[0]])
-                    np.maximum(first, second, out=columns[coords[1]])
-                    continue
-                if block.kind == "chain" and block.size > 2:
-                    block_draws.sort(axis=1)
-                columns[coords] = block_draws.T
-            yield rows, columns
+            streams = [take_words(rng, rows.size * block.size) for block in cell.blocks]
+            for start in range(0, rows.size, _CHUNK):
+                chunk = rows[start:start + _CHUNK]
+                columns = np.empty((model.dimension, chunk.size))
+                for block, stream in zip(cell.blocks, streams):
+                    block_draws = stream.uniform(block.lo, block.hi, size=(chunk.size, block.size))
+                    coords = [coordinate_index(model.order, block.axis, p) for p in block.positions]
+                    if block.kind == "chain" and block.size == 2:
+                        # Uniform draws hold no NaN and no -0.0, so min and max sort a pair exactly.
+                        first, second = block_draws.T
+                        np.minimum(first, second, out=columns[coords[0]])
+                        np.maximum(first, second, out=columns[coords[1]])
+                        continue
+                    if block.kind == "chain" and block.size > 2:
+                        block_draws.sort(axis=1)
+                    columns[coords] = block_draws.T
+                yield chunk, columns
 
     return draws()
 
@@ -723,7 +731,9 @@ def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
 
     The stream is the counter-based Philox generator, so a given seed
     yields the same draw on every platform.  Sub-probability models are
-    sampled from their normalized law.
+    sampled from their normalized law.  Draws are made a fixed number of
+    rows of one cell at a time and written into the result; besides it,
+    the cell choices and one cell's row indices take 8 bytes per point each.
 
     Raises:
         ZeroMassCondition / ModelStructureError: the cells' total mass
@@ -743,8 +753,10 @@ def mc_probability(
 
     The standard error is the binomial ``sqrt(p * (1 - p) / n)``.  This
     path works for any chain size, unlike the closed-form cdf/survival.
-    The draws of :func:`sample` are counted cell by cell, never gathered
-    into one (n, 2*order) array.
+    The draws of :func:`sample` are counted a fixed number of rows of one
+    cell at a time, never gathered into one (n, 2*order) array, so the
+    memory that grows with ``n`` is the cell choices and one cell's row
+    indices, 8 bytes per draw each.
 
     Raises:
         OrderTooSmall / OrderTooLarge: a pattern event on a model whose

@@ -449,6 +449,20 @@ def test_model_order_below_one_exits_2_at_field_order(capsys, tmp_path, kind, pa
     assert (code, out, err) == (2, "", "error: model format: order: must be >= 1, got 0\n")
 
 
+@pytest.mark.parametrize("kind, parts, field", [
+    ("discrete", [{"point": [10**400, "0.0"], "prob": "1.0"}], "atoms[0].point[0]"),
+    ("piecewise", [{"value": "1.0", "blocks": [
+        {"axis": "x", "positions": [1], "lo": "0.0", "hi": 10**400, "kind": "free"},
+        {"axis": "y", "positions": [1], "lo": "0.0", "hi": "1.0", "kind": "free"}]}], "cells[0].blocks[0].hi"),
+])
+def test_an_integer_too_large_for_a_float_exits_2_at_its_field(capsys, tmp_path, kind, parts, field):
+    path = tmp_path / "huge.json"
+    key = "atoms" if kind == "discrete" else "cells"
+    path.write_text(json.dumps({"kind": kind, "order": 1, key: parts}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "model", "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: model format: {field}: integer too large for a real number\n")
+
+
 def _counting(monkeypatch, module, name):
     """Rebind ``module.name`` to a wrapper that counts its calls."""
     calls = []

@@ -7,7 +7,9 @@ of ``DiscreteJoint.__init__`` (a per-atom validate-and-insert loop, then
 with the same signs of zero, and raise the same exception type, message
 and field path at the same first bad atom.  The JSON loader, which packs
 atoms while the text is decoded, is held to the former loader that decoded
-the whole text and then converted a list of plain atoms in bulk.
+the whole text and then converted a list of plain atoms in bulk.  The
+oracles read each field through ``modelio._real_in`` itself, so they follow
+its checks; an integer too large for a float is held to its own cases.
 """
 
 import functools
@@ -580,6 +582,43 @@ JSON_CASES = {
 def test_json_cases_give_the_former_loaders_outcome(name):
     text = JSON_CASES[name]
     assert outcome(model_from_json, text) == outcome(former_model_from_json, text)
+
+
+def _piecewise_with(field, value):
+    """The counterexample's f with one real field of its first cell replaced."""
+    data = model_to_dict(build_counterexample().f)
+    cell = data["cells"][0]
+    if field == "value":
+        cell["value"] = value
+    else:
+        cell["blocks"][0][field] = value
+    return data
+
+
+HUGE_INTEGER_CASES = {
+    "discrete coordinate": (_with_second_atom(point=[10**400, 0]), "atoms[1].point[0]"),
+    "discrete prob": (_with_second_atom(prob=-(10**400)), "atoms[1].prob"),
+    "piecewise lo": (_piecewise_with("lo", -(10**400)), "cells[0].blocks[0].lo"),
+    "piecewise hi": (_piecewise_with("hi", 10**400), "cells[0].blocks[0].hi"),
+    "piecewise value": (_piecewise_with("value", 10**400), "cells[0].value"),
+}
+
+
+@pytest.mark.parametrize("name", HUGE_INTEGER_CASES)
+def test_an_integer_too_large_for_a_float_is_a_format_error_at_its_field(name):
+    data, field = HUGE_INTEGER_CASES[name]
+    for load, source in ((model_from_dict, data), (model_from_json, json.dumps(data))):
+        with pytest.raises(ModelFormatError) as info:
+            load(source)
+        assert info.value.field == field
+        assert str(info.value) == f"{field}: integer too large for a real number"
+
+
+def test_an_integer_beyond_the_digit_limit_is_invalid_json():
+    text = _law_text('{"point": [' + "9" * 5000 + ', "0.0"], "prob": "1.0"}')
+    with pytest.raises(ModelFormatError, match=r"^: invalid JSON: Exceeds the limit \(4300 digits\)") as info:
+        model_from_json(text)
+    assert info.value.field == ""
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

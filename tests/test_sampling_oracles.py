@@ -5,14 +5,18 @@
 scattered into one (n, 2*order) array, one coordinate at a time, and the
 Monte Carlo events were evaluated on that array; they are kept verbatim.
 ``sample`` must return the same bytes in the same shape, ``mc_probability``
-an equal ``McResult``, and an error must match in type and message.
+an equal ``McResult``, and an error must match in type and message.  The
+draws, made a chunk of rows at a time, are compared at the real chunk size
+and, with ``_CHUNK`` patched, at chunks of one to five rows.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from opdep.piecewise import (
     cell_mass,
     coordinate_index,
 )
-from opdep.randomness import make_rng
+from opdep.randomness import make_rng, take_words
 
 # -- the oracles: the former bodies, verbatim ----------------------------------------
 
@@ -99,6 +103,10 @@ def oracle_mc_probability(
 
 COUNTS = (1, 2, 17, 5000)
 SEEDS = (0, 3, 2**40 + 7)
+# Rows per chunk patched in below, and counts that put a cell's rows on and
+# either side of several multiples of each.
+SMALL_CHUNKS = (1, 2, 3, 5)
+CHUNK_COUNTS = (1, 2, 3, 4, 6, 11, 16, 17, 40)
 
 
 def outcome(fn, *args):
@@ -122,6 +130,27 @@ def assert_same_draws(model, events, n, seed):
 
 def orthant_events(points):
     return [event(tuple(point)) for point in points for event in (LowerOrthant, UpperOrthant)]
+
+
+# -- the stream placement -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_take_words_splits_a_reference_stream_bit_for_bit(seed):
+    positions = set()
+    for drawn in range(5):
+        for words in (*range(41), 2**20 + 3):
+            reference = np.random.Generator(np.random.Philox(seed))
+            reference.random(drawn)
+            expected_taken = reference.random(words).tobytes()
+            expected_next = reference.random(9).tobytes()
+            rng = make_rng(seed)
+            rng.random(drawn)
+            positions.add(rng.bit_generator.state["buffer_pos"])
+            taken = take_words(rng, words)
+            assert rng.random(9).tobytes() == expected_next
+            assert taken.random(words).tobytes() == expected_taken
+    assert positions == {1, 2, 3, 4}
 
 
 # -- the shipped models ------------------------------------------------------------------
@@ -149,6 +178,30 @@ def test_shipped_models_draw_as_the_former_bodies(name, seed):
     events = [PatternCoincidence(), *orthant_events(points)]
     for n in COUNTS:
         assert_same_draws(model, events, n, seed)
+
+
+def _centre_events(model):
+    """The coincidence and both orthants at the centre of the model's default grid."""
+    grid = pw.default_grid([model], points_per_axis=3)
+    return [PatternCoincidence(), *orthant_events([[axis[1] for axis in grid]])]
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_shipped_models_draw_as_the_former_bodies_in_small_chunks(name, chunk):
+    model = SHIPPED[name]
+    with mock.patch.object(pw, "_CHUNK", chunk):
+        for n in CHUNK_COUNTS:
+            assert_same_draws(model, _centre_events(model), n, SEEDS[chunk % len(SEEDS)])
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_models_draw_as_the_former_bodies_past_a_chunk(name):
+    model = SHIPPED[name]
+    # With this many draws some cell gets more than one chunk of rows.
+    n = len(model.cells) * pw._CHUNK + 1
+    assert max(rows.size for rows, _ in pw._cell_draws(model, n, 3)) == pw._CHUNK
+    assert_same_draws(model, _centre_events(model), n, 3)
 
 
 # -- generated models ----------------------------------------------------------------------
@@ -195,6 +248,57 @@ def test_generated_models_draw_as_the_former_bodies(model, data):
         assert_same_draws(model, events, n, seed)
 
 
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sampling_models(), st.data())
+def test_generated_models_draw_as_the_former_bodies_in_small_chunks(model, data):
+    points = data.draw(st.lists(
+        st.lists(st.sampled_from(PROBES), min_size=model.dimension, max_size=model.dimension),
+        min_size=1, max_size=2,
+    ))
+    events = [PatternCoincidence(), *orthant_events(points)]
+    seed = data.draw(st.sampled_from(SEEDS))
+    with mock.patch.object(pw, "_CHUNK", data.draw(st.sampled_from(SMALL_CHUNKS))):
+        for n in CHUNK_COUNTS:
+            assert_same_draws(model, events, n, seed)
+
+
+def _chained_model(*, second: bool) -> PiecewiseUniformDensity:
+    """Order 5 with chains of size 1 to 4 and free blocks, same-axis blocks interleaved.
+
+    A light cell, listed first, gets no draws; ``second`` adds another cell that draws."""
+    light = Cell(1e-12, (Block("x", (1, 2, 3, 4, 5), 5.0, 6.0, "free"), Block("y", (2, 3, 1), 5.0, 6.0, "chain"),
+                         Block("y", (4, 5), 6.0, 7.0, "chain")))
+    heavy = Cell(1.0, (
+        Block("x", (4,), 0.0, 1.0, "chain"), Block("y", (5, 1, 4, 2), 0.0, 1.0, "chain"),
+        Block("x", (3, 1, 5), 2.0, 3.0, "chain"), Block("y", (3,), 1.0, 2.0, "free"),
+        Block("x", (2,), 1.0, 2.0, "free"),
+    ))
+    other = Cell(0.5, (
+        Block("x", (2, 5), 0.0, 1.0, "free"), Block("x", (3, 1), 1.0, 2.0, "chain"), Block("x", (4,), 2.0, 3.0, "free"),
+        Block("y", (4, 2), 0.0, 1.0, "chain"), Block("y", (1, 3, 5), 1.0, 2.0, "free"),
+    ))
+    return PiecewiseUniformDensity(order=5, cells=(light, heavy, other) if second else (light, heavy))
+
+
+CHAIN_EVENTS = [PatternCoincidence(), *orthant_events([(1.5,) * 10, (2.5, 1.5, 2.5, 0.5, 2.5, 0.5, 0.5, 1.5, 0.5, 0.5)])]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_chains_and_cells_without_draws_across_small_chunks(chunk):
+    model = _chained_model(second=True)
+    with mock.patch.object(pw, "_CHUNK", chunk):
+        for n in CHUNK_COUNTS:
+            assert (pw.sample(model, n, 1) < 5.0).all()
+            assert_same_draws(model, CHAIN_EVENTS, n, 1)
+
+
+def test_chains_draw_as_the_former_bodies_one_row_past_a_chunk():
+    model = _chained_model(second=False)
+    n = pw._CHUNK + 1
+    assert [rows.size for rows, _ in pw._cell_draws(model, n, 2)] == [pw._CHUNK, 1]
+    assert_same_draws(model, CHAIN_EVENTS, n, 2)
+
+
 def test_a_cell_without_draws_is_skipped_in_the_stream():
     heavy = Cell(1.0, (Block("x", (1, 2), 0.0, 1.0, "chain"), Block("y", (2, 1), 0.0, 1.0, "free")))
     light = Cell(1e-9, (Block("x", (1, 2), 2.0, 3.0, "free"), Block("y", (1, 2), 2.0, 3.0, "chain")))
@@ -204,6 +308,22 @@ def test_a_cell_without_draws_is_skipped_in_the_stream():
         for n in COUNTS:
             assert (pw.sample(model, n, 1) < 2.0).all()
             assert_same_draws(model, events, n, 1)
+
+
+# -- memory --------------------------------------------------------------------------------
+
+
+def test_monte_carlo_on_a_large_cell_peaks_far_below_its_draw_columns():
+    # One (16, 10**6) array of draws alone would take 122 MiB.
+    cell = Cell(1.0, (Block("x", tuple(range(1, 9)), 0.0, 1.0, "free"), Block("y", tuple(range(1, 9)), 0.0, 1.0, "free")))
+    model = PiecewiseUniformDensity(order=8, cells=(cell,))
+    tracemalloc.start()
+    try:
+        pw.mc_probability(model, PatternCoincidence(), 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 # -- errors --------------------------------------------------------------------------------
