@@ -78,7 +78,7 @@ def _parse_point(raw: str) -> tuple[float, ...]:
 _ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 
 
-def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _parse_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Both columns of a CSV file, parsed in one C-level pass.
 
     Takes only files on which it gives the row loop's values: a first line
@@ -113,11 +113,7 @@ def _parse_columns(path: str) -> tuple[tuple[float, ...], tuple[float, ...]]:
             path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, skiprows=header,
             encoding="utf-8-sig",
         )
-    xs = tuple(table[:, 0].tolist())
-    # Free the table before boxing the second column, to keep the peak low.
-    y_column = table[:, 1].copy()
-    del table
-    return xs, tuple(y_column.tolist())
+    return table[:, 0], table[:, 1]
 
 
 def _loop_columns(path: str) -> tuple[list[float], list[float]]:

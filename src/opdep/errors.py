@@ -116,9 +116,10 @@ class ModelFormatError(OpdepError, ValueError):
     """A serialized model violates the on-disk schema.
 
     Attributes:
-        field: dotted path of the offending field, e.g. ``cells[0].blocks[1].lo``.
+        field: dotted path of the offending field, e.g. ``cells[0].blocks[1].lo``,
+            or ``""`` for the document as a whole, whose message has no path.
     """
 
     def __init__(self, field: str, message: str) -> None:
-        super().__init__(f"{field}: {message}")
+        super().__init__(f"{field}: {message}" if field else message)
         self.field = field

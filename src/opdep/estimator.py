@@ -24,7 +24,9 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, EmptyInput, InvalidParameter, SeriesTooShort
 from .patterns import (
@@ -38,31 +40,42 @@ from .patterns import (
 from .records import Record
 
 
-_FLOAT = frozenset({float})
+# Window offsets whose values are boxed into Python floats at a time.
+_CHUNK = 2**14
 
 
-def _float_tuple(values: Sequence[float]) -> tuple[float, ...]:
-    # A tuple of floats is already converted; keeping it saves a copy.
-    if type(values) is tuple and _FLOAT.issuperset(map(type, values)):
-        return values
-    return tuple(map(float, values))
+def _read_only_floats(values: Iterable[float]) -> np.ndarray:
+    """A read-only float64 copy of ``values``.
+
+    A one-dimensional float64 ndarray is copied as it is; any other input
+    is converted entry by entry with ``float()``, which raises its own
+    errors.
+    """
+    if type(values) is np.ndarray and values.dtype == np.float64 and values.ndim == 1:
+        array = values.copy()
+    else:
+        array = np.fromiter(map(float, values), dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeriesPair:
     """Two real-valued series observed on the same time axis.
 
+    ``x`` and ``y`` are read-only float64 arrays, 8 bytes per entry.
     Entries may be NaN or infinite; such values invalidate the windows that
-    contain them.  The two series must be equally long and nonempty.
+    contain them.  The two series must be equally long and nonempty.  Pairs
+    compare and hash by identity.
     """
 
-    x: tuple[float, ...]
-    y: tuple[float, ...]
+    x: np.ndarray
+    y: np.ndarray
 
-    def __init__(self, x: Sequence[float], y: Sequence[float]) -> None:
-        xs = _float_tuple(x)
-        ys = _float_tuple(y)
-        if not xs or not ys:
+    def __init__(self, x: Iterable[float], y: Iterable[float]) -> None:
+        xs = _read_only_floats(x)
+        ys = _read_only_floats(y)
+        if not xs.size or not ys.size:
             raise EmptyInput("both series must be nonempty")
         if len(xs) != len(ys):
             raise DimensionMismatch(f"series lengths differ: {len(xs)} vs {len(ys)}")
@@ -109,13 +122,39 @@ def _finite_window(series: Sequence[float], start: int, d: int) -> tuple[float, 
     return tuple(window)
 
 
+def _count_windows(
+    x: np.ndarray, y: np.ndarray, d: int, step: int, x_counts: Counter, y_counts: Counter
+) -> int:
+    """Count the patterns of the common finite windows of ``x`` and ``y``, offsets ``step`` apart.
+
+    Adds the patterns to ``x_counts`` and ``y_counts`` and returns how many
+    windows show equal patterns.  The values boxed into Python floats and the
+    pattern lists are freed on return.
+    """
+    xs = tuple(x.tolist())
+    ys = tuple(y.tolist())
+    x_patterns: list[Pattern] = []
+    y_patterns: list[Pattern] = []
+    for start in range(0, len(xs) - d + 1, step):
+        wx = _finite_window(xs, start, d)
+        wy = _finite_window(ys, start, d)
+        if wx is None or wy is None:
+            continue
+        x_patterns.append(pattern_of(wx))
+        y_patterns.append(pattern_of(wy))
+    x_counts.update(x_patterns)
+    y_counts.update(y_patterns)
+    return sum(map(operator.eq, x_patterns, y_patterns))
+
+
 def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1) -> OpdEstimate:
     """Plug-in dependence estimate for a pair of series.
 
     A window offset enters the computation only if the x window and the y
     window at that offset are both finite, so coincidence, both marginal
     pattern frequencies, and the cross term are all estimated on the same
-    window set.
+    window set.  Windows are counted ``_CHUNK`` offsets at a time, so
+    besides the pair the memory used stays bounded in the series length.
 
     Raises:
         OrderTooSmall / OrderTooLarge: d outside [2, 8].
@@ -124,31 +163,26 @@ def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1) -> OpdEstimate:
         DegenerateDistribution: the empirical cross term equals 1 within 1e-12.
     """
     _check_order(d)
-    xs = pair.x
-    ys = pair.y
-    x_patterns: list[Pattern] = []
-    y_patterns: list[Pattern] = []
-    skipped = 0
-    for start in _window_offsets(len(xs), d, step):
-        wx = _finite_window(xs, start, d)
-        wy = _finite_window(ys, start, d)
-        if wx is None or wy is None:
-            skipped += 1
-            continue
-        x_patterns.append(pattern_of(wx))
-        y_patterns.append(pattern_of(wy))
-    if not x_patterns:
+    offsets = _window_offsets(len(pair), d, step)
+    x_counts: Counter[Pattern] = Counter()
+    y_counts: Counter[Pattern] = Counter()
+    equal = 0
+    for first in range(0, len(offsets), _CHUNK):
+        chunk = offsets[first : first + _CHUNK]
+        values = slice(chunk[0], chunk[-1] + d)
+        equal += _count_windows(pair.x[values], pair.y[values], d, step, x_counts, y_counts)
+    n = sum(x_counts.values())
+    if not n:
         raise EmptyInput("no common finite window available")
 
-    n = len(x_patterns)
-    coincidence = sum(map(operator.eq, x_patterns, y_patterns)) / n
-    px = distribution_from_counts(d, Counter(x_patterns))
-    py = distribution_from_counts(d, Counter(y_patterns))
+    coincidence = equal / n
+    px = distribution_from_counts(d, x_counts)
+    py = distribution_from_counts(d, y_counts)
     cross = cross_match_probability(px, py)
     return OpdEstimate(
         value=dependence_from_terms(coincidence, cross),
         coincidence=coincidence,
         cross_term=cross,
         window_count=n,
-        skipped_windows=skipped,
+        skipped_windows=len(offsets) - n,
     )

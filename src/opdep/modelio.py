@@ -99,12 +99,13 @@ def _list_in(value: Any, field: str) -> list:
 def _dict_in(value: Any, field: str, allowed: set[str]) -> dict:
     if not isinstance(value, dict):
         raise ModelFormatError(field, f"expected an object, got {type(value).__name__}")
+    prefix = f"{field}." if field else ""
     unknown = set(value) - allowed
     if unknown:
-        raise ModelFormatError(f"{field}.{sorted(unknown)[0]}", "unknown field")
+        raise ModelFormatError(prefix + sorted(unknown)[0], "unknown field")
     missing = allowed - set(value)
     if missing:
-        raise ModelFormatError(f"{field}.{sorted(missing)[0]}", "missing field")
+        raise ModelFormatError(prefix + sorted(missing)[0], "missing field")
     return value
 
 

@@ -683,45 +683,70 @@ def concordance_check(
     )
 
 
+def _choose_cells(rng: np.random.Generator, masses: np.ndarray, n: int) -> Iterator[np.ndarray]:
+    """The cell of each of ``n`` draws, ``_CHUNK`` draws at a time.
+
+    The cells are the values of ``rng.choice(masses.size, size=n,
+    p=masses / masses.sum())``, computed as ``choice`` does: one ``random``
+    value per draw, located in the normalized cumulative masses.  ``rng``
+    moves past all ``n`` values at once (:func:`take_words`), so what it
+    draws next is what it would draw after that ``choice``.
+    """
+    cdf = (masses / masses.sum()).cumsum()
+    cdf /= cdf[-1]
+    stream = take_words(rng, n)
+    for start in range(0, n, _CHUNK):
+        yield cdf.searchsorted(stream.random(min(_CHUNK, n - start)), side="right")
+
+
+def _cell_columns(
+    model: PiecewiseUniformDensity, rng: np.random.Generator, cell: Cell, count: int
+) -> Iterator[np.ndarray]:
+    """The (2*order, rows) coordinates of ``count`` draws from one cell, ``_CHUNK`` rows at a time.
+
+    Each block takes its part of ``rng``'s stream (:func:`take_words`), and
+    its ``uniform`` draws, sorted along each row for a chain, are made a
+    chunk at a time, so they are the values of one draw per block.
+    """
+    streams = [take_words(rng, count * block.size) for block in cell.blocks]
+    for start in range(0, count, _CHUNK):
+        rows = min(_CHUNK, count - start)
+        columns = np.empty((model.dimension, rows))
+        for block, stream in zip(cell.blocks, streams):
+            block_draws = stream.uniform(block.lo, block.hi, size=(rows, block.size))
+            coords = [coordinate_index(model.order, block.axis, p) for p in block.positions]
+            if block.kind == "chain" and block.size == 2:
+                # Uniform draws hold no NaN and no -0.0, so min and max sort a pair exactly.
+                first, second = block_draws.T
+                np.minimum(first, second, out=columns[coords[0]])
+                np.maximum(first, second, out=columns[coords[1]])
+                continue
+            if block.kind == "chain" and block.size > 2:
+                block_draws.sort(axis=1)
+            columns[coords] = block_draws.T
+        yield columns
+
+
 def _cell_draws(
     model: PiecewiseUniformDensity, n: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Per cell with draws, chunks of its rows of the sample and their (2*order, rows) coordinates.
 
-    ``n`` and ``seed`` are checked and the cells chosen by one ``choice`` at
-    once.  When the iterator reaches a cell, each of its blocks takes its
-    part of the stream (:func:`take_words`), and the blocks' ``uniform``
-    draws, sorted along each row for a chain, are made ``_CHUNK`` rows at a
-    time.  A cell's draws are thus the values of one draw per block, and
-    the cell choices and each cell's row indices stay O(n).
+    ``n`` and ``seed`` are checked and every draw's cell chosen
+    (:func:`_choose_cells`) before the iterator is returned; the cells'
+    coordinates are drawn as it reaches them (:func:`_cell_columns`).  The
+    cell choices and each cell's row indices take 8 bytes per draw.
     """
     check_count(n)
     rng = make_rng(seed)
     masses, _ = _cell_masses(model)
-    choice = rng.choice(len(model.cells), size=n, p=masses / masses.sum())
+    choice = np.concatenate(list(_choose_cells(rng, masses, n)))
 
     def draws() -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for ci, cell in enumerate(model.cells):
             rows = np.flatnonzero(choice == ci)
-            if rows.size == 0:
-                continue
-            streams = [take_words(rng, rows.size * block.size) for block in cell.blocks]
-            for start in range(0, rows.size, _CHUNK):
-                chunk = rows[start:start + _CHUNK]
-                columns = np.empty((model.dimension, chunk.size))
-                for block, stream in zip(cell.blocks, streams):
-                    block_draws = stream.uniform(block.lo, block.hi, size=(chunk.size, block.size))
-                    coords = [coordinate_index(model.order, block.axis, p) for p in block.positions]
-                    if block.kind == "chain" and block.size == 2:
-                        # Uniform draws hold no NaN and no -0.0, so min and max sort a pair exactly.
-                        first, second = block_draws.T
-                        np.minimum(first, second, out=columns[coords[0]])
-                        np.maximum(first, second, out=columns[coords[1]])
-                        continue
-                    if block.kind == "chain" and block.size > 2:
-                        block_draws.sort(axis=1)
-                    columns[coords] = block_draws.T
-                yield chunk, columns
+            for start, columns in zip(range(0, rows.size, _CHUNK), _cell_columns(model, rng, cell, rows.size)):
+                yield rows[start:start + _CHUNK], columns
 
     return draws()
 
@@ -753,10 +778,10 @@ def mc_probability(
 
     The standard error is the binomial ``sqrt(p * (1 - p) / n)``.  This
     path works for any chain size, unlike the closed-form cdf/survival.
-    The draws of :func:`sample` are counted a fixed number of rows of one
-    cell at a time, never gathered into one (n, 2*order) array, so the
-    memory that grows with ``n`` is the cell choices and one cell's row
-    indices, 8 bytes per draw each.
+    The draws are those of :func:`sample`.  A cell's draws depend only on
+    how many there are, so the cell choices are only counted, and the
+    draws are counted a fixed number of rows of one cell at a time: the
+    memory used does not grow with ``n``.
 
     Raises:
         OrderTooSmall / OrderTooLarge: a pattern event on a model whose
@@ -764,14 +789,22 @@ def mc_probability(
         ZeroMassCondition / ModelStructureError: the cells' total mass
             underflows to 0.0 or overflows.
     """
-    draws = _cell_draws(model, n, seed)
+    check_count(n)
+    rng = make_rng(seed)
+    masses, _ = _cell_masses(model)
+    counts = sum(np.bincount(cells, minlength=masses.size) for cells in _choose_cells(rng, masses, n))
+    draws = (
+        columns
+        for cell, count in zip(model.cells, counts.tolist())
+        for columns in _cell_columns(model, rng, cell, count)
+    )
     if isinstance(event, PatternCoincidence):
         d = model.order
-        hits = (pattern_codes(cols[:d].T) == pattern_codes(cols[d:].T) for _, cols in draws)
+        hits = (pattern_codes(cols[:d].T) == pattern_codes(cols[d:].T) for cols in draws)
     elif isinstance(event, (LowerOrthant, UpperOrthant)):
         pt = np.asarray(_check_point(model, event.point))[:, None]
         inside = np.less_equal if isinstance(event, LowerOrthant) else np.greater_equal
-        hits = (inside(cols, pt).all(axis=0) for _, cols in draws)
+        hits = (inside(cols, pt).all(axis=0) for cols in draws)
     else:
         raise InvalidParameter(f"unknown event {event!r}")
     estimate = float(sum(int(np.count_nonzero(cell_hits)) for cell_hits in hits) / n)

@@ -48,6 +48,7 @@ def take_words(rng: np.random.Generator, words: int) -> np.random.Generator:
     bit_generator.random_raw(buffered, output=False)
     rest = words - buffered
     if rest:
-        bit_generator.advance(rest // 4)
+        # ``advance`` overflows on a NumPy integer, so it gets a Python one.
+        bit_generator.advance(int(rest // 4))
         bit_generator.random_raw(rest % 4, output=False)
     return np.random.Generator(taken)

@@ -228,6 +228,21 @@ def test_model_validate_rejects_bad_mass(capsys, tmp_path):
     assert "invalid" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "expected a JSON object, got list"),
+        ("not json", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"kind": "piecewise", "order": 2, "cells": [], "extra": 1}', "extra: unknown field"),
+        ('{"kind": "discrete", "order": 1}', "atoms: missing field"),
+    ],
+)
+def test_model_format_error_at_the_document_root_has_no_empty_path(capsys, tmp_path, text, message):
+    path = tmp_path / "model.json"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "model", "validate", str(path)) == (2, "", f"error: model format: {message}\n")
+
+
 def test_model_opd(capsys, f_model_path, discrete_model_path):
     code, out, _ = run_cli(capsys, "model", "opd", f_model_path, "--format", "json")
     assert code == 0

@@ -1,6 +1,8 @@
 """Estimator: hand-enumerated window oracles, gap handling, invariances."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,17 +29,27 @@ def test_pair_validation():
     with pytest.raises(DimensionMismatch):
         TimeSeriesPair([1.0, 2.0], [1.0])
     pair = TimeSeriesPair([1, 2], [3, 4])
-    assert pair.x == (1.0, 2.0) and len(pair) == 2
+    assert tuple(pair.x) == (1.0, 2.0) and len(pair) == 2
 
 
-def test_pair_keeps_a_tuple_of_floats_and_converts_other_input():
+def test_pair_holds_read_only_float64_arrays_and_converts_other_input():
     xs, ys = (1.0, NAN), (2.5, -0.0)
     pair = TimeSeriesPair(xs, ys)
-    assert pair.x is xs and pair.y is ys
-    # Ints, float subclasses, lists and generators are converted value for value.
-    for raw in ((1, 2.0), (np.float64(1.0), 2.0), [1.0, 2.0], (v for v in (1, 2))):
+    for values, array in ((xs, pair.x), (ys, pair.y)):
+        assert type(array) is np.ndarray and array.dtype == np.float64 and array.ndim == 1
+        assert not array.flags.writeable
+        assert struct.pack("<2d", *values) == array.tobytes()
+    # A float64 array is copied, so writing to it leaves the pair as it was.
+    column = np.array([1.0, 2.0])
+    pair = TimeSeriesPair(column, column)
+    column[0] = 5.0
+    assert tuple(pair.x) == (1.0, 2.0) and pair.x is not pair.y
+    # Ints, float subclasses, lists, generators and other arrays are converted value for value.
+    for raw in ((1, 2.0), (np.float64(1.0), 2.0), [1.0, 2.0], (v for v in (1, 2)), np.array([1, 2])):
         x = TimeSeriesPair(raw, (3.0, 4.0)).x
-        assert x == (1.0, 2.0) and {type(v) for v in x} == {float}
+        assert tuple(x) == (1.0, 2.0) and x.dtype == np.float64
+    with pytest.raises(TypeError, match="not 'NoneType'"):
+        TimeSeriesPair((1.0, None), (1.0, 2.0))
     with pytest.raises(ValueError, match="could not convert string to float: 'a'"):
         TimeSeriesPair((1.0, "a"), (1.0, 2.0))
     with pytest.raises(TypeError, match="not iterable"):
@@ -174,3 +186,20 @@ def test_estimate_terms_are_probabilities(xs, ys):
     assert est.skipped_windows == 0
     # determinism
     assert empirical_opd(pair, d=2) == est
+
+
+def test_empirical_opd_memory_does_not_grow_with_the_series():
+    def peak(n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        pair = TimeSeriesPair(x, x + rng.standard_normal(n))
+        tracemalloc.start()
+        try:
+            # At step 4, 10^5 points fill one chunk of window offsets and part of a second.
+            empirical_opd(pair, d=5, step=4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10**5), peak(4 * 10**5)
+    assert large - small < 2**20, (small, large)

@@ -616,7 +616,7 @@ def test_an_integer_too_large_for_a_float_is_a_format_error_at_its_field(name):
 
 def test_an_integer_beyond_the_digit_limit_is_invalid_json():
     text = _law_text('{"point": [' + "9" * 5000 + ', "0.0"], "prob": "1.0"}')
-    with pytest.raises(ModelFormatError, match=r"^: invalid JSON: Exceeds the limit \(4300 digits\)") as info:
+    with pytest.raises(ModelFormatError, match=r"^invalid JSON: Exceeds the limit \(4300 digits\)") as info:
         model_from_json(text)
     assert info.value.field == ""
 

@@ -153,6 +153,24 @@ def test_take_words_splits_a_reference_stream_bit_for_bit(seed):
     assert positions == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("n", [1, 2, pw._CHUNK - 1, pw._CHUNK, pw._CHUNK + 1, 2 * pw._CHUNK, 3 * pw._CHUNK + 5])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cells_are_chosen_in_chunks_as_generator_choice_chooses_them(n, seed):
+    masses = np.random.default_rng(seed).random(7)
+    masses[seed % 7] = 1e-300
+    for drawn in range(4):
+        reference = np.random.Generator(np.random.Philox(seed))
+        reference.random(drawn)
+        expected = reference.choice(masses.size, size=n, p=masses / masses.sum())
+        rng = make_rng(seed)
+        rng.random(drawn)
+        chunks = list(pw._choose_cells(rng, masses, n))
+        assert max(chunk.size for chunk in chunks) == min(n, pw._CHUNK)
+        cells = np.concatenate(chunks)
+        assert cells.dtype == expected.dtype and cells.tobytes() == expected.tobytes()
+        assert rng.random(9).tobytes() == reference.random(9).tobytes()
+
+
 # -- the shipped models ------------------------------------------------------------------
 
 MODELS = Path(__file__).resolve().parent.parent / "models"

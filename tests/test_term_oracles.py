@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import discrete as disc
+from opdep import estimator
 from opdep import piecewise as pw
 from opdep.discrete import DiscreteJoint
 from opdep.errors import EmptyInput, IndexOutOfRange
@@ -180,6 +181,24 @@ def _series(seed: int, n: int = 240) -> TimeSeriesPair:
 @pytest.mark.parametrize("seed", range(6))
 def test_empirical_opd_equals_the_dict_count_estimator(seed, d, step):
     pair = _series(seed)
+    assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_empirical_opd_over_several_chunks_equals_the_dict_count_estimator(d, step):
+    # Three chunks of window offsets and part of a fourth.
+    values_per_chunk = estimator._CHUNK * step
+    n = 3 * values_per_chunk + 5 * step + d
+    rng = np.random.default_rng(100 * d + step)
+    x = rng.integers(0, 4, size=n).astype(float)
+    y = np.where(rng.random(n) < 0.5, x, rng.integers(0, 4, size=n))
+    # Non-finite runs across the first values of the second and third chunks;
+    # the windows on either side of the fourth chunk's first value are finite.
+    x[values_per_chunk - 2 : values_per_chunk + 3] = [math.nan, math.inf, -math.inf, math.nan, math.inf]
+    y[2 * values_per_chunk - 1 : 2 * values_per_chunk + 1] = [-math.inf, math.nan]
+    pair = TimeSeriesPair(x, y)
+    assert len(range(0, n - d + 1, step)) > 3 * estimator._CHUNK
     assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
 
 
