@@ -264,8 +264,29 @@ def cell_mass(cell: Cell) -> float:
     return mass
 
 
+def _masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
+    """Every cell's mass, and their total.
+
+    Raises:
+        ModelStructureError: a cell's mass or the total overflows.
+    """
+    try:
+        masses = np.array([cell_mass(cell) for cell in model.cells])
+        mass = math.fsum(masses.tolist())
+    except OverflowError:
+        mass = math.inf
+    if mass == math.inf:
+        raise ModelStructureError("the cells' total mass overflows; the model's law is undefined")
+    return masses, mass
+
+
 def total_mass(model: PiecewiseUniformDensity) -> float:
-    return math.fsum(cell_mass(c) for c in model.cells)
+    """Sum of the cells' masses; 0.0 when every cell's mass underflows.
+
+    Raises:
+        ModelStructureError: a cell's mass or the total overflows.
+    """
+    return _masses(model)[1]
 
 
 def _cell_coordinate_intervals(cell: Cell, order: int) -> list[tuple[float, float]]:
@@ -347,14 +368,15 @@ def validate(
 
     Raises:
         InvalidParameter: tol is NaN, infinite or negative.
+        ModelStructureError: a cell's mass or the total overflows.
         MassNotOne: the total mass differs from ``expected_mass`` by more
-            than ``tol``.
+            than ``tol``, or either is NaN.
         OverlappingCells: two cells intersect with positive measure, so the
             cell decomposition double-counts density.
     """
     _check_tol(tol)
     mass = total_mass(model)
-    if abs(mass - expected_mass) > tol:
+    if not abs(mass - expected_mass) <= tol:
         raise MassNotOne(mass, expected_mass)
     for i, j in itertools.combinations(range(len(model.cells)), 2):
         if cells_overlap(model.cells[i], model.cells[j], model.order):
@@ -492,19 +514,13 @@ def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.n
 
 
 def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
-    """Every cell's mass, and their total.
+    """Every cell's mass, and their total, which must be positive.
 
     Raises:
         ModelStructureError: a cell's mass or the total overflows.
         ZeroMassCondition: the total is 0.0, as when every cell's mass underflows.
     """
-    try:
-        masses = np.array([cell_mass(cell) for cell in model.cells])
-        mass = math.fsum(masses.tolist())
-    except OverflowError:
-        mass = math.inf
-    if mass == math.inf:
-        raise ModelStructureError("the cells' total mass overflows; the model's law is undefined")
+    masses, mass = _masses(model)
     if not mass > 0.0:
         raise ZeroMassCondition(f"the cells' total mass is {mass!r}; the model's law is undefined")
     return masses, mass

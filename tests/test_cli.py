@@ -228,6 +228,37 @@ def test_model_validate_rejects_bad_mass(capsys, tmp_path):
     assert "invalid" in out
 
 
+def _overflow_model_text(order, y_lo, y_hi):
+    """A one-cell piecewise model whose x block spans every position on (-1e300, 1e300)."""
+    positions = list(range(1, order + 1))
+    blocks = [
+        {"axis": "x", "positions": positions, "lo": "-1e300", "hi": "1e300", "kind": "free"},
+        {"axis": "y", "positions": positions, "lo": y_lo, "hi": y_hi, "kind": "free"},
+    ]
+    return json.dumps({"kind": "piecewise", "order": order, "cells": [{"value": "1.0", "blocks": blocks}]})
+
+
+OVERFLOW = "the cells' total mass overflows; the model's law is undefined"
+
+
+@pytest.mark.parametrize(
+    "order, y_lo, y_hi",
+    [
+        (2, "0.0", "1.0"),  # (2e300) ** 2 raises OverflowError in cell_mass
+        (1, "-1e300", "1e300"),  # 2e300 * 2e300 is inf
+    ],
+)
+def test_model_validate_reports_an_overflowing_mass_as_invalid(capsys, tmp_path, order, y_lo, y_hi):
+    path = tmp_path / "overflow.json"
+    path.write_text(_overflow_model_text(order, y_lo, y_hi), encoding="utf-8")
+    assert run_cli(capsys, "model", "validate", str(path)) == (1, f"invalid: {OVERFLOW}\n", "")
+    code, out, err = run_cli(capsys, "model", "validate", str(path), "--format", "json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"valid": False, "kind": "piecewise", "order": order, "error": OVERFLOW}
+    code, _, err = run_cli(capsys, "model", "opd", str(path))
+    assert code == 2 and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

@@ -56,6 +56,30 @@ def test_pair_holds_read_only_float64_arrays_and_converts_other_input():
         TimeSeriesPair(1.0, (1.0,))
 
 
+SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1 / 3]
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([2**63 - 1, -(2**63 - 1), -(2**63), 2**53 + 1, -(2**53 + 1), 0], dtype=np.int64),
+        np.array([2**64 - 1, 2**53 + 1, 0], dtype=np.uint64),
+        np.array([-128, 127], dtype=np.int8),
+        np.array(SPECIALS + [65504.0], dtype=np.float16),
+        np.array(SPECIALS + [3.4e38], dtype=np.float32),
+        np.array(SPECIALS + [1e308], dtype=np.longdouble),
+        np.array(SPECIALS, dtype=">f8"),
+        np.array([True, False, True]),
+    ],
+    ids=lambda array: array.dtype.str,
+)
+def test_a_numeric_array_is_cast_to_the_floats_float_gives(array):
+    pair = TimeSeriesPair(array, array)
+    expected = np.fromiter(map(float, array), float).tobytes()
+    assert pair.x.tobytes() == expected and pair.y.tobytes() == expected
+    assert not pair.x.flags.writeable and pair.x.dtype == np.float64
+
+
 def test_sliding_patterns_hand_enumeration():
     # windows: (1,2)->(1,2), (2,3)->(1,2), (3,2)->(2,1), (2,1)->(2,1)
     series = [1, 2, 3, 2, 1]

@@ -123,6 +123,27 @@ def test_validate_mass():
     validate(m, expected_mass=2.0)
 
 
+def test_validate_refuses_a_nan_expected_mass():
+    with pytest.raises(MassNotOne) as err:
+        validate(build_counterexample().f, expected_mass=math.nan)
+    assert err.value.actual == 1.0 and math.isnan(err.value.expected)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # (2e300) ** 2 raises OverflowError in cell_mass.
+        model(2, Cell(1.0, (free("x", (1, 2), -1e300, 1e300), free("y", (1, 2), 0, 1)))),
+        # 2e300 * 2e300 is inf.
+        model(1, Cell(1.0, (free("x", (1,), -1e300, 1e300), free("y", (1,), -1e300, 1e300)))),
+    ],
+)
+def test_an_overflowing_mass_is_a_structure_error(m):
+    for call in (total_mass, validate):
+        with pytest.raises(ModelStructureError, match=r"^the cells' total mass overflows; "):
+            call(m)
+
+
 def test_validate_overlap_identical_cells():
     c = Cell(0.5, (free("x", (1,), 0, 1), free("y", (1,), 0, 1)))
     with pytest.raises(OverlappingCells) as err:

@@ -2,14 +2,16 @@
 
 The functions named ``oracle_*`` are the bodies that derived these terms
 before: the piecewise and discrete coincidence helpers, the factorial-base
-pattern decoder and the dict-count estimator, kept verbatim.  The new code
-must agree with them bit for bit.
+pattern decoder and the dict-count estimator with its per-offset window
+check (``_finite_window``), kept verbatim.  The new code must agree with
+them bit for bit.
 """
 
 import math
 import struct
 from dataclasses import replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from opdep.errors import EmptyInput, IndexOutOfRange
 from opdep.estimator import (
     OpdEstimate,
     TimeSeriesPair,
-    _finite_window,
     _window_offsets,
     empirical_opd,
 )
@@ -87,6 +88,14 @@ def oracle_index_to_pattern(index: int, d: int) -> Pattern:
         pos, rem = divmod(rem, f)
         ranks.append(remaining.pop(pos))
     return tuple(ranks)
+
+
+def _finite_window(series: Sequence[float], start: int, d: int) -> tuple[float, ...] | None:
+    window = series[start : start + d]
+    for v in window:
+        if not math.isfinite(v):
+            return None
+    return tuple(window)
 
 
 def oracle_empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1, tol: float = 1e-12) -> OpdEstimate:
@@ -177,7 +186,7 @@ def _series(seed: int, n: int = 240) -> TimeSeriesPair:
 
 
 @pytest.mark.parametrize("step", [1, 2, 3])
-@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("d", range(2, 9))
 @pytest.mark.parametrize("seed", range(6))
 def test_empirical_opd_equals_the_dict_count_estimator(seed, d, step):
     pair = _series(seed)
