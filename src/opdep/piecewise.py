@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -255,13 +256,28 @@ def cell_mass(cell: Cell) -> float:
 
     A free block of size k contributes ``length ** k``; a chain block
     contributes ``length ** k / k!`` (the simplex fraction of the cube).
+    The running product is held as a mantissa times a power of two, so only
+    the result leaves the float range (OverflowError above it, 0.0 below);
+    where every step of the plain float product is finite and normal, the
+    result is that product.
     """
-    mass = cell.value
+    mantissa, exponent = math.frexp(cell.value)
     for block in cell.blocks:
-        mass *= block.length ** block.size
+        try:
+            power = block.length ** block.size
+        except OverflowError:
+            power = math.inf
+        if sys.float_info.min <= power < math.inf:
+            factor, shift = math.frexp(power)
+        else:
+            length, shift = math.frexp(block.length)
+            factor, shift = length ** block.size, shift * block.size
+        mantissa *= factor
         if block.kind == "chain":
-            mass /= math.factorial(block.size)
-    return mass
+            mantissa /= math.factorial(block.size)
+        mantissa, scale = math.frexp(mantissa)
+        exponent += shift + scale
+    return math.ldexp(mantissa, exponent)
 
 
 def _masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
@@ -743,30 +759,6 @@ def _cell_columns(
         yield columns
 
 
-def _cell_draws(
-    model: PiecewiseUniformDensity, n: int, seed: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per cell with draws, chunks of its rows of the sample and their (2*order, rows) coordinates.
-
-    ``n`` and ``seed`` are checked and every draw's cell chosen
-    (:func:`_choose_cells`) before the iterator is returned; the cells'
-    coordinates are drawn as it reaches them (:func:`_cell_columns`).  The
-    cell choices and each cell's row indices take 8 bytes per draw.
-    """
-    check_count(n)
-    rng = make_rng(seed)
-    masses, _ = _cell_masses(model)
-    choice = np.concatenate(list(_choose_cells(rng, masses, n)))
-
-    def draws() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for ci, cell in enumerate(model.cells):
-            rows = np.flatnonzero(choice == ci)
-            for start, columns in zip(range(0, rows.size, _CHUNK), _cell_columns(model, rng, cell, rows.size)):
-                yield rows[start:start + _CHUNK], columns
-
-    return draws()
-
-
 def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` points from the model; returns an (n, 2*order) array.
 
@@ -780,10 +772,15 @@ def sample(model: PiecewiseUniformDensity, n: int, seed: int) -> np.ndarray:
         ZeroMassCondition / ModelStructureError: the cells' total mass
             underflows to 0.0 or overflows.
     """
-    draws = _cell_draws(model, n, seed)
+    check_count(n)
+    rng = make_rng(seed)
+    masses, _ = _cell_masses(model)
+    choice = np.concatenate(list(_choose_cells(rng, masses, n)))
     out = np.empty((n, model.dimension))
-    for rows, columns in draws:
-        out[rows] = columns.T
+    for ci, cell in enumerate(model.cells):
+        rows = np.flatnonzero(choice == ci)
+        for start, columns in zip(range(0, rows.size, _CHUNK), _cell_columns(model, rng, cell, rows.size)):
+            out[rows[start:start + _CHUNK]] = columns.T
     return out
 
 

@@ -23,9 +23,9 @@ def check_count(n: int) -> None:
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise InvalidParameter(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(int(seed)))
 
 
 def take_words(rng: np.random.Generator, words: int) -> np.random.Generator:

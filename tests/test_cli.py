@@ -259,6 +259,55 @@ def test_model_validate_reports_an_overflowing_mass_as_invalid(capsys, tmp_path,
     assert code == 2 and "Traceback" not in err
 
 
+# Two one-cell models of mass 1 whose plain float product of block factors
+# overflows or underflows on the way: inf * 0.0 in the first, overflow in the second.
+WIDE_BLOCKS = {
+    "infinite_times_zero": ("1.0", [
+        {"axis": "x", "positions": [1], "lo": "-1e200", "hi": "0.0", "kind": "free"},
+        {"axis": "x", "positions": [2], "lo": "0.0", "hi": "1e200", "kind": "free"},
+        {"axis": "y", "positions": [1, 2], "lo": "0.0", "hi": "1e-200", "kind": "free"},
+    ], "0.9999999999999999"),
+    "overflow_then_back": ("2e-300", [
+        {"axis": "x", "positions": [1, 2], "lo": "0.0", "hi": "1e-10", "kind": "free"},
+        {"axis": "y", "positions": [1, 2], "lo": "0.0", "hi": "1e160", "kind": "chain"},
+    ], "1.0"),
+}
+
+
+def _wide_model_path(tmp_path, name):
+    value, blocks, _ = WIDE_BLOCKS[name]
+    path = tmp_path / "wide.json"
+    cells = [{"value": value, "blocks": blocks}]
+    path.write_text(json.dumps({"kind": "piecewise", "order": 2, "cells": cells}), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_BLOCKS))
+def test_a_mass_whose_float_product_leaves_the_range_validates(capsys, tmp_path, name):
+    path, mass = _wide_model_path(tmp_path, name), WIDE_BLOCKS[name][2]
+    expected = f"valid piecewise model, order 2, mass {mass}\n"
+    assert run_cli(capsys, "model", "validate", path) == (0, expected, "")
+    code, out, err = run_cli(capsys, "model", "validate", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {"valid": True, "kind": "piecewise", "order": 2, "total_mass": float(mass)}, indent=2
+    ) + "\n"
+    assert run_cli(capsys, "model", "opd", path) == (0, "value 0.0\ncoincidence 0.5\n", "")
+    code, out, err = run_cli(capsys, "model", "opd", path, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"value": 0.0, "coincidence": 0.5}, indent=2) + "\n"
+
+
+def test_a_model_whose_float_product_overflows_samples_inside_its_blocks(capsys, tmp_path):
+    path = _wide_model_path(tmp_path, "overflow_then_back")
+    code, out, err = run_cli(capsys, "model", "sample", path, "--seed", "3", "--count", "200")
+    assert (code, err) == (0, "")
+    x1, x2, y1, y2 = [list(column) for column in zip(*(map(float, line.split(",")) for line in out.splitlines()))]
+    assert len(x1) == 200
+    assert all(0.0 <= x <= 1e-10 for x in x1 + x2)
+    assert all(0.0 <= a <= b <= 1e160 for a, b in zip(y1, y2))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [

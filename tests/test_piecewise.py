@@ -1,9 +1,12 @@
 """Piecewise engine: quadrature oracles, geometry checks, sampling, MC."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opdep.errors import (
     AmbiguousBlockOrder,
@@ -82,6 +85,65 @@ def test_cell_mass_formulas():
     assert cell_mass(c) == 2.0 * 1.0 * 4.0
     c = Cell(1.0, (chain("x", (1, 2, 3), 0.0, 2.0), free("y", (1, 2, 3), 0.0, 1.0)))
     assert cell_mass(c) == pytest.approx(8.0 / 6.0, abs=1e-15)
+
+
+def oracle_cell_mass(cell, steps):
+    """``cell_mass`` as it was when the product was taken in floats; each intermediate goes to ``steps``."""
+    mass = cell.value
+    for block in cell.blocks:
+        power = block.length ** block.size
+        mass *= power
+        steps += [power, mass]
+        if block.kind == "chain":
+            mass /= math.factorial(block.size)
+            steps.append(mass)
+    return mass
+
+
+@st.composite
+def scaled_cells(draw, max_exponent):
+    """Cells of 1–4 blocks of size 1–4; the value and each block's hi are
+    ``m * 10.0 ** e`` with 1 <= m < 10 and |e| <= max_exponent, and lo is 0 or -hi/2."""
+    def scaled():
+        mantissa = draw(st.floats(1.0, 10.0, exclude_max=True))
+        return mantissa * 10.0 ** draw(st.integers(-max_exponent, max_exponent))
+
+    blocks = []
+    for axis in draw(st.lists(st.sampled_from("xy"), min_size=1, max_size=4)):
+        hi = scaled()
+        lo = -hi * draw(st.sampled_from((0.0, 0.5)))
+        positions = tuple(range(1, draw(st.integers(1, 4)) + 1))
+        blocks.append(Block(axis, positions, lo, hi, draw(st.sampled_from(("free", "chain")))))
+    return Cell(scaled(), tuple(blocks))
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(scaled_cells(max_exponent=30))
+def test_cell_mass_is_the_float_product_wherever_its_intermediates_are_normal(cell):
+    steps = []
+    try:
+        expected = oracle_cell_mass(cell, steps)
+    except OverflowError:
+        return
+    if all(sys.float_info.min <= step < math.inf for step in steps):
+        assert cell_mass(cell).hex() == expected.hex()
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(scaled_cells(max_exponent=300))
+def test_cell_mass_is_within_a_few_roundings_of_the_exact_product(cell):
+    exact = Fraction(cell.value)
+    for block in cell.blocks:
+        exact *= Fraction(block.length) ** block.size
+        if block.kind == "chain":
+            exact /= math.factorial(block.size)
+    largest = Fraction(sys.float_info.max)
+    if exact > 2 * largest:
+        with pytest.raises(OverflowError):
+            cell_mass(cell)
+    elif exact < largest / 2:
+        error = abs(Fraction(cell_mass(cell)) - exact)
+        assert error <= exact * Fraction(2) ** -48 + Fraction(2) ** -1074
 
 
 def test_block_and_cell_validation():

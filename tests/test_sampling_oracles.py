@@ -213,12 +213,27 @@ def test_shipped_models_draw_as_the_former_bodies_in_small_chunks(name, chunk):
             assert_same_draws(model, _centre_events(model), n, SEEDS[chunk % len(SEEDS)])
 
 
+def chunk_widths(model, n, seed):
+    """The rows in each chunk ``_cell_columns`` yields while ``sample`` draws ``n`` points."""
+    widths = []
+    cell_columns = pw._cell_columns
+
+    def recording(*args):
+        for columns in cell_columns(*args):
+            widths.append(columns.shape[1])
+            yield columns
+
+    with mock.patch.object(pw, "_cell_columns", recording):
+        pw.sample(model, n, seed)
+    return widths
+
+
 @pytest.mark.parametrize("name", sorted(SHIPPED))
 def test_shipped_models_draw_as_the_former_bodies_past_a_chunk(name):
     model = SHIPPED[name]
     # With this many draws some cell gets more than one chunk of rows.
     n = len(model.cells) * pw._CHUNK + 1
-    assert max(rows.size for rows, _ in pw._cell_draws(model, n, 3)) == pw._CHUNK
+    assert max(chunk_widths(model, n, 3)) == pw._CHUNK
     assert_same_draws(model, _centre_events(model), n, 3)
 
 
@@ -313,7 +328,7 @@ def test_chains_and_cells_without_draws_across_small_chunks(chunk):
 def test_chains_draw_as_the_former_bodies_one_row_past_a_chunk():
     model = _chained_model(second=False)
     n = pw._CHUNK + 1
-    assert [rows.size for rows, _ in pw._cell_draws(model, n, 2)] == [pw._CHUNK, 1]
+    assert chunk_widths(model, n, 2) == [pw._CHUNK, 1]
     assert_same_draws(model, CHAIN_EVENTS, n, 2)
 
 
@@ -431,3 +446,28 @@ def test_a_numpy_integer_count_draws_as_a_python_one():
     event = LowerOrthant((0.5,) * 4)
     assert repr(pw.mc_probability(model, event, np.int32(17), 2)) == repr(pw.mc_probability(model, event, 17, 2))
     assert disc.sample(law, np.int64(5), 2) == disc.sample(law, 5, 2)
+
+
+@pytest.mark.parametrize("seed", [np.int64(2), np.uint64(2), np.int8(2), np.uint64(2**40 + 7)])
+def test_a_numpy_integer_seed_draws_as_the_equal_python_one(seed):
+    model = SHIPPED["counterexample_f"]
+    law = load_model(MODELS / "example43_law.json")
+    same = int(seed)
+    assert pw.sample(model, 17, seed).tobytes() == pw.sample(model, 17, same).tobytes()
+    for event in (PatternCoincidence(), LowerOrthant((0.5,) * 4)):
+        assert repr(pw.mc_probability(model, event, 17, seed)) == repr(pw.mc_probability(model, event, 17, same))
+    assert disc.sample(law, 5, seed) == disc.sample(law, 5, same)
+
+
+@pytest.mark.parametrize("seed", [np.bool_(True), np.bool_(False), True, np.int64(-1), np.int8(-3), -1, 1.0, np.float64(2.0)])
+def test_a_seed_that_is_not_a_nonnegative_integer_is_refused_by_both_engines(seed):
+    model = SHIPPED["counterexample_f"]
+    law = load_model(MODELS / "example43_law.json")
+    calls = [
+        lambda: pw.sample(model, 3, seed),
+        lambda: pw.mc_probability(model, PatternCoincidence(), 3, seed),
+        lambda: disc.sample(law, 3, seed),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidParameter, match=r"^seed must be a nonnegative integer, got "):
+            call()
