@@ -263,6 +263,9 @@ def cell_mass(cell: Cell) -> float:
     """
     mantissa, exponent = math.frexp(cell.value)
     for block in cell.blocks:
+        # pow need not round correctly, so the power of the mantissa can
+        # differ in its last bit from ``length ** size``; it is used only
+        # where that power leaves the normal range.
         try:
             power = block.length ** block.size
         except OverflowError:

@@ -404,7 +404,7 @@ def _free_cells(*value_and_length):
         (_free_cells((1e-300, 1e-10)), ZeroMassCondition, r"^the cells' total mass is 0\.0; "),
         # value * length ** 4 overflows to inf.
         (_free_cells((1e308, 10.0)), ModelStructureError, r"^the cells' total mass overflows; "),
-        # length ** 2 overflows in cell_mass.
+        # 1.0 * (1e200) ** 4 overflows the float range.
         (_free_cells((1.0, 1e200)), ModelStructureError, r"^the cells' total mass overflows; "),
         # Each mass is finite and their sum overflows.
         (_free_cells((1e307, 2.0), (1e307, 2.0)), ModelStructureError, r"^the cells' total mass overflows; "),
