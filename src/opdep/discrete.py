@@ -57,6 +57,7 @@ from .patterns import (
     dependence_from_terms,
     pattern_codes,
 )
+from .randomness import check_count, make_rng
 from .records import Record
 
 log = logging.getLogger(__name__)
@@ -348,8 +349,6 @@ exact_opd_discrete = exact_opd
 
 def sample(dist: DiscreteJoint, n: int, seed: int) -> list[Point]:
     """Draw ``n`` atoms by probability; Philox-seeded like continuous sampling."""
-    from .randomness import check_count, make_rng
-
     check_count(n)
     rng = make_rng(seed)
     total = math.fsum(dist._probs.tolist())

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -101,8 +100,8 @@ class Block:
             raise ModelStructureError(f"duplicate positions in block: {positions}")
         lo = float(self.lo)
         hi = float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-            raise ModelStructureError(f"need finite lo < hi, got [{lo}, {hi}]")
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ModelStructureError(f"need lo < hi with a finite width hi - lo, got [{lo}, {hi}]")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
@@ -256,31 +255,18 @@ def cell_mass(cell: Cell) -> float:
 
     A free block of size k contributes ``length ** k``; a chain block
     contributes ``length ** k / k!`` (the simplex fraction of the cube).
-    The running product is held as a mantissa times a power of two, so only
-    the result leaves the float range (OverflowError above it, 0.0 below);
-    where every step of the plain float product is finite and normal, the
-    result is that product.
+    The product is taken exactly as a ratio of integers and rounded once, so
+    the mass is correctly rounded: OverflowError above the float range, 0.0
+    below it.
     """
-    mantissa, exponent = math.frexp(cell.value)
+    numerator, denominator = cell.value.as_integer_ratio()
     for block in cell.blocks:
-        # pow need not round correctly, so the power of the mantissa can
-        # differ in its last bit from ``length ** size``; it is used only
-        # where that power leaves the normal range.
-        try:
-            power = block.length ** block.size
-        except OverflowError:
-            power = math.inf
-        if sys.float_info.min <= power < math.inf:
-            factor, shift = math.frexp(power)
-        else:
-            length, shift = math.frexp(block.length)
-            factor, shift = length ** block.size, shift * block.size
-        mantissa *= factor
+        top, bottom = block.length.as_integer_ratio()
+        numerator *= top**block.size
+        denominator *= bottom**block.size
         if block.kind == "chain":
-            mantissa /= math.factorial(block.size)
-        mantissa, scale = math.frexp(mantissa)
-        exponent += shift + scale
-    return math.ldexp(mantissa, exponent)
+            denominator *= math.factorial(block.size)
+    return numerator / denominator
 
 
 def _masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
@@ -291,12 +277,9 @@ def _masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
     """
     try:
         masses = np.array([cell_mass(cell) for cell in model.cells])
-        mass = math.fsum(masses.tolist())
+        return masses, math.fsum(masses.tolist())
     except OverflowError:
-        mass = math.inf
-    if mass == math.inf:
-        raise ModelStructureError("the cells' total mass overflows; the model's law is undefined")
-    return masses, mass
+        raise ModelStructureError("the cells' total mass overflows; the model's law is undefined") from None
 
 
 def total_mass(model: PiecewiseUniformDensity) -> float:

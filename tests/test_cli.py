@@ -309,6 +309,39 @@ def test_a_model_whose_float_product_overflows_samples_inside_its_blocks(capsys,
 
 
 @pytest.mark.parametrize(
+    "action",
+    [["cdf", "--point", "inf,inf"], ["validate"], ["sample", "--seed", "1", "--count", "3"]],
+    ids=["cdf", "validate", "sample"],
+)
+def test_a_block_wider_than_the_float_range_is_a_format_error(capsys, tmp_path, action):
+    """Both bounds are finite, but hi - lo = 2e308 is not."""
+    blocks = [
+        {"axis": "x", "positions": [1], "lo": "-1e308", "hi": "1e308", "kind": "free"},
+        {"axis": "y", "positions": [1], "lo": "0.0", "hi": "1.0", "kind": "free"},
+    ]
+    path = tmp_path / "wide.json"
+    cells = [{"value": "2.5e-309", "blocks": blocks}]
+    path.write_text(json.dumps({"kind": "piecewise", "order": 1, "cells": cells}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "model", action[0], str(path), *action[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: model format: cells[0].blocks[0]: ") and "Traceback" not in err
+
+
+def test_a_chain_of_171_positions_validates_to_its_mass(capsys, tmp_path):
+    """171! is above the float range, but the cell's mass 1e300 / 171! is not."""
+    positions = list(range(1, 172))
+    blocks = [
+        {"axis": "x", "positions": positions, "lo": "0.0", "hi": "1.0", "kind": "chain"},
+        {"axis": "y", "positions": positions, "lo": "0.0", "hi": "1.0", "kind": "free"},
+    ]
+    path = tmp_path / "chain171.json"
+    cells = [{"value": "1e300", "blocks": blocks}]
+    path.write_text(json.dumps({"kind": "piecewise", "order": 171, "cells": cells}), encoding="utf-8")
+    expected = "invalid: total mass 8.057900396443103e-10 differs from expected 1.0\n"
+    assert run_cli(capsys, "model", "validate", str(path)) == (1, expected, "")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("[1]", "expected a JSON object, got list"),
