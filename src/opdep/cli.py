@@ -24,6 +24,7 @@ import logging
 import os
 import sys
 import warnings
+from array import array
 from pathlib import Path
 from typing import Sequence
 
@@ -76,10 +77,13 @@ def _parse_point(raw: str) -> tuple[float, ...]:
 # separators \x1c-\x1f around a number where float() rejects them, and
 # csv rejects NUL on Python 3.10.
 _ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
+# Characters screened at a time.  A read of n characters briefly holds the
+# raw bytes, their decoded pieces and the joined text, about 5n bytes.
+_SCREEN_CHUNK = 2**16
 
 
-def _parse_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Both columns of a CSV file, parsed in one C-level pass.
+def _parse_columns(path: str) -> np.ndarray:
+    """Both columns of a CSV file as an ``(n, 2)`` float64 table, parsed in one C-level pass.
 
     Takes only files on which it gives the row loop's values: a first line
     of two or more fields (a header if either of its first two fields is
@@ -89,16 +93,20 @@ def _parse_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
     warning turned into an error, and the row loop reads it instead.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        text = handle.read()
-    for char in _ROW_LOOP_ONLY:
-        if char in text:
-            raise ValueError(f"the file contains {char!r}")
-    # Lines end at \n, \r\n or a lone \r, for the row loop and for numpy's
-    # universal newlines alike.
-    fields = text.partition("\n")[0].partition("\r")[0].split(",")
-    # numpy reads the file again: parsing the text held here would need a
-    # StringIO, whose buffer takes four bytes a character.
-    del text
+        # Lines end at \n, \r\n or a lone \r, for readline, the row loop and
+        # numpy's universal newlines alike.  Of the text, only the first line
+        # and one chunk are held; numpy reads the file again by its path.
+        chunk = first_line = handle.readline()
+        line_ends = 0
+        while chunk:
+            for char in _ROW_LOOP_ONLY:
+                if char in chunk:
+                    raise ValueError(f"the file contains {char!r}")
+            # A \r\n split between chunks counts twice, which only loosens the
+            # bound on the rows below.
+            line_ends += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
+            chunk = handle.read(_SCREEN_CHUNK)
+    fields = first_line.rstrip("\r\n").split(",")
     if len(fields) < 2 or not any(field.strip() for field in fields):
         raise ValueError("the first line is not a row of two or more fields")
     try:
@@ -109,17 +117,20 @@ def _parse_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
         header = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # loadtxt warns on a file without data rows
-        table = np.loadtxt(
+        # Given at least the number of rows (the last line may have no end),
+        # loadtxt allocates the table once instead of growing it by copies,
+        # and notes each empty line, which the bound counts anyway.
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        return np.loadtxt(
             path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, skiprows=header,
-            encoding="utf-8-sig",
+            max_rows=line_ends + 1, encoding="utf-8-sig",
         )
-    return table[:, 0], table[:, 1]
 
 
-def _loop_columns(path: str) -> tuple[list[float], list[float]]:
-    """Both columns of a CSV file, read row by row; the source of every error."""
-    xs: list[float] = []
-    ys: list[float] = []
+def _loop_columns(path: str) -> np.ndarray:
+    """Both columns of a CSV file as an ``(n, 2)`` float64 table, read row by row
+    into C doubles, 16 bytes a row; the source of every error."""
+    values = array("d")
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         first_data_row = True
@@ -137,11 +148,18 @@ def _loop_columns(path: str) -> tuple[list[float], list[float]]:
                     continue
                 raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
             first_data_row = False
-            xs.append(x)
-            ys.append(y)
-    if not xs:
+            values.append(x)
+            values.append(y)
+    if not values:
         raise InvalidParameter(f"{path}: no data rows")
-    return xs, ys
+    # Over the array's buffer itself: a reshaped view would leave a writable
+    # array as the base of the pair's columns.
+    return np.ndarray((len(values) // 2, 2), buffer=values)
+
+
+# Bound at import: perfbench/tracer.py rebinds the name TimeSeriesPair in every
+# opdep module to a function, which has no _from_table.
+_pair_of_table = TimeSeriesPair._from_table
 
 
 def _read_series_csv(path: str) -> TimeSeriesPair:
@@ -149,15 +167,15 @@ def _read_series_csv(path: str) -> TimeSeriesPair:
 
     The file is parsed in bulk where that gives the row loop's values, and
     read row by row otherwise, so both give the same pair and every error
-    comes from the loop.
+    comes from the loop.  The pair views the one table either reader fills.
     """
     try:
-        xs, ys = _parse_columns(path)
+        table = _parse_columns(path)
         reader = "bulk parse"
     except (ValueError, Warning) as exc:
         log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
         try:
-            xs, ys = _loop_columns(path)
+            table = _loop_columns(path)
         except UnicodeDecodeError:
             # The loop's stream decodes a chunk at a time, and its error gives a
             # position within the chunk.  Decoding the whole file raises the same
@@ -165,7 +183,7 @@ def _read_series_csv(path: str) -> TimeSeriesPair:
             Path(path).read_bytes().decode("utf-8")
             raise
         reader = "row loop"
-    pair = TimeSeriesPair(xs, ys)
+    pair = _pair_of_table(table)
     log.info("read %d rows from %s by the %s", len(pair), path, reader)
     return pair
 

@@ -83,6 +83,16 @@ class TimeSeriesPair:
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "y", ys)
 
+    @classmethod
+    def _from_table(cls, table: np.ndarray) -> TimeSeriesPair:
+        """A pair whose ``x`` and ``y`` view the columns of an ``(n, 2)`` float64
+        table, n >= 1, which a bulk reader hands over and which is made read-only."""
+        table.flags.writeable = False
+        pair = cls.__new__(cls)
+        object.__setattr__(pair, "x", table[:, 0])
+        object.__setattr__(pair, "y", table[:, 1])
+        return pair
+
     def __len__(self) -> int:
         return len(self.x)
 

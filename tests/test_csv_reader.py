@@ -9,11 +9,15 @@ mark, has its own tests.
 import csv
 import logging
 import struct
+import tracemalloc
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opdep import cli
 from opdep.cli import _read_series_csv, main
 from opdep.errors import InvalidParameter
 from opdep.estimator import TimeSeriesPair
@@ -191,6 +195,61 @@ def test_reader_matches_oracle_on_undecodable_files(tmp_path):
     _assert_matches_oracle(tmp_path / "late.csv", b"x,y\n1,2\noops,3\n" + b"4,5\n" * 5000 + b"\xfe,6\n")
 
 
+# -- screening in chunks ------------------------------------------------------------
+
+@pytest.fixture(params=[1, 2, 3])
+def small_chunks(request, monkeypatch):
+    """The bulk parse screens the file this many characters at a time."""
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", request.param)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(text=csv_texts())
+def test_reader_matches_oracle_on_generated_files_screened_in_three_character_chunks(csv_path, text):
+    with mock.patch.object(cli, "_SCREEN_CHUNK", 3):
+        _assert_matches_oracle(csv_path, text.encode("utf-8"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "time, value, note\n1,2,a\n3,4,b\n",  # a first line longer than a chunk
+        "x,y\r\n1,2\r\n3,4\r\n",  # some chunk ends between \r and \n
+        "1,2\r\n3,4\r\n",
+        "x,y\r1,2\r3,4",
+        "1,2\r3,4\n\n5,6\r\n\r\n7,8",  # every line end, empty lines, no end on the last line
+        # Odd characters only past the first chunk, the last one in the last chunk.
+        'x,y\n1,2\n3,4,"a\n5,6,"',  # numpy would read the quoted line as a row
+        "x,y\n1,2\n3,4\x1f",  # numpy would strip the separator that float() rejects
+        "x,y\n1,2\n3,4,\x00",
+    ],
+)
+def test_reader_matches_oracle_when_screened_in_small_chunks(small_chunks, tmp_path, text):
+    _assert_matches_oracle(tmp_path / "series.csv", text.encode("utf-8"))
+
+
+def test_byte_order_mark_is_dropped_when_screened_in_small_chunks(small_chunks, tmp_path):
+    text = "1.0,2.0\r\n2.0,1.0\r\n3.0,3.0\r\n"
+    marked, plain = tmp_path / "marked.csv", tmp_path / "plain.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    plain.write_bytes(text.encode("utf-8"))
+    assert _read_strictly(marked)[1:] == _outcome(oracle_read_series_csv, plain)[1:]
+
+
+def test_undecodable_byte_past_the_first_chunk_is_reported_by_the_row_loop(
+    small_chunks, caplog, tmp_path
+):
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"x,y\n" + b"1,2\n" * 5000 + b"\xff,3\n")
+    caplog.set_level(logging.DEBUG, logger="opdep")
+    with pytest.raises(UnicodeDecodeError) as info:
+        _read_series_csv(str(path))
+    # The offset of the byte in the file, as before the screen read in chunks.
+    assert str(info.value) == "'utf-8' codec can't decode byte 0xff in position 20004: invalid start byte"
+    assert caplog.records[0].getMessage().startswith(f"bulk parse of {path} rejected (")
+
+
 # -- byte order mark ---------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -233,3 +292,57 @@ def test_log_names_the_reader(caplog, tmp_path):
     assert records[0][0] == "DEBUG"
     assert records[0][1].startswith(f"bulk parse of {loop} rejected (") and "'\"'" in records[0][1]
     assert records[1] == ("INFO", f"read 2 rows from {loop} by the row loop")
+
+
+# -- memory --------------------------------------------------------------------------
+
+def _series_text(rows: int, header: str = "x,y") -> str:
+    rng = np.random.default_rng(rows)
+    x = np.cumsum(rng.standard_normal(rows)).tolist()
+    y = rng.standard_normal(rows).tolist()
+    return header + "\n" + "".join(f"{a:.2f},{b:.2f}\n" for a, b in zip(x, y))
+
+
+def _read_with_peak(path):
+    """The pair read from ``path`` and the peak of memory traced while reading it."""
+    tracemalloc.start()
+    try:
+        pair = _read_series_csv(str(path))
+        return pair, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_views_one_read_only_table(pair, rows):
+    table = pair.x.base
+    assert pair.y.base is table and table.shape == (rows, 2)
+    for array in (pair.x, pair.y, table):
+        assert array.dtype == np.float64 and not array.flags.writeable
+
+
+def test_bulk_parse_holds_one_float64_table(caplog, tmp_path):
+    caplog.set_level(logging.INFO, logger="opdep")
+    pairs, peaks = {}, {}
+    for rows in (10**5, 4 * 10**5):
+        path = tmp_path / f"{rows}.csv"
+        path.write_text(_series_text(rows), encoding="utf-8")
+        pairs[rows], peaks[rows] = _read_with_peak(path)
+        assert caplog.records[-1].getMessage().endswith("by the bulk parse")
+    # The table takes 16 bytes a row.  Holding the file's text, copying the
+    # columns out of the table, or growing it by copies would add more.
+    assert peaks[4 * 10**5] - peaks[10**5] <= 20 * 3 * 10**5, peaks
+    for rows, pair in pairs.items():
+        _assert_views_one_read_only_table(pair, rows)
+
+
+def test_row_loop_collects_rows_as_doubles(caplog, tmp_path):
+    caplog.set_level(logging.INFO, logger="opdep")
+    rows = 10**5
+    path = tmp_path / "quoted.csv"
+    path.write_text(_series_text(rows, header='"x","y"'), encoding="utf-8")
+    pair, peak = _read_with_peak(path)
+    assert caplog.records[-1].getMessage().endswith("by the row loop")
+    # 16 bytes a row, and the array's spare capacity; Python floats in lists
+    # took about 80.
+    assert peak <= 20 * rows, peak
+    _assert_views_one_read_only_table(pair, rows)
