@@ -26,19 +26,20 @@ import sys
 import warnings
 from array import array
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from . import discrete as disc
 from . import piecewise as pw
 from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, OpdepError
-from .estimator import TimeSeriesPair, empirical_opd
+from .estimator import empirical_opd
 from .modelio import load_model
 from .patterns import _check_tol, cross_match_probability, dependence_from_terms
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
+_T = TypeVar("_T")
 
 
 def _setup_logging() -> None:
@@ -80,117 +81,137 @@ _ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
 # Characters screened at a time.  A read of n characters briefly holds the
 # raw bytes, their decoded pieces and the joined text, about 5n bytes.
 _SCREEN_CHUNK = 2**16
+# Rows of a block either reader yields, 1 MiB of float64 at the default.
+_BLOCK_ROWS = 2**16
+
+_Block = tuple[np.ndarray, np.ndarray]
 
 
-def _parse_columns(path: str) -> np.ndarray:
-    """Both columns of a CSV file as an ``(n, 2)`` float64 table, parsed in one C-level pass.
+class _BulkRejected(Exception):
+    """The bulk parse may not give the row loop's values for a file."""
+
+
+def _parse_blocks(path: str) -> Iterator[_Block]:
+    """Both columns of a CSV file as ``(x, y)`` float64 blocks, parsed in C.
 
     Takes only files on which it gives the row loop's values: a first line
     of two or more fields (a header if either of its first two fields is
     not a number), then rows whose first two fields are numbers, with
     empty lines between them and any fields after the second.  Any other
-    file raises ValueError (numpy's, or one naming the reason) or a
-    warning turned into an error, and the row loop reads it instead.
+    file raises ``_BulkRejected``, possibly after some blocks, and the row
+    loop reads it instead.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        # Lines end at \n, \r\n or a lone \r, for readline, the row loop and
-        # numpy's universal newlines alike.  Of the text, only the first line
-        # and one chunk are held; numpy reads the file again by its path.
-        chunk = first_line = handle.readline()
-        line_ends = 0
-        while chunk:
-            for char in _ROW_LOOP_ONLY:
-                if char in chunk:
-                    raise ValueError(f"the file contains {char!r}")
-            # A \r\n split between chunks counts twice, which only loosens the
-            # bound on the rows below.
-            line_ends += chunk.count("\n") + chunk.count("\r") - chunk.count("\r\n")
-            chunk = handle.read(_SCREEN_CHUNK)
-    fields = first_line.rstrip("\r\n").split(",")
-    if len(fields) < 2 or not any(field.strip() for field in fields):
-        raise ValueError("the first line is not a row of two or more fields")
+    rows = 0
     try:
-        float(fields[0])
-        float(fields[1])
-        header = 0
-    except ValueError:
-        header = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # loadtxt warns on a file without data rows
-        # Given at least the number of rows (the last line may have no end),
-        # loadtxt allocates the table once instead of growing it by copies,
-        # and notes each empty line, which the bound counts anyway.
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
-        return np.loadtxt(
-            path, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, skiprows=header,
-            max_rows=line_ends + 1, encoding="utf-8-sig",
-        )
-
-
-def _loop_columns(path: str) -> np.ndarray:
-    """Both columns of a CSV file as an ``(n, 2)`` float64 table, read row by row
-    into C doubles, 16 bytes a row; the source of every error."""
-    values = array("d")
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        first_data_row = True
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not col.strip() for col in row):
-                continue
-            if len(row) < 2:
-                raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            # Lines end at \n, \r\n or a lone \r, for readline, the row loop and
+            # numpy alike.  Of the text, only the first line and one chunk are held.
+            chunk = first_line = handle.readline()
+            while chunk:
+                for char in _ROW_LOOP_ONLY:
+                    if char in chunk:
+                        raise ValueError(f"the file contains {char!r}")
+                chunk = handle.read(_SCREEN_CHUNK)
+            fields = first_line.rstrip("\r\n").split(",")
+            if len(fields) < 2 or not any(field.strip() for field in fields):
+                raise ValueError("the first line is not a row of two or more fields")
+            handle.seek(0)
             try:
-                x = float(row[0])
-                y = float(row[1])
+                float(fields[0])
+                float(fields[1])
             except ValueError:
-                if first_data_row:
-                    first_data_row = False
+                handle.readline()  # the header
+            while True:
+                # numpy takes lines from the handle one at a time, so each call
+                # starts where the last one stopped.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                    # A call after the last row finds none; a file with no data
+                    # rows at all is caught by the count below.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(
+                        handle, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, max_rows=_BLOCK_ROWS
+                    )
+                rows += len(table)
+                yield table[:, 0], table[:, 1]
+                if len(table) < _BLOCK_ROWS:
+                    break
+    except (ValueError, Warning) as exc:
+        raise _BulkRejected(str(exc)) from exc
+    if not rows:
+        raise _BulkRejected("no data rows")
+    log.info("read %d rows from %s by the bulk parse", rows, path)
+
+
+def _loop_blocks(path: str) -> Iterator[_Block]:
+    """Both columns of a CSV file as ``(x, y)`` float64 blocks, read row by row
+    into C doubles; the source of every error."""
+    values = array("d")
+    rows = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            first_data_row = True
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not col.strip() for col in row):
                     continue
-                raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
-            first_data_row = False
-            values.append(x)
-            values.append(y)
-    if not values:
+                if len(row) < 2:
+                    raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+                try:
+                    x = float(row[0])
+                    y = float(row[1])
+                except ValueError:
+                    if first_data_row:
+                        first_data_row = False
+                        continue
+                    raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
+                first_data_row = False
+                values.append(x)
+                values.append(y)
+                if len(values) == 2 * _BLOCK_ROWS:
+                    rows += _BLOCK_ROWS
+                    yield _columns(values)
+                    values = array("d")
+    except UnicodeDecodeError:
+        # The stream decodes a chunk at a time, and its error gives a position
+        # within the chunk.  Decoding the whole file raises the same error at
+        # the byte's offset in the file, counting a byte order mark.
+        Path(path).read_bytes().decode("utf-8")
+        raise
+    rows += len(values) // 2
+    if not rows:
         raise InvalidParameter(f"{path}: no data rows")
-    # Over the array's buffer itself: a reshaped view would leave a writable
-    # array as the base of the pair's columns.
-    return np.ndarray((len(values) // 2, 2), buffer=values)
+    if values:
+        yield _columns(values)
+    log.info("read %d rows from %s by the row loop", rows, path)
 
 
-# Bound at import: perfbench/tracer.py rebinds the name TimeSeriesPair in every
-# opdep module to a function, which has no _from_table.
-_pair_of_table = TimeSeriesPair._from_table
+def _columns(values: array) -> _Block:
+    """The two columns of the rows whose values alternate in ``values``."""
+    table = np.ndarray((len(values) // 2, 2), buffer=values)
+    return table[:, 0], table[:, 1]
 
 
-def _read_series_csv(path: str) -> TimeSeriesPair:
-    """Two-column CSV; an optional non-numeric first row is a header.
+def _read_series_csv(path: str, consume: Callable[[Iterator[_Block]], _T]) -> _T:
+    """Feed the ``(x, y)`` blocks of a two-column CSV, in order, to ``consume``
+    and return its result.  An optional non-numeric first row is a header.
 
     The file is parsed in bulk where that gives the row loop's values, and
-    read row by row otherwise, so both give the same pair and every error
-    comes from the loop.  The pair views the one table either reader fills.
+    read row by row otherwise, so the blocks hold the same rows either way
+    and every error comes from the loop.  When the bulk parse rejects the
+    file, even after some of its blocks, ``consume`` is called again on the
+    row loop's blocks, and what the first call counted is dropped.
     """
     try:
-        table = _parse_columns(path)
-        reader = "bulk parse"
-    except (ValueError, Warning) as exc:
+        return consume(_parse_blocks(path))
+    except _BulkRejected as exc:
         log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
-        try:
-            table = _loop_columns(path)
-        except UnicodeDecodeError:
-            # The loop's stream decodes a chunk at a time, and its error gives a
-            # position within the chunk.  Decoding the whole file raises the same
-            # error at the byte's offset in the file, counting a byte order mark.
-            Path(path).read_bytes().decode("utf-8")
-            raise
-        reader = "row loop"
-    pair = _pair_of_table(table)
-    log.info("read %d rows from %s by the %s", len(pair), path, reader)
-    return pair
+    return consume(_loop_blocks(path))
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    pair = _read_series_csv(args.csv)
-    estimate = empirical_opd(pair, d=args.order, step=args.step)
+    estimate = _read_series_csv(args.csv, lambda blocks: empirical_opd(blocks, d=args.order, step=args.step))
     payload = estimate.to_dict()
     lines = [f"{key} {value}" for key, value in payload.items()]
     _emit_payload(payload, lines, args)

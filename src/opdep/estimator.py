@@ -23,13 +23,13 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, EmptyInput, InvalidParameter, SeriesTooShort
+from .errors import DimensionMismatch, EmptyInput, InvalidParameter, OpdepError, SeriesTooShort
 from .patterns import (
     Pattern,
     _check_order,
@@ -42,7 +42,7 @@ from .records import Record
 
 
 # Window offsets whose values are boxed into Python floats at a time.
-_CHUNK = 2**14
+_CHUNK = 2**12
 
 
 def _read_only_floats(values: Iterable[float]) -> np.ndarray:
@@ -58,6 +58,20 @@ def _read_only_floats(values: Iterable[float]) -> np.ndarray:
         array = np.fromiter(map(float, values), dtype=np.float64)
     array.flags.writeable = False
     return array
+
+
+def _check_lengths(xs: np.ndarray, ys: np.ndarray) -> None:
+    if len(xs) != len(ys):
+        raise DimensionMismatch(f"series lengths differ: {len(xs)} vs {len(ys)}")
+
+
+def _block(x: Iterable[float], y: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(x, y)`` block of a series pair, converted and checked as a pair's series
+    are, except that it may be empty."""
+    xs = _read_only_floats(x)
+    ys = _read_only_floats(y)
+    _check_lengths(xs, ys)
+    return xs, ys
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,20 +92,9 @@ class TimeSeriesPair:
         ys = _read_only_floats(y)
         if not xs.size or not ys.size:
             raise EmptyInput("both series must be nonempty")
-        if len(xs) != len(ys):
-            raise DimensionMismatch(f"series lengths differ: {len(xs)} vs {len(ys)}")
+        _check_lengths(xs, ys)
         object.__setattr__(self, "x", xs)
         object.__setattr__(self, "y", ys)
-
-    @classmethod
-    def _from_table(cls, table: np.ndarray) -> TimeSeriesPair:
-        """A pair whose ``x`` and ``y`` view the columns of an ``(n, 2)`` float64
-        table, n >= 1, which a bulk reader hands over and which is made read-only."""
-        table.flags.writeable = False
-        pair = cls.__new__(cls)
-        object.__setattr__(pair, "x", table[:, 0])
-        object.__setattr__(pair, "y", table[:, 1])
-        return pair
 
     def __len__(self) -> int:
         return len(self.x)
@@ -115,14 +118,6 @@ class OpdEstimate(Record):
     cross_term: float
     window_count: int
     skipped_windows: int
-
-
-def _window_offsets(length: int, d: int, step: int) -> range:
-    if step < 1:
-        raise InvalidParameter(f"step must be >= 1, got {step}")
-    if length < d:
-        raise SeriesTooShort(f"series of length {length} has no window of order {d}")
-    return range(0, length - d + 1, step)
 
 
 def _count_windows(
@@ -152,30 +147,89 @@ def _count_windows(
     return sum(map(operator.eq, x_patterns, y_patterns))
 
 
-def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1) -> OpdEstimate:
+def _count_blocks(
+    blocks: Iterable[tuple[np.ndarray, np.ndarray]], d: int, step: int, x_counts: Counter, y_counts: Counter
+) -> tuple[int, int, int]:
+    """Count the windows of a series pair fed as ``(x, y)`` float64 blocks in series order.
+
+    Every offset 0, step, 2*step, ... whose window fits in the series is
+    counted once, through ``_count_windows`` and ``_CHUNK`` offsets at a
+    time.  Between blocks only the values from the next offset on are
+    carried, fewer than d, or, when ``step > d`` puts that offset past the
+    end of a block, the number of values still to skip.  A block with no
+    carry is counted in place.  Returns the series length, the number of
+    offsets, and how many windows show equal patterns.
+    """
+    length = offsets = equal = skip = 0
+    carry_x = carry_y = np.empty(0)
+    for x, y in blocks:
+        length += len(x)
+        if skip >= len(x):
+            skip -= len(x)
+            continue
+        if carry_x.size:
+            x = np.concatenate((carry_x, x))
+            y = np.concatenate((carry_y, y))
+        x, y = x[skip:], y[skip:]
+        starts = range(0, len(x) - d + 1, step)
+        for first in range(0, len(starts), _CHUNK):
+            chunk = starts[first : first + _CHUNK]
+            values = slice(chunk[0], chunk[-1] + d)
+            equal += _count_windows(x[values], y[values], d, step, x_counts, y_counts)
+        offsets += len(starts)
+        following = len(starts) * step
+        skip = max(following - len(x), 0)
+        carry_x, carry_y = x[following:].copy(), y[following:].copy()
+    return length, offsets, equal
+
+
+def empirical_opd(
+    series: TimeSeriesPair | Iterable[tuple[Iterable[float], Iterable[float]]], d: int, step: int = 1
+) -> OpdEstimate:
     """Plug-in dependence estimate for a pair of series.
+
+    ``series`` is a ``TimeSeriesPair`` or an iterable of ``(x, y)`` blocks
+    that, joined in order, make up the two series.  Each block is converted
+    and checked as a pair's series are, but may be empty, and is counted as
+    it arrives, so a series read block by block is never held whole.  A
+    pair is counted as one block.
 
     A window offset enters the computation only if the x window and the y
     window at that offset are both finite, so coincidence, both marginal
     pattern frequencies, and the cross term are all estimated on the same
     window set.  Windows are counted ``_CHUNK`` offsets at a time, so
-    besides the pair the memory used stays bounded in the series length.
+    besides the input the memory used stays bounded in the series length.
 
     Raises:
+        Any error of a block, or of the iterable yielding it, first.
         OrderTooSmall / OrderTooLarge: d outside [2, 8].
+        InvalidParameter: step below 1.
+        EmptyInput: the blocks hold no values.
         SeriesTooShort: no window of order d fits the series.
         EmptyInput: every window offset was skipped.
         DegenerateDistribution: the empirical cross term equals 1 within 1e-12.
     """
-    _check_order(d)
-    offsets = _window_offsets(len(pair), d, step)
+    # A pair is told from blocks by not being iterable: perfbench/tracer.py
+    # rebinds the name TimeSeriesPair in this module to a function.
+    if isinstance(series, Iterable):
+        blocks = (_block(x, y) for x, y in series)
+    else:
+        blocks = ((series.x, series.y),)
+    try:
+        _check_order(d)
+        if step < 1:
+            raise InvalidParameter(f"step must be >= 1, got {step}")
+    except OpdepError:
+        for _ in blocks:
+            pass
+        raise
     x_counts: Counter[Pattern] = Counter()
     y_counts: Counter[Pattern] = Counter()
-    equal = 0
-    for first in range(0, len(offsets), _CHUNK):
-        chunk = offsets[first : first + _CHUNK]
-        values = slice(chunk[0], chunk[-1] + d)
-        equal += _count_windows(pair.x[values], pair.y[values], d, step, x_counts, y_counts)
+    length, offsets, equal = _count_blocks(blocks, d, step, x_counts, y_counts)
+    if not length:
+        raise EmptyInput("both series must be nonempty")
+    if length < d:
+        raise SeriesTooShort(f"series of length {length} has no window of order {d}")
     n = sum(x_counts.values())
     if not n:
         raise EmptyInput("no common finite window available")
@@ -189,5 +243,5 @@ def empirical_opd(pair: TimeSeriesPair, d: int, step: int = 1) -> OpdEstimate:
         coincidence=coincidence,
         cross_term=cross,
         window_count=n,
-        skipped_windows=len(offsets) - n,
+        skipped_windows=offsets - n,
     )

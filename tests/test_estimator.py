@@ -139,6 +139,35 @@ def test_empirical_opd_too_short_or_zero_step():
         empirical_opd(TimeSeriesPair([1.0, 2.0, 3.0], [3.0, 2.0, 1.0]), d=2, step=0)
 
 
+def test_block_input_is_checked_as_a_pair_is():
+    assert empirical_opd([([1, 2], (2.0, 1.0)), ([], []), (np.array([3, 0]), [3.0, 4.0])], d=2) == empirical_opd(
+        TimeSeriesPair([1, 2, 3, 0], [2, 1, 3, 4]), d=2
+    )
+    with pytest.raises(DimensionMismatch, match="^series lengths differ: 2 vs 1$"):
+        empirical_opd([([1.0, 2.0], [1.0, 2.0]), ([1.0, 2.0], [1.0])], d=2)
+    with pytest.raises(ValueError, match="could not convert"):
+        empirical_opd([([1.0, "a"], [1.0, 2.0])], d=2)
+    with pytest.raises(EmptyInput, match="^both series must be nonempty$"):
+        empirical_opd([([], []), ([], [])], d=2)
+    with pytest.raises(SeriesTooShort, match="^series of length 2 has no window of order 3$"):
+        empirical_opd([([1.0], [2.0]), ([2.0], [1.0])], d=3)
+
+
+@pytest.mark.parametrize("d, step", [(1, 1), (9, 1), (2, 0)])
+def test_a_block_error_comes_before_an_order_or_step_error(d, step):
+    def blocks():
+        yield [1.0, 2.0, 3.0], [3.0, 2.0, 1.0]
+        raise InvalidParameter("row 4 is bad")
+
+    with pytest.raises(InvalidParameter, match="^row 4 is bad$"):
+        empirical_opd(blocks(), d=d, step=step)
+    with pytest.raises(DimensionMismatch):
+        empirical_opd([([1.0, 2.0], [1.0])], d=d, step=step)
+    # With good blocks the order or step error is raised.
+    with pytest.raises((OrderTooSmall, OrderTooLarge, InvalidParameter)):
+        empirical_opd(iter([([1.0, 2.0, 3.0], [3.0, 2.0, 1.0])]), d=d, step=step)
+
+
 @pytest.mark.parametrize("length", [3, 10])
 @pytest.mark.parametrize("d", [-5, -1, 0, 1, 9])
 def test_empirical_opd_names_the_order_it_was_given(d, length):
@@ -219,7 +248,7 @@ def test_empirical_opd_memory_does_not_grow_with_the_series():
         pair = TimeSeriesPair(x, x + rng.standard_normal(n))
         tracemalloc.start()
         try:
-            # At step 4, 10^5 points fill one chunk of window offsets and part of a second.
+            # At step 4, 10^5 points fill six chunks of window offsets and part of a seventh.
             empirical_opd(pair, d=5, step=4)
             return tracemalloc.get_traced_memory()[1]
         finally:

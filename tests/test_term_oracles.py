@@ -12,6 +12,7 @@ import struct
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,11 +22,10 @@ from opdep import discrete as disc
 from opdep import estimator
 from opdep import piecewise as pw
 from opdep.discrete import DiscreteJoint
-from opdep.errors import EmptyInput, IndexOutOfRange
+from opdep.errors import EmptyInput, IndexOutOfRange, InvalidParameter, SeriesTooShort
 from opdep.estimator import (
     OpdEstimate,
     TimeSeriesPair,
-    _window_offsets,
     empirical_opd,
 )
 from opdep.modelio import load_model
@@ -88,6 +88,14 @@ def oracle_index_to_pattern(index: int, d: int) -> Pattern:
         pos, rem = divmod(rem, f)
         ranks.append(remaining.pop(pos))
     return tuple(ranks)
+
+
+def _window_offsets(length: int, d: int, step: int) -> range:
+    if step < 1:
+        raise InvalidParameter(f"step must be >= 1, got {step}")
+    if length < d:
+        raise SeriesTooShort(f"series of length {length} has no window of order {d}")
+    return range(0, length - d + 1, step)
 
 
 def _finite_window(series: Sequence[float], start: int, d: int) -> tuple[float, ...] | None:
@@ -209,6 +217,64 @@ def test_empirical_opd_over_several_chunks_equals_the_dict_count_estimator(d, st
     pair = TimeSeriesPair(x, y)
     assert len(range(0, n - d + 1, step)) > 3 * estimator._CHUNK
     assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
+
+
+@st.composite
+def split_series(draw):
+    """A series pair on a few levels with a non-finite run, its order and
+    step, and cuts into blocks: cuts may repeat (empty blocks), fall closer
+    together than d, and one falls inside the run."""
+    d = draw(st.integers(2, 8))
+    step = draw(st.integers(1, 5))
+    n = draw(st.integers(0, 60))
+    x = draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
+    y = [a if keep else b for a, b, keep in zip(
+        x, draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n)),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    )]
+    cuts = draw(st.lists(st.integers(0, n), max_size=10))
+    start = draw(st.integers(0, n))
+    stop = draw(st.integers(start, min(n, start + 6)))
+    for series in draw(st.sampled_from([(x,), (y,), (x, y)])):
+        series[start:stop] = draw(
+            st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), min_size=stop - start, max_size=stop - start)
+        )
+    if stop - start > 1:
+        cuts.append(draw(st.integers(start + 1, stop - 1)))
+    return x, y, d, step, sorted(cuts)
+
+
+def oracle_on_pair(x, y, d, step):
+    return oracle_empirical_opd(TimeSeriesPair(x, y), d, step)
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(case=split_series(), arrays=st.booleans(), chunk=st.sampled_from([estimator._CHUNK, 1, 2, 3]))
+def test_empirical_opd_on_blocks_equals_the_dict_count_estimator(case, arrays, chunk):
+    x, y, d, step, cuts = case
+    bounds = list(zip([0, *cuts], [*cuts, len(x)]))
+    convert = np.array if arrays else list
+    blocks = [(convert(x[a:b]), convert(y[a:b])) for a, b in bounds]
+    with mock.patch.object(estimator, "_CHUNK", chunk):
+        assert outcome(empirical_opd, iter(blocks), d, step) == outcome(oracle_on_pair, x, y, d, step)
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_a_pair_is_counted_in_place_in_the_chunks_it_always_was(step):
+    d, n = 4, 3 * estimator._CHUNK * step + 11
+    pair = _series(step, n)
+    seen = []
+    count = estimator._count_windows
+
+    def spy(x, y, *args):
+        seen.append((len(x), np.shares_memory(x, pair.x), np.shares_memory(y, pair.y)))
+        return count(x, y, *args)
+
+    offsets = range(0, n - d + 1, step)
+    chunks = [offsets[first : first + estimator._CHUNK] for first in range(0, len(offsets), estimator._CHUNK)]
+    with mock.patch.object(estimator, "_count_windows", spy):
+        assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
+    assert seen == [(chunk[-1] + d - chunk[0], True, True) for chunk in chunks]
 
 
 @pytest.mark.parametrize(
