@@ -36,6 +36,7 @@ import itertools
 import logging
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -448,6 +449,25 @@ class ConditionViolation(Record):
     rhs: float
 
 
+# ConditionViolation's fields in declaration order, as _violations takes them.
+_VIOLATION_FIELDS = ("subset", "side", "outer", "conditioning_point", "evaluation_point", "lhs", "rhs")
+
+
+def _violations(count: int, *columns: Iterable) -> list[ConditionViolation]:
+    """``count`` violation records whose fields take their values from ``columns``,
+    one iterable per field in the order of ``_VIOLATION_FIELDS``.
+
+    The records are allocated bare and each field is set on all of them by one
+    ``map`` over its slot descriptor, so no Python frame or
+    ``object.__setattr__`` call runs per record, as one does in the frozen
+    ``__init__``.  They compare, hash, print and pickle as constructed ones.
+    """
+    records = list(map(object.__new__, itertools.repeat(ConditionViolation, count)))
+    for name, column in zip(_VIOLATION_FIELDS, columns, strict=True):
+        deque(map(getattr(ConditionViolation, name).__set__, records, column), maxlen=0)
+    return records
+
+
 @dataclass(frozen=True)
 class ConditionSkip(Record):
     """A conditioning combination that could not be evaluated."""
@@ -720,6 +740,10 @@ def check_theorem_conditions(
         return marginals.get(positions) or (marginal(dist, positions), marginal(dist_star, positions))
 
     positions = range(1, d + 1)
+    # Every coordinate's evaluation values, from which each swept subset's grid
+    # is taken; variant A sweeps no subset when every position is shared.
+    everything_shared = variant == "A" and shared.issuperset(positions)
+    coordinate_values = [] if everything_shared else evaluation_grid(dist, dist_star, positions)
     violations: list[ConditionViolation] = []
     skipped: list[ConditionSkip] = []
     # Reports repeat values often, so each distinct lhs or rhs is kept once.
@@ -731,7 +755,7 @@ def check_theorem_conditions(
                 # The compared window parts are literally the same variables, so
                 # both sides of every inequality in these families coincide.
                 continue
-            grid = evaluation_grid(dist, dist_star, complement)
+            grid = [coordinate_values[coord] for coord in subset_coordinates(d, complement)]
             if variant == "B":
                 laws = marginals_at(complement) if subset else (dist, dist_star)
                 atoms = (
@@ -768,8 +792,8 @@ def check_theorem_conditions(
             groups, sides, points, lhs, rhs = zip(*found)
             lhs, rhs = (list(map(values_seen.setdefault, column, column)) for column in (lhs, rhs))
             for outer, conditioning_points in outers:
-                violations += map(
-                    ConditionViolation, itertools.repeat(subset), sides, itertools.repeat(outer),
+                violations += _violations(
+                    len(groups), itertools.repeat(subset), sides, itertools.repeat(outer),
                     map(conditioning_points.__getitem__, groups), points, lhs, rhs,
                 )
     return ConditionReport(

@@ -41,7 +41,8 @@ from .patterns import (
 from .records import Record
 
 
-# Window offsets whose values are boxed into Python floats at a time.
+# Window offsets whose values are boxed into Python floats at a time.  When
+# step > d a chunk takes fewer, so that it spans at most _CHUNK * d values.
 _CHUNK = 2**12
 
 
@@ -154,12 +155,15 @@ def _count_blocks(
 
     Every offset 0, step, 2*step, ... whose window fits in the series is
     counted once, through ``_count_windows`` and ``_CHUNK`` offsets at a
-    time.  Between blocks only the values from the next offset on are
-    carried, fewer than d, or, when ``step > d`` puts that offset past the
-    end of a block, the number of values still to skip.  A block with no
+    time, or ``_CHUNK * d // step`` (at least one) when ``step > d``, so
+    that a chunk spans at most ``_CHUNK * d`` values.  Between blocks only
+    the values from the next offset on are carried, fewer than d, or, when
+    ``step > d`` puts that offset past the end of a block, the number of
+    values still to skip.  A block with no
     carry is counted in place.  Returns the series length, the number of
     offsets, and how many windows show equal patterns.
     """
+    per_chunk = _CHUNK if step <= d else max(1, _CHUNK * d // step)
     length = offsets = equal = skip = 0
     carry_x = carry_y = np.empty(0)
     for x, y in blocks:
@@ -172,8 +176,8 @@ def _count_blocks(
             y = np.concatenate((carry_y, y))
         x, y = x[skip:], y[skip:]
         starts = range(0, len(x) - d + 1, step)
-        for first in range(0, len(starts), _CHUNK):
-            chunk = starts[first : first + _CHUNK]
+        for first in range(0, len(starts), per_chunk):
+            chunk = starts[first : first + per_chunk]
             values = slice(chunk[0], chunk[-1] + d)
             equal += _count_windows(x[values], y[values], d, step, x_counts, y_counts)
         offsets += len(starts)
@@ -197,8 +201,10 @@ def empirical_opd(
     A window offset enters the computation only if the x window and the y
     window at that offset are both finite, so coincidence, both marginal
     pattern frequencies, and the cross term are all estimated on the same
-    window set.  Windows are counted ``_CHUNK`` offsets at a time, so
-    besides the input the memory used stays bounded in the series length.
+    window set.  Windows are counted one chunk at a time, at most
+    ``_CHUNK`` offsets spanning at most ``_CHUNK * d`` values, so besides
+    the input the memory used stays bounded in the series length and the
+    step.
 
     Raises:
         Any error of a block, or of the iterable yielding it, first.

@@ -391,6 +391,23 @@ def test_violations_at_one_grid_point_share_its_evaluation_point():
     assert repeated
 
 
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_a_report_holds_each_value_once_and_both_families_share_their_fields(name):
+    for law, law_star, variant, shared in runs(PAIRS[name]):
+        report = check_theorem_conditions(law, law_star, variant, shared_positions=shared)
+        values = {}
+        for v in report.violations:
+            assert v.lhs is values.setdefault(v.lhs, v.lhs) and v.rhs is values.setdefault(v.rhs, v.rhs)
+        # The two variant-A records of one inequality, "first" and "second",
+        # run in step (see test_second_family_repeats_the_first).
+        first = [v for v in report.violations if v.outer == "first"]
+        second = [v for v in report.violations if v.outer == "second"]
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert a.subset is b.subset and a.evaluation_point is b.evaluation_point
+            assert a.lhs is b.lhs and a.rhs is b.rhs
+
+
 @pytest.fixture
 def exact_points(monkeypatch):
     """How many grid points each batch of a sweep summed exactly, per side, for both laws at once."""

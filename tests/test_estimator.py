@@ -256,3 +256,20 @@ def test_empirical_opd_memory_does_not_grow_with_the_series():
 
     small, large = peak(10**5), peak(4 * 10**5)
     assert large - small < 2**20, (small, large)
+
+
+def test_empirical_opd_memory_does_not_grow_with_a_step_above_the_order():
+    rng = np.random.default_rng(16)
+    x = rng.standard_normal(2**16)
+    y = x + rng.standard_normal(2**16)
+
+    def peak(step):
+        tracemalloc.start()
+        try:
+            # One block, so the peak holds its float64 copies and one chunk's boxed values.
+            empirical_opd([(x, y)], d=3, step=step)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= peak(1)

@@ -11,14 +11,21 @@ import json
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import piecewise as pw
-from opdep.discrete import ConditionViolation, DiscreteJoint, check_theorem_conditions, product_extend
+from opdep.discrete import (
+    _VIOLATION_FIELDS,
+    ConditionViolation,
+    DiscreteJoint,
+    _violations,
+    check_theorem_conditions,
+    product_extend,
+)
 from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.modelio import load_model
 from opdep.scenarios import SCENARIOS, run_scenario
@@ -210,3 +217,31 @@ def test_violations_are_slotted_records():
         assert restored == v and hash(restored) == hash(v) and repr(restored) == repr(v)
     restored = pickle.loads(pickle.dumps(report))
     assert restored == report and json.dumps(restored.to_dict()) == json.dumps(report.to_dict())
+
+
+def test_column_built_violations_equal_constructed_ones():
+    # The helper takes one column per field in this order, so adding or moving a field fails here.
+    assert _VIOLATION_FIELDS == tuple(field.name for field in fields(ConditionViolation))
+    report = check_theorem_conditions(*lattice_pairs(1)[0], "A")
+    rows = [
+        ((1,), "cdf", "first", (0.0,), (1.0, -0.0), 0.5, 0.25),
+        ((1, 2), "survival", "none", None, (), 1.0, 0.0),
+        ((2,), "cdf", "second", (-0.0,), (math.inf,), 1e-300, -0.0),
+    ] + [tuple(getattr(v, name) for name in _VIOLATION_FIELDS) for v in report.violations]
+    built = _violations(len(rows), *zip(*rows))
+    constructed = [ConditionViolation(*row) for row in rows]
+    assert built == constructed
+    for record, expected in zip(built, constructed):
+        assert type(record) is ConditionViolation and not hasattr(record, "__dict__")
+        assert hash(record) == hash(expected) and repr(record) == repr(expected)
+        assert json.dumps(record.to_dict()) == json.dumps(expected.to_dict()) == json.dumps(oracle_violation(expected))
+        assert all(getattr(record, name) is getattr(expected, name) for name in _VIOLATION_FIELDS)
+        restored = pickle.loads(pickle.dumps(record))
+        assert restored == expected and repr(restored) == repr(expected)
+    with pytest.raises(FrozenInstanceError):
+        built[0].lhs = 2.0
+    # One column fewer or more than there are fields is refused.
+    columns = list(zip(*rows))
+    for wrong in (columns[:-1], columns + [columns[-1]]):
+        with pytest.raises(ValueError):
+            _violations(len(rows), *wrong)

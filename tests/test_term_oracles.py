@@ -225,7 +225,7 @@ def split_series(draw):
     step, and cuts into blocks: cuts may repeat (empty blocks), fall closer
     together than d, and one falls inside the run."""
     d = draw(st.integers(2, 8))
-    step = draw(st.integers(1, 5))
+    step = draw(st.integers(1, 16))
     n = draw(st.integers(0, 60))
     x = draw(st.lists(st.integers(0, 3).map(float), min_size=n, max_size=n))
     y = [a if keep else b for a, b, keep in zip(
@@ -259,9 +259,11 @@ def test_empirical_opd_on_blocks_equals_the_dict_count_estimator(case, arrays, c
         assert outcome(empirical_opd, iter(blocks), d, step) == outcome(oracle_on_pair, x, y, d, step)
 
 
-@pytest.mark.parametrize("step", [1, 3, 7])
-def test_a_pair_is_counted_in_place_in_the_chunks_it_always_was(step):
+@pytest.mark.parametrize("step", [1, 3, 4, 7, 16])
+def test_a_pair_is_counted_in_place_in_chunks_of_bounded_span(step):
+    # Up to step d, _CHUNK offsets a chunk; past it, as many as span about _CHUNK * d values.
     d, n = 4, 3 * estimator._CHUNK * step + 11
+    per_chunk = estimator._CHUNK if step <= d else estimator._CHUNK * d // step
     pair = _series(step, n)
     seen = []
     count = estimator._count_windows
@@ -271,10 +273,11 @@ def test_a_pair_is_counted_in_place_in_the_chunks_it_always_was(step):
         return count(x, y, *args)
 
     offsets = range(0, n - d + 1, step)
-    chunks = [offsets[first : first + estimator._CHUNK] for first in range(0, len(offsets), estimator._CHUNK)]
+    chunks = [offsets[first : first + per_chunk] for first in range(0, len(offsets), per_chunk)]
     with mock.patch.object(estimator, "_count_windows", spy):
         assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
     assert seen == [(chunk[-1] + d - chunk[0], True, True) for chunk in chunks]
+    assert max(span for span, _, _ in seen) <= estimator._CHUNK * d
 
 
 @pytest.mark.parametrize(
