@@ -42,7 +42,7 @@ from .records import Record
 
 
 # Window offsets whose values are boxed into Python floats at a time.  When
-# step > d a chunk takes fewer, so that it spans at most _CHUNK * d values.
+# step > d a chunk takes fewer, so that it spans at most _CHUNK values.
 _CHUNK = 2**12
 
 
@@ -155,15 +155,15 @@ def _count_blocks(
 
     Every offset 0, step, 2*step, ... whose window fits in the series is
     counted once, through ``_count_windows`` and ``_CHUNK`` offsets at a
-    time, or ``_CHUNK * d // step`` (at least one) when ``step > d``, so
-    that a chunk spans at most ``_CHUNK * d`` values.  Between blocks only
+    time, or ``_CHUNK // step`` (at least one) when ``step > d``, so
+    that a chunk spans at most ``_CHUNK`` values.  Between blocks only
     the values from the next offset on are carried, fewer than d, or, when
     ``step > d`` puts that offset past the end of a block, the number of
     values still to skip.  A block with no
     carry is counted in place.  Returns the series length, the number of
     offsets, and how many windows show equal patterns.
     """
-    per_chunk = _CHUNK if step <= d else max(1, _CHUNK * d // step)
+    per_chunk = _CHUNK if step <= d else max(1, _CHUNK // step)
     length = offsets = equal = skip = 0
     carry_x = carry_y = np.empty(0)
     for x, y in blocks:
@@ -202,9 +202,9 @@ def empirical_opd(
     window at that offset are both finite, so coincidence, both marginal
     pattern frequencies, and the cross term are all estimated on the same
     window set.  Windows are counted one chunk at a time, at most
-    ``_CHUNK`` offsets spanning at most ``_CHUNK * d`` values, so besides
-    the input the memory used stays bounded in the series length and the
-    step.
+    ``_CHUNK`` offsets spanning at most ``_CHUNK * d`` values, or at most
+    ``_CHUNK`` values when ``step > d``, so besides the input the memory
+    used stays bounded in the series length and the step.
 
     Raises:
         Any error of a block, or of the iterable yielding it, first.

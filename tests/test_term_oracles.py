@@ -261,9 +261,9 @@ def test_empirical_opd_on_blocks_equals_the_dict_count_estimator(case, arrays, c
 
 @pytest.mark.parametrize("step", [1, 3, 4, 7, 16])
 def test_a_pair_is_counted_in_place_in_chunks_of_bounded_span(step):
-    # Up to step d, _CHUNK offsets a chunk; past it, as many as span about _CHUNK * d values.
+    # Up to step d, _CHUNK offsets a chunk; past it, as many as span at most _CHUNK values.
     d, n = 4, 3 * estimator._CHUNK * step + 11
-    per_chunk = estimator._CHUNK if step <= d else estimator._CHUNK * d // step
+    per_chunk = estimator._CHUNK if step <= d else estimator._CHUNK // step
     pair = _series(step, n)
     seen = []
     count = estimator._count_windows
@@ -277,7 +277,7 @@ def test_a_pair_is_counted_in_place_in_chunks_of_bounded_span(step):
     with mock.patch.object(estimator, "_count_windows", spy):
         assert empirical_opd(pair, d, step) == oracle_empirical_opd(pair, d, step)
     assert seen == [(chunk[-1] + d - chunk[0], True, True) for chunk in chunks]
-    assert max(span for span, _, _ in seen) <= estimator._CHUNK * d
+    assert max(span for span, _, _ in seen) <= estimator._CHUNK * (d if step <= d else 1)
 
 
 @pytest.mark.parametrize(
