@@ -17,8 +17,11 @@ Set ``OPDEP_LOG`` to a level name (DEBUG, INFO, ...) to enable logging.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
+import itertools
 import json
 import logging
 import os
@@ -26,7 +29,7 @@ import sys
 import warnings
 from array import array
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +42,6 @@ from .patterns import _check_tol, cross_match_probability, dependence_from_terms
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
-_T = TypeVar("_T")
 
 
 def _setup_logging() -> None:
@@ -78,140 +80,137 @@ def _parse_point(raw: str) -> tuple[float, ...]:
 # separators \x1c-\x1f around a number where float() rejects them, and
 # csv rejects NUL on Python 3.10.
 _ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
-# Characters screened at a time.  A read of n characters briefly holds the
-# raw bytes, their decoded pieces and the joined text, about 5n bytes.
+# Characters read, screened and parsed at a time.  A chunk of n characters
+# briefly holds its bytes, its text, a StringIO copy and numpy's table of
+# its rows, about 11n bytes.
 _SCREEN_CHUNK = 2**16
-# Rows of a block either reader yields, 1 MiB of float64 at the default.
+# Rows of a block the row loop yields, 1 MiB of float64 at the default.
 _BLOCK_ROWS = 2**16
 
 _Block = tuple[np.ndarray, np.ndarray]
 
 
-class _BulkRejected(Exception):
-    """The bulk parse may not give the row loop's values for a file."""
+def _parse_chunk(chunk: str, first: bool) -> np.ndarray:
+    """The ``(rows, 2)`` float64 table of a chunk of whole CSV lines, parsed in C.
 
-
-def _parse_blocks(path: str) -> Iterator[_Block]:
-    """Both columns of a CSV file as ``(x, y)`` float64 blocks, parsed in C.
-
-    Takes only files on which it gives the row loop's values: a first line
-    of two or more fields (a header if either of its first two fields is
-    not a number), then rows whose first two fields are numbers, with
-    empty lines between them and any fields after the second.  Any other
-    file raises ``_BulkRejected``, possibly after some blocks, and the row
-    loop reads it instead.
+    Refuses, with a ``ValueError`` or a warning, any chunk on which it may
+    not give the row loop's values.  ``first`` says the chunk starts the
+    file, whose first line must be a row of two or more fields: a header if
+    either of its first two fields is not a number.
     """
+    for char in _ROW_LOOP_ONLY:
+        if char in chunk:
+            raise ValueError(f"it contains {char!r}")
+    skip = 0
+    if first:
+        fields = chunk.partition("\n")[0].partition("\r")[0].split(",")
+        if len(fields) < 2 or not any(field.strip() for field in fields):
+            raise ValueError("the first line is not a row of two or more fields")
+        try:
+            float(fields[0])
+            float(fields[1])
+        except ValueError:
+            skip = 1  # the header
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        # A chunk of empty lines, or of the header alone, holds no rows.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        # Lines end at \n, \r\n or a lone \r, for numpy and the row loop alike.
+        text = io.StringIO(chunk, newline="")
+        return np.loadtxt(text, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, skiprows=skip)
+
+
+def _loop_blocks(
+    path: str, lines: Iterable[str], lineno: int = 1, header: bool = True
+) -> Generator[_Block, None, int]:
+    """Both columns of ``lines``, the CSV lines of ``path`` from number ``lineno``
+    on, as ``(x, y)`` float64 blocks read row by row into C doubles; returns the
+    number of rows.  While ``header`` holds, a non-numeric row is the header."""
+    values = array("d")  # x and y of each row in turn
     rows = 0
+    for lineno, row in enumerate(csv.reader(lines), start=lineno):
+        if not row or all(not col.strip() for col in row):
+            continue
+        if len(row) < 2:
+            raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+        try:
+            x = float(row[0])
+            y = float(row[1])
+        except ValueError:
+            if header:
+                header = False
+                continue
+            raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
+        header = False
+        values.append(x)
+        values.append(y)
+        if len(values) == 2 * _BLOCK_ROWS:
+            rows += _BLOCK_ROWS
+            yield tuple(np.frombuffer(values).reshape(-1, 2).T)
+            values = array("d")
+    if values:
+        yield tuple(np.frombuffer(values).reshape(-1, 2).T)
+    return rows + len(values) // 2
+
+
+def _csv_blocks(path: str) -> Iterator[_Block]:
+    """Both columns of a two-column CSV file as ``(x, y)`` float64 blocks, in
+    order.  An optional non-numeric first row is a header.
+
+    The file is read once, ``_SCREEN_CHUNK`` characters at a time, each read
+    cut at its last line end, and parsed in bulk until a chunk is refused;
+    the row loop reads that chunk and the rest.  Only a file that fails is
+    read again, by the row loop from the start, which raises its first error.
+    """
+    bulk = loop = 0
+    lineno = 1  # of the chunk's first line
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            # Lines end at \n, \r\n or a lone \r, for readline, the row loop and
-            # numpy alike.  Of the text, only the first line and one chunk are held.
-            chunk = first_line = handle.readline()
-            while chunk:
-                for char in _ROW_LOOP_ONLY:
-                    if char in chunk:
-                        raise ValueError(f"the file contains {char!r}")
-                chunk = handle.read(_SCREEN_CHUNK)
-            fields = first_line.rstrip("\r\n").split(",")
-            if len(fields) < 2 or not any(field.strip() for field in fields):
-                raise ValueError("the first line is not a row of two or more fields")
-            handle.seek(0)
-            try:
-                float(fields[0])
-                float(fields[1])
-            except ValueError:
-                handle.readline()  # the header
+            pending = ""
             while True:
-                # numpy takes lines from the handle one at a time, so each call
-                # starts where the last one stopped.
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
-                    # A call after the last row finds none; a file with no data
-                    # rows at all is caught by the count below.
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    table = np.loadtxt(
-                        handle, delimiter=",", usecols=(0, 1), comments=None, ndmin=2, max_rows=_BLOCK_ROWS
-                    )
-                rows += len(table)
-                yield table[:, 0], table[:, 1]
-                if len(table) < _BLOCK_ROWS:
+                text = handle.read(_SCREEN_CHUNK)
+                pending += text
+                if not pending:
                     break
-    except (ValueError, Warning) as exc:
-        raise _BulkRejected(str(exc)) from exc
-    if not rows:
-        raise _BulkRejected("no data rows")
-    log.info("read %d rows from %s by the bulk parse", rows, path)
-
-
-def _loop_blocks(path: str) -> Iterator[_Block]:
-    """Both columns of a CSV file as ``(x, y)`` float64 blocks, read row by row
-    into C doubles; the source of every error."""
-    values = array("d")
-    rows = 0
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            first_data_row = True
-            for lineno, row in enumerate(reader, start=1):
-                if not row or all(not col.strip() for col in row):
+                # A chunk ends at the last line end read, but not at a final \r,
+                # which may begin a \r\n; at the end of the file it takes the rest.
+                end = max(pending.rfind("\n"), pending.rfind("\r", 0, -1)) + 1 if text else len(pending)
+                if not end:
                     continue
-                if len(row) < 2:
-                    raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+                chunk, pending = pending[:end], pending[end:]
                 try:
-                    x = float(row[0])
-                    y = float(row[1])
-                except ValueError:
-                    if first_data_row:
-                        first_data_row = False
-                        continue
-                    raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
-                first_data_row = False
-                values.append(x)
-                values.append(y)
-                if len(values) == 2 * _BLOCK_ROWS:
-                    rows += _BLOCK_ROWS
-                    yield _columns(values)
-                    values = array("d")
-    except UnicodeDecodeError:
-        # The stream decodes a chunk at a time, and its error gives a position
-        # within the chunk.  Decoding the whole file raises the same error at
-        # the byte's offset in the file, counting a byte order mark.
+                    table = _parse_chunk(chunk, lineno == 1)
+                except (ValueError, Warning) as exc:
+                    log.debug("bulk parse of %s refused the chunk from line %d (%s)", path, lineno, exc)
+                    # csv takes whole lines, so the rest of the last one is read here.
+                    lines = itertools.chain(io.StringIO(chunk + pending + handle.readline(), newline=""), handle)
+                    loop = yield from _loop_blocks(path, lines, lineno, lineno == 1)
+                    break
+                bulk += len(table)
+                yield table[:, 0], table[:, 1]
+                lineno += chunk.count("\n") + (chunk.count("\r") - chunk.count("\r\n") if "\r" in chunk else 0)
+    except (UnicodeDecodeError, InvalidParameter):
+        # Errors come from the row loop over the whole file, in its order: read
+        # in chunks, a file can show an undecodable byte before an earlier bad
+        # row, or a bad row before a byte the loop decodes first.  Decoding the
+        # whole file gives the byte's offset in it, counting a byte order mark.
+        with open(path, newline="", encoding="utf-8-sig") as handle, contextlib.suppress(UnicodeDecodeError):
+            for _ in _loop_blocks(path, handle):
+                pass
         Path(path).read_bytes().decode("utf-8")
         raise
-    rows += len(values) // 2
-    if not rows:
+    if not bulk + loop:
         raise InvalidParameter(f"{path}: no data rows")
-    if values:
-        yield _columns(values)
-    log.info("read %d rows from %s by the row loop", rows, path)
-
-
-def _columns(values: array) -> _Block:
-    """The two columns of the rows whose values alternate in ``values``."""
-    table = np.ndarray((len(values) // 2, 2), buffer=values)
-    return table[:, 0], table[:, 1]
-
-
-def _read_series_csv(path: str, consume: Callable[[Iterator[_Block]], _T]) -> _T:
-    """Feed the ``(x, y)`` blocks of a two-column CSV, in order, to ``consume``
-    and return its result.  An optional non-numeric first row is a header.
-
-    The file is parsed in bulk where that gives the row loop's values, and
-    read row by row otherwise, so the blocks hold the same rows either way
-    and every error comes from the loop.  When the bulk parse rejects the
-    file, even after some of its blocks, ``consume`` is called again on the
-    row loop's blocks, and what the first call counted is dropped.
-    """
-    try:
-        return consume(_parse_blocks(path))
-    except _BulkRejected as exc:
-        log.debug("bulk parse of %s rejected (%s); reading it row by row", path, exc)
-    return consume(_loop_blocks(path))
+    if bulk and loop:
+        log.info("read %d rows from %s: %d by the bulk parse, then %d by the row loop from line %d",
+                 bulk + loop, path, bulk, loop, lineno)
+    else:
+        log.info("read %d rows from %s by the %s", bulk + loop, path, "row loop" if loop else "bulk parse")
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    estimate = _read_series_csv(args.csv, lambda blocks: empirical_opd(blocks, d=args.order, step=args.step))
+    estimate = empirical_opd(_csv_blocks(args.csv), d=args.order, step=args.step)
     payload = estimate.to_dict()
     lines = [f"{key} {value}" for key, value in payload.items()]
     _emit_payload(payload, lines, args)

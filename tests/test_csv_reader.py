@@ -1,17 +1,20 @@
-"""CSV ingestion of `opdep estimate`: the bulk parse against the row-loop oracle.
+"""CSV ingestion of `opdep estimate`: the chunked bulk parse, and the row loop
+it hands the rest of a file to, against the row-loop oracle.
 
 ``oracle_read_series_csv`` is the reader as it was before the bulk parse,
 kept verbatim: every file must give the same rows, bit for bit, or the
 same error, and ``opdep estimate`` must print the same output and exit
 with the same code as when it read the whole pair with the oracle and
 then estimated.  The one intended difference, a leading UTF-8 byte order
-mark, has its own tests.  Both readers yield their rows in blocks of
-``_BLOCK_ROWS``, which the tests also cut to a few rows.
+mark, has its own tests.  The bulk parse yields a block for each chunk of
+``_SCREEN_CHUNK`` characters, the row loop its rows in blocks of
+``_BLOCK_ROWS``; the tests also cut both to a few.
 """
 
 import csv
 import io
 import logging
+import re
 import struct
 import tracemalloc
 import warnings
@@ -23,9 +26,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import cli
-from opdep.cli import _read_series_csv, main
+from opdep.cli import _csv_blocks, main
 from opdep.errors import InvalidParameter
-from opdep.estimator import TimeSeriesPair
+from opdep.estimator import TimeSeriesPair, empirical_opd
 
 
 def oracle_read_series_csv(path: str) -> TimeSeriesPair:
@@ -67,7 +70,7 @@ def _joined(blocks):
 
 
 def _read_rows(path):
-    return _read_series_csv(path, _joined)
+    return _joined(_csv_blocks(path))
 
 
 def _oracle_rows(path):
@@ -100,7 +103,7 @@ def _run(argv):
 
 def _run_on_oracle_pair(argv):
     """``_run`` as when the whole pair was read with the oracle, then estimated."""
-    with mock.patch.object(cli, "_read_series_csv", lambda path, consume: consume(oracle_read_series_csv(path))):
+    with mock.patch.object(cli, "_csv_blocks", oracle_read_series_csv):
         return _run(argv)
 
 
@@ -257,7 +260,7 @@ def test_reader_matches_oracle_on_undecodable_files(block_rows, tmp_path):
 
 @pytest.fixture(params=[1, 2, 3])
 def small_chunks(request, monkeypatch):
-    """The bulk parse screens the file this many characters at a time."""
+    """The bulk parse reads the file this many characters at a time."""
     monkeypatch.setattr(cli, "_SCREEN_CHUNK", request.param)
 
 
@@ -295,17 +298,133 @@ def test_byte_order_mark_is_dropped_when_screened_in_small_chunks(small_chunks, 
     assert _read_strictly(marked)[1:] == _outcome(_oracle_rows, plain)[1:]
 
 
-def test_undecodable_byte_past_the_first_chunk_is_reported_by_the_row_loop(
-    small_chunks, caplog, tmp_path
-):
+def test_undecodable_byte_past_the_first_chunk_is_reported_by_the_row_loop(small_chunks, tmp_path):
     path = tmp_path / "late.csv"
     path.write_bytes(b"x,y\n" + b"1,2\n" * 5000 + b"\xff,3\n")
-    caplog.set_level(logging.DEBUG, logger="opdep")
+    fed = []
     with pytest.raises(UnicodeDecodeError) as info:
-        _read_rows(str(path))
-    # The offset of the byte in the file, as before the screen read in chunks.
+        for x, _ in _csv_blocks(str(path)):
+            fed.append(len(x))
+    # The bulk parse had yielded rows before it read the byte.  The offset is
+    # the byte's in the file, as when the whole file was read first.
+    assert sum(fed) > 0
     assert str(info.value) == "'utf-8' codec can't decode byte 0xff in position 20004: invalid start byte"
-    assert caplog.records[0].getMessage().startswith(f"bulk parse of {path} rejected (")
+
+
+# -- handing the rest of the file to the row loop ----------------------------------
+
+# Rows the bulk parse refuses, each in a form the row loop reads.  "1_000"
+# is a number to float() but not to numpy; the quoted third field spans two lines.
+HANDOFF_ROWS = {
+    "quote": '"7",8',
+    "nul": "7,8,\x00",
+    "separator": "7,8,\x1c",
+    "underscore": "1_000,8",
+    "multiline": '7,8,"a\nb"',
+}
+# Data rows of the files read in small chunks and in the default chunk, which
+# span three chunks or more.
+HANDOFF_LENGTHS = {"small": 9, "default": 30000}
+
+
+def _refused_at(caplog) -> int:
+    """The first line of the chunk the bulk parse refused first."""
+    for record in caplog.records:
+        found = re.fullmatch(r"bulk parse of .* refused the chunk from line (\d+) \(.*\)", record.getMessage(), re.S)
+        if found:
+            return int(found.group(1))
+    raise AssertionError("no chunk was refused")
+
+
+@pytest.fixture(params=[1, 2, 3, None])
+def chunking(request, monkeypatch):
+    """Files are read in chunks of 1 to 3 characters, or of ``_SCREEN_CHUNK``."""
+    if request.param is None:
+        return "default"
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", request.param)
+    return "small"
+
+
+@pytest.mark.parametrize("position", ["first", "middle", "last"])
+@pytest.mark.parametrize("kind", sorted(HANDOFF_ROWS))
+def test_row_loop_takes_over_at_the_refused_chunk(chunking, caplog, tmp_path, kind, position):
+    rows = [f"{i % 97},{i * i % 89}" for i in range(HANDOFF_LENGTHS[chunking])]
+    index = {"first": 0, "middle": len(rows) // 2, "last": len(rows) - 1}[position]
+    rows[index] = HANDOFF_ROWS[kind]
+    caplog.set_level(logging.DEBUG, logger="opdep")
+    _assert_matches_oracle(tmp_path / "series.csv", ("x,y\n" + "\n".join(rows) + "\n").encode("utf-8"))
+    # The refused chunk holds the row at line index + 2 and, past the first
+    # position, starts after the first row and the middle row respectively.
+    line = _refused_at(caplog)
+    assert line <= index + 2
+    if position != "first":
+        assert line > {"middle": 2, "last": len(rows) // 2 + 2}[position]
+
+
+def test_undecodable_byte_decoded_with_an_earlier_bad_row_is_reported_first(tmp_path):
+    # With a two-byte character in every row, reads of 2^16 characters end
+    # between the 8 KiB blocks that reading row by row decodes at a time.  A
+    # bad row at the start of such a block, before a read's end, and an
+    # undecodable byte right after that end: row by row, the block fails to
+    # decode before its rows are read, so the byte is reported first.
+    base = ("x,y\n" + "".join(f"{i % 10},2,\u00e9\n" for i in range(60000))).encode("utf-8")
+    path = tmp_path / "series.csv"
+    path.write_bytes(base)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        ends = []
+        while handle.read(cli._SCREEN_CHUNK):
+            ends.append(handle.buffer.tell())
+    cases = 0
+    for end in ends[:-1]:
+        block = end // 8192 * 8192
+        bad_row = base.index(b"\n", block) + 1
+        bad_byte = base.index("\u00e9".encode(), end)
+        if not bad_row < end - 30 < bad_byte < block + 8192:
+            continue
+        data = bytearray(base)
+        data[bad_row : bad_row + 1] = b"x"
+        data[bad_byte : bad_byte + 2] = b"\xff\xff"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as info:
+            _read_rows(str(path))
+        with pytest.raises(UnicodeDecodeError) as whole:
+            bytes(data).decode("utf-8")
+        assert str(info.value) == str(whole.value)
+        assert _outcome(_oracle_rows, path)[1] is UnicodeDecodeError
+        cases += 1
+    assert cases >= 3
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("chunk", ["small", "default"])
+def test_bad_row_after_the_handoff_is_reported_at_the_oracle_line(monkeypatch, tmp_path, chunk, end):
+    # A quoted row, a quoted field over two lines, then a non-numeric row.
+    rows = [f"{i % 7},{i % 5}" for i in range(HANDOFF_LENGTHS[chunk])]
+    rows[len(rows) // 3] = '"1",2,"a\nb"'
+    rows[2 * len(rows) // 3] = "oops,3"
+    if chunk == "small":
+        monkeypatch.setattr(cli, "_SCREEN_CHUNK", 2)
+    path = tmp_path / "series.csv"
+    _assert_matches_oracle(path, ("x,y" + end + end.join(rows) + end).encode("utf-8"))
+    # Lines are numbered by csv record, so the quoted field's two lines are one.
+    with pytest.raises(InvalidParameter, match=rf":{2 * len(rows) // 3 + 2}: not numeric"):
+        _read_rows(str(path))
+
+
+def test_line_end_split_across_a_chunk_edge(caplog, tmp_path):
+    # The first read ends between the \r and \n of a line end.
+    text = "x,y\r\n" + "1,2\r\n" * (cli._SCREEN_CHUNK // 5 - 2) + "12,34\r\n"
+    text += "5,6\r\n" * 3
+    assert text[cli._SCREEN_CHUNK - 1 : cli._SCREEN_CHUNK + 1] == "\r\n"
+    caplog.set_level(logging.DEBUG, logger="opdep")
+    _assert_matches_oracle(tmp_path / "series.csv", text.encode("utf-8"))
+    assert not [r for r in caplog.records if r.levelname == "DEBUG"]
+    # The row loop takes over in the first chunk, whose rest ends at the \r,
+    # or in the chunk after the edge.
+    for edited, line in (("x,\x1c" + text[3:], 1), (text + '"5",6\r\n', cli._SCREEN_CHUNK // 5)):
+        caplog.clear()
+        _assert_matches_oracle(tmp_path / "series.csv", edited.encode("utf-8"))
+        assert _refused_at(caplog) == line
 
 
 # -- byte order mark ---------------------------------------------------------------
@@ -389,11 +508,15 @@ def test_estimate_reports_errors_in_the_order_it_did(monkeypatch, tmp_path, bloc
 
 # -- observability -------------------------------------------------------------------
 
-def test_log_names_the_reader(caplog, tmp_path):
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_log_names_the_reader(caplog, monkeypatch, tmp_path, end):
     caplog.set_level(logging.DEBUG, logger="opdep")
-    bulk, loop = tmp_path / "bulk.csv", tmp_path / "loop.csv"
-    bulk.write_text("x,y\n1,2\n\n3,4\n", encoding="utf-8")
-    loop.write_text('x,y\n"1",2\n3,4\n', encoding="utf-8")
+    bulk, loop, both = tmp_path / "bulk.csv", tmp_path / "loop.csv", tmp_path / "both.csv"
+    bulk.write_bytes(f"x,y{end}1,2{end}{end}3,4{end}".encode())
+    loop.write_bytes(f'x,y{end}"1",2{end}3,4{end}'.encode())
+    # Read 8 characters at a time, the bulk parse takes lines 1 to 3 in two
+    # chunks and refuses the chunk of the quoted row.
+    both.write_bytes(f'x,y{end}1,2{end}3,4{end}"5",6{end}7,8{end}'.encode())
 
     _read_rows(str(bulk))
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
@@ -402,39 +525,65 @@ def test_log_names_the_reader(caplog, tmp_path):
     caplog.clear()
 
     _read_rows(str(loop))
-    records = [(r.levelname, r.getMessage()) for r in caplog.records]
-    assert len(records) == 2
-    assert records[0][0] == "DEBUG"
-    assert records[0][1].startswith(f"bulk parse of {loop} rejected (") and "'\"'" in records[0][1]
-    assert records[1] == ("INFO", f"read 2 rows from {loop} by the row loop")
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("DEBUG", f"bulk parse of {loop} refused the chunk from line 1 (it contains '\"')"),
+        ("INFO", f"read 2 rows from {loop} by the row loop"),
+    ]
+    caplog.clear()
+
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", 8)
+    _read_rows(str(both))
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("DEBUG", f"bulk parse of {both} refused the chunk from line 4 (it contains '\"')"),
+        ("INFO", f"read 4 rows from {both}: 2 by the bulk parse, then 2 by the row loop from line 4"),
+    ]
 
 
-def test_log_counts_the_rows_of_every_block(block_rows, caplog, tmp_path):
+def test_log_counts_the_rows_of_every_block(block_rows, caplog, monkeypatch, tmp_path):
     caplog.set_level(logging.INFO, logger="opdep")
-    bulk, loop = tmp_path / "bulk.csv", tmp_path / "loop.csv"
+    bulk, loop, both = tmp_path / "bulk.csv", tmp_path / "loop.csv", tmp_path / "both.csv"
     bulk.write_text("x,y\n" + "1,2\n\n" * 15, encoding="utf-8")
     loop.write_text('"x",y\n' + "1,2\n\n" * 15, encoding="utf-8")
+    # Read 5 characters at a time, the header and each unrefused row is one chunk.
+    both.write_text("x,y\n\n" + "1,2\n\n" * 15 + '"1",2\n' + "1,2\n\n" * 15, encoding="utf-8")
     for path, reader in ((bulk, "bulk parse"), (loop, "row loop")):
         _read_rows(str(path))
         assert caplog.records[-1].getMessage() == f"read 15 rows from {path} by the {reader}"
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", 5)
+    _read_rows(str(both))
+    assert caplog.records[-1].getMessage() == (
+        f"read 31 rows from {both}: 15 by the bulk parse, then 16 by the row loop from line 33"
+    )
 
 
-def test_rows_after_a_rejected_block_are_read_by_the_row_loop_alone(caplog, tmp_path, monkeypatch):
-    # The bulk parse yields three blocks before it meets the second column's "x".
+def test_a_file_refused_in_its_third_chunk_is_estimated_once(caplog, monkeypatch, tmp_path):
+    # Read 4 characters at a time, the chunks are "1,2\n", "3,4\n", then the
+    # quoted row, which the row loop reads with the rows after it.
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", 4)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
     caplog.set_level(logging.DEBUG, logger="opdep")
     path = tmp_path / "late.csv"
-    path.write_text("1,2\n3,4\n5,6\n7,8\n9,10\n11,12\n13,x\n", encoding="utf-8")
+    path.write_text('1,2\n3,4\n"5",6\n7,8\n9,10\n', encoding="utf-8")
+    argv = ["estimate", str(path)]
+    expected = _run_on_oracle_pair(argv)
     fed = []
 
-    def consume(blocks):
-        fed.append([len(x) for x, _ in blocks])
-        return fed[-1]
+    def counted_opd(blocks, **options):
+        lengths = []
+        fed.append(lengths)
 
-    with pytest.raises(InvalidParameter, match=r"late\.csv:7: not numeric"):
-        _read_series_csv(str(path), consume)
-    assert fed == []
-    assert caplog.records[0].getMessage().startswith(f"bulk parse of {path} rejected (")
+        def counted():
+            for x, y in blocks:
+                lengths.append(len(x))
+                yield x, y
+
+        return empirical_opd(counted(), **options)
+
+    monkeypatch.setattr(cli, "empirical_opd", counted_opd)
+    assert _run(argv) == expected
+    assert len(fed) == 1 and sum(fed[0]) == 5
+    assert fed == [[1, 1, 2, 1]]
+    assert _refused_at(caplog) == 3
 
 
 # -- memory --------------------------------------------------------------------------
@@ -458,15 +607,27 @@ def _estimate_peak(path):
     return peak
 
 
-@pytest.mark.parametrize("header, reader", [("x,y", "bulk parse"), ('"x","y"', "row loop")])
-def test_estimate_memory_does_not_grow_with_the_rows(caplog, tmp_path, header, reader):
+@pytest.mark.parametrize(
+    "header, quoted_last, reader",
+    [
+        pytest.param("x,y", False, " by the bulk parse", id="x,y-bulk parse"),
+        pytest.param('"x","y"', False, " by the row loop", id='"x","y"-row loop'),
+        pytest.param("x,y", True, r": \d+ by the bulk parse, then \d+ by the row loop from line \d+", id="x,y-handoff"),
+    ],
+)
+def test_estimate_memory_does_not_grow_with_the_rows(caplog, tmp_path, header, quoted_last, reader):
     caplog.set_level(logging.INFO, logger="opdep")
     peaks = {}
     for rows in (10**5, 4 * 10**5):
         path = tmp_path / f"{rows}.csv"
-        path.write_text(_series_text(rows, header), encoding="utf-8")
+        text = _series_text(rows, header)
+        if quoted_last:
+            # The row loop reads the last chunk.
+            last = text.rindex("\n", 0, -1) + 1
+            text = text[:last] + '"' + text[last:].replace(",", '",', 1)
+        path.write_text(text, encoding="utf-8")
         peaks[rows] = _estimate_peak(path)
-        assert caplog.records[-1].getMessage() == f"read {rows} rows from {path} by the {reader}"
+        assert re.fullmatch(f"read {rows} rows from {re.escape(str(path))}{reader}", caplog.records[-1].getMessage())
     # Both files span more than one block.  A table of all rows would add
     # 16 bytes a row, 4.6 MiB here.
     assert peaks[4 * 10**5] - peaks[10**5] < 2**20, peaks
