@@ -80,9 +80,9 @@ def _parse_point(raw: str) -> tuple[float, ...]:
 # separators \x1c-\x1f around a number where float() rejects them, and
 # csv rejects NUL on Python 3.10.
 _ROW_LOOP_ONLY = '"\x00\x1c\x1d\x1e\x1f'
-# Characters read, screened and parsed at a time.  A chunk of n characters
-# briefly holds its bytes, its text, a StringIO copy and numpy's table of
-# its rows, about 11n bytes.
+# Characters read, screened and parsed at a time, with the rest of the line
+# they end in.  A chunk of n characters briefly holds its bytes, its text, a
+# StringIO copy and numpy's table of its rows, about 11n bytes.
 _SCREEN_CHUNK = 2**16
 # Rows of a block the row loop yields, 1 MiB of float64 at the default.
 _BLOCK_ROWS = 2**16
@@ -158,8 +158,8 @@ def _csv_blocks(path: str) -> Iterator[_Block]:
     """Both columns of a two-column CSV file as ``(x, y)`` float64 blocks, in
     order.  An optional non-numeric first row is a header.
 
-    The file is read once, ``_SCREEN_CHUNK`` characters at a time, each read
-    cut at its last line end, and parsed in bulk until a chunk is refused;
+    The file is read once, in chunks of ``_SCREEN_CHUNK`` characters and the
+    rest of the line they end in, and parsed in bulk until a chunk is refused;
     the row loop reads that chunk and the rest.  Only a file that fails is
     read again, by the row loop from the start, which raises its first error.
     """
@@ -167,24 +167,14 @@ def _csv_blocks(path: str) -> Iterator[_Block]:
     lineno = 1  # of the chunk's first line
     try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
-            pending = ""
-            while True:
-                text = handle.read(_SCREEN_CHUNK)
-                pending += text
-                if not pending:
-                    break
-                # A chunk ends at the last line end read, but not at a final \r,
-                # which may begin a \r\n; at the end of the file it takes the rest.
-                end = max(pending.rfind("\n"), pending.rfind("\r", 0, -1)) + 1 if text else len(pending)
-                if not end:
-                    continue
-                chunk, pending = pending[:end], pending[end:]
+            # The text layer ends a line at \n, \r\n (also across a read's
+            # end) or a lone \r, so each chunk ends at a line end or the EOF.
+            while chunk := handle.read(_SCREEN_CHUNK) + handle.readline():
                 try:
                     table = _parse_chunk(chunk, lineno == 1)
                 except (ValueError, Warning) as exc:
                     log.debug("bulk parse of %s refused the chunk from line %d (%s)", path, lineno, exc)
-                    # csv takes whole lines, so the rest of the last one is read here.
-                    lines = itertools.chain(io.StringIO(chunk + pending + handle.readline(), newline=""), handle)
+                    lines = itertools.chain(io.StringIO(chunk, newline=""), handle)
                     loop = yield from _loop_blocks(path, lines, lineno, lineno == 1)
                     break
                 bulk += len(table)
@@ -210,7 +200,12 @@ def _csv_blocks(path: str) -> Iterator[_Block]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    estimate = empirical_opd(_csv_blocks(args.csv), d=args.order, step=args.step)
+    try:
+        estimate = empirical_opd(_csv_blocks(args.csv), d=args.order, step=args.step)
+    except csv.Error as exc:
+        # A stray quote can open a field past csv's size limit; csv refuses
+        # NUL on Python 3.10.
+        raise InvalidParameter(f"{args.csv}: {exc}") from None
     payload = estimate.to_dict()
     lines = [f"{key} {value}" for key, value in payload.items()]
     _emit_payload(payload, lines, args)

@@ -43,6 +43,10 @@ MAX_ORDER = 8
 
 
 def _check_order(d: int) -> None:
+    try:
+        operator.index(d)
+    except TypeError:
+        raise InvalidParameter(f"order must be an integer, got {d!r}") from None
     if d < MIN_ORDER:
         raise OrderTooSmall(f"order {d} is below the minimum of {MIN_ORDER}")
     if d > MAX_ORDER:

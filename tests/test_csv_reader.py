@@ -7,12 +7,13 @@ same error, and ``opdep estimate`` must print the same output and exit
 with the same code as when it read the whole pair with the oracle and
 then estimated.  The one intended difference, a leading UTF-8 byte order
 mark, has its own tests.  The bulk parse yields a block for each chunk of
-``_SCREEN_CHUNK`` characters, the row loop its rows in blocks of
-``_BLOCK_ROWS``; the tests also cut both to a few.
+``_SCREEN_CHUNK`` characters and the rest of the line they end in, the row
+loop its rows in blocks of ``_BLOCK_ROWS``; the tests also cut both to a few.
 """
 
 import csv
 import io
+import itertools
 import logging
 import re
 import struct
@@ -372,7 +373,7 @@ def test_undecodable_byte_decoded_with_an_earlier_bad_row_is_reported_first(tmp_
     path.write_bytes(base)
     with open(path, newline="", encoding="utf-8-sig") as handle:
         ends = []
-        while handle.read(cli._SCREEN_CHUNK):
+        while handle.read(cli._SCREEN_CHUNK) + handle.readline():
             ends.append(handle.buffer.tell())
     cases = 0
     for end in ends[:-1]:
@@ -419,12 +420,82 @@ def test_line_end_split_across_a_chunk_edge(caplog, tmp_path):
     caplog.set_level(logging.DEBUG, logger="opdep")
     _assert_matches_oracle(tmp_path / "series.csv", text.encode("utf-8"))
     assert not [r for r in caplog.records if r.levelname == "DEBUG"]
-    # The row loop takes over in the first chunk, whose rest ends at the \r,
-    # or in the chunk after the edge.
-    for edited, line in (("x,\x1c" + text[3:], 1), (text + '"5",6\r\n', cli._SCREEN_CHUNK // 5)):
+    # The row loop takes over in the first chunk, or in the second, which
+    # starts on the line after the \r\n that the first read ends in.
+    for edited, line in (("x,\x1c" + text[3:], 1), (text + '"5",6\r\n', cli._SCREEN_CHUNK // 5 + 1)):
         caplog.clear()
         _assert_matches_oracle(tmp_path / "series.csv", edited.encode("utf-8"))
         assert _refused_at(caplog) == line
+
+
+def _straddled_text(n: int, handoff: bool) -> str:
+    """A CSV text read ``n`` characters and the rest of the line at a time whose
+    reads, past the first when its first row is longer than ``n - 1``, end
+    between the \\r and \\n of a line end.  Between those line ends, blank
+    lines and rows end in \\n, \\r\\n and a lone \\r.  With ``handoff``, the
+    fourth chunk starts with a quoted row."""
+    pieces = itertools.cycle(["\n", "\r", "3,4\n", "5,6\r\n", "7,8\r"])
+
+    def whole_lines(length):
+        text = ""
+        while len(text) < length:
+            text += next(piece for piece in pieces if len(text) + len(piece) <= length)
+        return text
+
+    first = "1,2\n" if n < 4 else "1,2\r\n" if n == 4 else "1,2\n" + whole_lines(n - 5) + "\r\n"
+    chunks = [first] + [whole_lines(n - 1) + "\r\n" for _ in range(5)]
+    if handoff:
+        chunks.insert(3, '"5",6\n')
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("handoff", [False, True], ids=["bulk", "handoff"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_every_chunk_ends_at_a_line_end(monkeypatch, tmp_path, n, handoff):
+    monkeypatch.setattr(cli, "_SCREEN_CHUNK", n)
+    parse_chunk, loop_blocks = cli._parse_chunk, cli._loop_blocks
+    chunks, handed = [], []
+
+    def recorded_parse(chunk, first):
+        chunks.append(chunk)
+        return parse_chunk(chunk, first)
+
+    def recorded_loop(path, lines, *args):
+        def recorded():
+            for line in lines:
+                handed.append(line)
+                yield line
+
+        return (yield from loop_blocks(path, recorded(), *args))
+
+    monkeypatch.setattr(cli, "_parse_chunk", recorded_parse)
+    monkeypatch.setattr(cli, "_loop_blocks", recorded_loop)
+    text = _straddled_text(n, handoff)
+    if n > 1:
+        assert re.search("\r(?!\n)", text) and "\r\n" in text and re.search("(?<!\r)\n", text)
+    path = tmp_path / "series.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _read_strictly(path) == _outcome(_oracle_rows, path)
+    assert bool(handed) == handoff
+    # The bulk-parsed chunks and the text handed to the row loop, which
+    # starts with the refused chunk, are the file.
+    bulk = chunks[:-1] if handoff else chunks
+    assert "".join(bulk) + "".join(handed) == text
+    if handoff:
+        assert "".join(handed).startswith(chunks[-1])
+    start = 0
+    for index, chunk in enumerate(chunks):
+        assert text.startswith(chunk, start)
+        end = start + len(chunk)
+        # A chunk ends at a line end or the end of the file, and its last line
+        # starts no later than its character n + 1.
+        assert end == len(text) or chunk.endswith("\n") or (chunk.endswith("\r") and text[end] != "\n")
+        last_line = io.StringIO(chunk, newline="").readlines()[-1]
+        assert len(chunk) - len(last_line) <= n
+        if index < len(bulk) and (index or n >= 4):
+            assert text[start + n - 1 : start + n + 1] == "\r\n"
+        start = end
+    assert len(bulk) == (3 if handoff else 6)
 
 
 # -- byte order mark ---------------------------------------------------------------
@@ -506,6 +577,27 @@ def test_estimate_reports_errors_in_the_order_it_did(monkeypatch, tmp_path, bloc
     assert _run(["estimate", str(path), *options]) == expected
 
 
+# Files on which csv itself raises, as the row loop reads them: a stray quote
+# opens a field that runs past csv's limit of 131,072 characters, and on
+# Python 3.10 csv refuses a NUL.
+CSV_ERROR_FILES = {
+    "unterminated_quote": b'x,y\n"7,8\n' + b"1.5,2.5\n" * 30000,
+    "long_field": b'x,y\n1,2\n"' + b"1" * 140000 + b'",3\n',
+    "nul": b"x,y\n1,2\n\x00,3\n4,5\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_ERROR_FILES))
+def test_csv_error_is_reported_as_a_parse_error(tmp_path, name):
+    path = tmp_path / f"{name}.csv"
+    _assert_matches_oracle(path, CSV_ERROR_FILES[name])
+    code, out, err = _run(["estimate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+    if name != "nul":
+        assert err == f"error: {path}: field larger than field limit (131072)\n"
+
+
 # -- observability -------------------------------------------------------------------
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
@@ -514,9 +606,12 @@ def test_log_names_the_reader(caplog, monkeypatch, tmp_path, end):
     bulk, loop, both = tmp_path / "bulk.csv", tmp_path / "loop.csv", tmp_path / "both.csv"
     bulk.write_bytes(f"x,y{end}1,2{end}{end}3,4{end}".encode())
     loop.write_bytes(f'x,y{end}"1",2{end}3,4{end}'.encode())
-    # Read 8 characters at a time, the bulk parse takes lines 1 to 3 in two
-    # chunks and refuses the chunk of the quoted row.
+    # Read 8 characters and the rest of the line at a time, the bulk parse
+    # takes lines 1 to 3 in one chunk and refuses the chunk of the quoted row.
+    # With \r\n the first read ends between a \r and \n, so the first chunk
+    # ends at line 2 and the refused one holds lines 3 and 4.
     both.write_bytes(f'x,y{end}1,2{end}3,4{end}"5",6{end}7,8{end}'.encode())
+    refused, bulk_rows = (3, 1) if end == "\r\n" else (4, 2)
 
     _read_rows(str(bulk))
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
@@ -534,8 +629,9 @@ def test_log_names_the_reader(caplog, monkeypatch, tmp_path, end):
     monkeypatch.setattr(cli, "_SCREEN_CHUNK", 8)
     _read_rows(str(both))
     assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
-        ("DEBUG", f"bulk parse of {both} refused the chunk from line 4 (it contains '\"')"),
-        ("INFO", f"read 4 rows from {both}: 2 by the bulk parse, then 2 by the row loop from line 4"),
+        ("DEBUG", f"bulk parse of {both} refused the chunk from line {refused} (it contains '\"')"),
+        ("INFO", f"read 4 rows from {both}: {bulk_rows} by the bulk parse, "
+                 f"then {4 - bulk_rows} by the row loop from line {refused}"),
     ]
 
 
@@ -544,7 +640,10 @@ def test_log_counts_the_rows_of_every_block(block_rows, caplog, monkeypatch, tmp
     bulk, loop, both = tmp_path / "bulk.csv", tmp_path / "loop.csv", tmp_path / "both.csv"
     bulk.write_text("x,y\n" + "1,2\n\n" * 15, encoding="utf-8")
     loop.write_text('"x",y\n' + "1,2\n\n" * 15, encoding="utf-8")
-    # Read 5 characters at a time, the header and each unrefused row is one chunk.
+    # Read 5 characters and the rest of the line at a time, the first chunk is
+    # lines 1-3 and every later one three lines.  The chunks up to line 30
+    # hold the 14 rows on the odd lines 3-29, and the chunk of lines 31-33
+    # holds the quoted row, so the row loop reads the rows from line 31 on.
     both.write_text("x,y\n\n" + "1,2\n\n" * 15 + '"1",2\n' + "1,2\n\n" * 15, encoding="utf-8")
     for path, reader in ((bulk, "bulk parse"), (loop, "row loop")):
         _read_rows(str(path))
@@ -552,18 +651,19 @@ def test_log_counts_the_rows_of_every_block(block_rows, caplog, monkeypatch, tmp
     monkeypatch.setattr(cli, "_SCREEN_CHUNK", 5)
     _read_rows(str(both))
     assert caplog.records[-1].getMessage() == (
-        f"read 31 rows from {both}: 15 by the bulk parse, then 16 by the row loop from line 33"
+        f"read 31 rows from {both}: 14 by the bulk parse, then 17 by the row loop from line 31"
     )
 
 
 def test_a_file_refused_in_its_third_chunk_is_estimated_once(caplog, monkeypatch, tmp_path):
-    # Read 4 characters at a time, the chunks are "1,2\n", "3,4\n", then the
-    # quoted row, which the row loop reads with the rows after it.
+    # Read 4 characters and the rest of the line at a time, the chunks are
+    # lines 1-2, lines 3-4, then the quoted row's chunk, which the row loop
+    # reads with the rows after it.
     monkeypatch.setattr(cli, "_SCREEN_CHUNK", 4)
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
     caplog.set_level(logging.DEBUG, logger="opdep")
     path = tmp_path / "late.csv"
-    path.write_text('1,2\n3,4\n"5",6\n7,8\n9,10\n', encoding="utf-8")
+    path.write_text('1,2\n3,4\n5,6\n7,8\n"9",10\n11,12\n13,14\n', encoding="utf-8")
     argv = ["estimate", str(path)]
     expected = _run_on_oracle_pair(argv)
     fed = []
@@ -581,9 +681,9 @@ def test_a_file_refused_in_its_third_chunk_is_estimated_once(caplog, monkeypatch
 
     monkeypatch.setattr(cli, "empirical_opd", counted_opd)
     assert _run(argv) == expected
-    assert len(fed) == 1 and sum(fed[0]) == 5
-    assert fed == [[1, 1, 2, 1]]
-    assert _refused_at(caplog) == 3
+    assert len(fed) == 1 and sum(fed[0]) == 7
+    assert fed == [[2, 2, 2, 1]]
+    assert _refused_at(caplog) == 5
 
 
 # -- memory --------------------------------------------------------------------------

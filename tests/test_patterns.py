@@ -12,12 +12,14 @@ from opdep.errors import (
     DimensionMismatch,
     EmptyInput,
     IndexOutOfRange,
+    InvalidParameter,
     InvalidPermutation,
     ModelStructureError,
     NonFiniteInput,
     OrderTooLarge,
     OrderTooSmall,
 )
+from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.patterns import (
     PatternDistribution,
     cross_match_probability,
@@ -126,6 +128,27 @@ def test_order_bounds():
         enumerate_patterns(1)
     with pytest.raises(OrderTooLarge):
         enumerate_patterns(9)
+
+
+@pytest.mark.parametrize("order", [2.0, 2.5, np.float64(3.0), "2", None])
+def test_order_that_is_not_an_integer_is_an_invalid_parameter(order):
+    pair = TimeSeriesPair([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+    # A table cached for an integer order does not answer for an equal float.
+    rank_table(2)
+    rank_table(3)
+    calls = (lambda: enumerate_patterns(order), lambda: rank_table(order), lambda: empirical_opd(pair, d=order))
+    for call in calls:
+        with pytest.raises(InvalidParameter, match="^order must be an integer, got "):
+            call()
+
+
+def test_integer_orders_of_other_types_are_checked_as_before():
+    assert enumerate_patterns(np.int64(3)) == enumerate_patterns(3)
+    assert rank_table(np.int8(2)).tolist() == [[1, 2], [2, 1]]
+    with pytest.raises(OrderTooSmall, match="^order True is below the minimum of 2$"):
+        enumerate_patterns(True)
+    with pytest.raises(OrderTooLarge, match="^order 9 exceeds the maximum of 8$"):
+        rank_table(np.int64(9))
 
 
 def test_rank_table_rows_are_indexed_patterns():
