@@ -129,26 +129,32 @@ def _loop_blocks(
     number of rows.  While ``header`` holds, a non-numeric row is the header."""
     values = array("d")  # x and y of each row in turn
     rows = 0
-    for lineno, row in enumerate(csv.reader(lines), start=lineno):
-        if not row or all(not col.strip() for col in row):
-            continue
-        if len(row) < 2:
-            raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
-        try:
-            x = float(row[0])
-            y = float(row[1])
-        except ValueError:
-            if header:
-                header = False
+    lineno -= 1  # of the last row read
+    try:
+        for lineno, row in enumerate(csv.reader(lines), start=lineno + 1):
+            if not row or all(not col.strip() for col in row):
                 continue
-            raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
-        header = False
-        values.append(x)
-        values.append(y)
-        if len(values) == 2 * _BLOCK_ROWS:
-            rows += _BLOCK_ROWS
-            yield tuple(np.frombuffer(values).reshape(-1, 2).T)
-            values = array("d")
+            if len(row) < 2:
+                raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+            try:
+                x = float(row[0])
+                y = float(row[1])
+            except ValueError:
+                if header:
+                    header = False
+                    continue
+                raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
+            header = False
+            values.append(x)
+            values.append(y)
+            if len(values) == 2 * _BLOCK_ROWS:
+                rows += _BLOCK_ROWS
+                yield tuple(np.frombuffer(values).reshape(-1, 2).T)
+                values = array("d")
+    except csv.Error as exc:
+        # Reading the next row: a stray quote can open a field past csv's size
+        # limit, and csv refuses NUL on Python 3.10.
+        raise InvalidParameter(f"{path}:{lineno + 1}: {exc}") from None
     if values:
         yield tuple(np.frombuffer(values).reshape(-1, 2).T)
     return rows + len(values) // 2
@@ -200,12 +206,7 @@ def _csv_blocks(path: str) -> Iterator[_Block]:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        estimate = empirical_opd(_csv_blocks(args.csv), d=args.order, step=args.step)
-    except csv.Error as exc:
-        # A stray quote can open a field past csv's size limit; csv refuses
-        # NUL on Python 3.10.
-        raise InvalidParameter(f"{args.csv}: {exc}") from None
+    estimate = empirical_opd(_csv_blocks(args.csv), d=args.order, step=args.step)
     payload = estimate.to_dict()
     lines = [f"{key} {value}" for key, value in payload.items()]
     _emit_payload(payload, lines, args)

@@ -109,17 +109,21 @@ class DiscreteJoint:
         self._store(order, point_array, np.array(probs, dtype=float))
 
     @classmethod
-    def _from_arrays(cls, order: int, points: np.ndarray, probs: np.ndarray) -> DiscreteJoint:
+    def _from_arrays(
+        cls, order: int, points: np.ndarray, probs: np.ndarray, sorted_atoms: bool = False
+    ) -> DiscreteJoint:
         """A law from an ``(n, 2 * order)`` float array of points and their
         probabilities, in input order, checked as the constructor checks its
         atoms.  For bulk readers and for laws derived from other laws' arrays;
-        ``order`` must be >= 1.
+        ``order`` must be >= 1.  ``sorted_atoms`` says the points are already
+        distinct and sorted, so they are neither sorted nor screened for
+        duplicates again.
         """
         law = cls.__new__(cls)
-        law._store(order, points, probs)
+        law._store(order, points, probs, sorted_atoms)
         return law
 
-    def _store(self, order: int, points: np.ndarray, probs: np.ndarray) -> None:
+    def _store(self, order: int, points: np.ndarray, probs: np.ndarray, sorted_atoms: bool = False) -> None:
         """Check the atoms, sort them by point and keep them as read-only arrays.
 
         Raises, in this order of precedence: ModelStructureError if there
@@ -128,9 +132,12 @@ class DiscreteJoint:
         """
         if not len(probs):
             raise ModelStructureError("a law needs at least one atom")
-        # Stable, so equal points stay in input order; the last key is the primary one.
-        by_point = np.lexsort(points.T[::-1])
-        sorted_points = points[by_point]
+        if sorted_atoms:
+            sorted_points = points
+        else:
+            # Stable, so equal points stay in input order; the last key is the primary one.
+            by_point = np.lexsort(points.T[::-1])
+            sorted_points = points[by_point]
         prob_list = probs.tolist()
         # Only a law with a bad atom fails these screens (a NaN or infinite
         # probability makes the sum non-finite), and it is then checked atom by
@@ -141,13 +148,13 @@ class DiscreteJoint:
             min(prob_list) > 0.0
             and math.isfinite(sum(prob_list))
             and np.isfinite(points).all()
-            and not (sorted_points[1:] == sorted_points[:-1]).all(axis=1).any()
+            and (sorted_atoms or not (sorted_points[1:] == sorted_points[:-1]).all(axis=1).any())
         ):
             _check_atoms(order, list(map(tuple, points.tolist())), prob_list)
         mass = math.fsum(prob_list)
         if abs(mass - 1.0) > 1e-12:
             raise MassNotOne(mass)
-        sorted_probs = probs[by_point]
+        sorted_probs = probs if sorted_atoms else probs[by_point]
         sorted_points.flags.writeable = False
         sorted_probs.flags.writeable = False
         object.__setattr__(self, "order", order)
@@ -263,7 +270,7 @@ def marginal(dist: DiscreteJoint, subset: Iterable[int]) -> DiscreteJoint:
     sorted_points = points[by_point]
     starts = np.append(True, (sorted_points[1:] != sorted_points[:-1]).any(axis=1))
     probs = np.bincount(np.cumsum(starts) - 1, weights=dist._probs[by_point])
-    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs)
+    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs, sorted_atoms=True)
 
 
 def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float]) -> DiscreteJoint:

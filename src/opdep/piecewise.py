@@ -33,8 +33,10 @@ size 2; longer chains have no closed form here and route to Monte Carlo.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -405,14 +407,12 @@ def _chain2_lower(lo: float, hi: float, t1: float, t2: float) -> float:
     return (a - lo) * (a - lo) / 2.0 + (a - lo) * (beta - a)
 
 
-def _orthant_probability(
-    model: PiecewiseUniformDensity, point: Sequence[float], lower: bool
-) -> float:
+def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], lower: bool) -> float:
     """Sum over cells of the value times each block's volume inside the orthant.
 
-    The upper orthant reflects by ``u -> lo + hi - u``, which maps a chain onto itself reversed.
+    ``pt`` is a point as :func:`_check_point` returns it.  The upper orthant
+    reflects by ``u -> lo + hi - u``, which maps a chain onto itself reversed.
     """
-    pt = _check_point(model, point)
     terms: list[float] = []
     for term, blocks in model._orthant_plan:
         for interval, lo, hi, size, coords in blocks:
@@ -448,7 +448,7 @@ def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
     Raises:
         UnsupportedChainLength: a cell not yet zero at ``point`` reaches a chain of size >= 3.
     """
-    return _orthant_probability(model, point, lower=True)
+    return _orthant_probability(model, _check_point(model, point), lower=True)
 
 
 def survival(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
@@ -456,7 +456,7 @@ def survival(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
 
     Note this is not ``1 - cdf`` beyond dimension one.
     """
-    return _orthant_probability(model, point, lower=False)
+    return _orthant_probability(model, _check_point(model, point), lower=False)
 
 
 def _ordered_axis_blocks(cell: Cell, axis: str) -> list[Block]:
@@ -639,14 +639,21 @@ def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float,
 def default_grid(
     models: Sequence[PiecewiseUniformDensity], points_per_axis: int = 9
 ) -> list[list[float]]:
-    """Evenly spaced evaluation grid over the bounding box widened by 0.5 on each side."""
-    if points_per_axis < 2:
-        raise InvalidParameter(f"points_per_axis must be >= 2, got {points_per_axis}")
+    """Evenly spaced evaluation grid over the bounding box widened by 0.5 on each side.
+
+    Raises:
+        InvalidParameter: ``points_per_axis`` is not an integer >= 2.
+    """
+    try:
+        n = operator.index(points_per_axis)
+    except TypeError:
+        raise InvalidParameter(f"points_per_axis must be an integer, got {points_per_axis!r}") from None
+    if n < 2:
+        raise InvalidParameter(f"points_per_axis must be >= 2, got {n}")
     grid = []
     for lo, hi in bounding_box(models):
         a = lo - 0.5
         b = hi + 0.5
-        n = points_per_axis
         grid.append([a + (b - a) * i / (n - 1) for i in range(n)])
     return grid
 
@@ -664,6 +671,24 @@ def concordance_check(
     not exceed B's by more than ``tol``.  With ``grid`` omitted, the grid
     is ``points_per_axis`` evenly spaced values per coordinate over the
     joint bounding box widened by 0.5 on each side.
+
+    The grid is checked once, before any evaluation, and each point's four
+    orthant probabilities are then evaluated with no further check; they
+    equal those of :func:`cdf` and :func:`survival` at that point.  The
+    witnesses are at most 20 of the points where a violation exceeds
+    ``tol``: the largest violation first, and points of equal violation in
+    the order ``itertools.product`` visits them.  The sweep keeps only those
+    20, so its memory does not grow with the number of violating points.
+
+    Raises:
+        DimensionMismatch: the models, or the grid and the models, differ in dimension.
+        InvalidParameter: a grid value is not a real number, a grid axis is
+            empty, or ``points_per_axis`` is not an integer >= 2.
+        NonFiniteInput: a grid value is NaN; this is raised before any
+            point is evaluated, so before an UnsupportedChainLength that a
+            grid point ahead of the NaN would raise.
+        UnsupportedChainLength: a cell not yet zero at a grid point reaches
+            a chain of size >= 3.
     """
     _check_tol(tol)
     if model_a.dimension != model_b.dimension:
@@ -671,32 +696,40 @@ def concordance_check(
     if grid is None:
         axes = default_grid([model_a, model_b], points_per_axis)
     else:
-        axes = [[float(v) for v in axis_values] for axis_values in grid]
+        try:
+            axes = [[float(v) for v in axis_values] for axis_values in grid]
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"grid values must be real numbers: {exc}") from None
         if len(axes) != model_a.dimension:
             raise DimensionMismatch(
                 f"grid has {len(axes)} axes, models need {model_a.dimension}"
             )
         if any(not axis for axis in axes):
             raise InvalidParameter("every grid axis needs at least one value")
+    if any(map(math.isnan, itertools.chain.from_iterable(axes))):
+        raise NonFiniteInput("point contains NaN")
     max_cdf = 0.0
     max_surv = 0.0
-    violators: list[tuple[float, tuple[float, ...]]] = []
-    for point in itertools.product(*axes):
-        v_cdf = cdf(model_a, point) - cdf(model_b, point)
-        v_surv = survival(model_a, point) - survival(model_b, point)
-        max_cdf = max(max_cdf, v_cdf)
-        max_surv = max(max_surv, v_surv)
-        worst = max(v_cdf, v_surv)
-        if worst > tol:
-            violators.append((worst, point))
-    violators.sort(key=lambda item: -item[0])
-    witnesses = tuple(point for _, point in violators[:20])
+
+    def violators() -> Iterator[tuple[float, tuple[float, ...]]]:
+        nonlocal max_cdf, max_surv
+        for point in itertools.product(*axes):
+            v_cdf = _orthant_probability(model_a, point, True) - _orthant_probability(model_b, point, True)
+            v_surv = _orthant_probability(model_a, point, False) - _orthant_probability(model_b, point, False)
+            max_cdf = max(max_cdf, v_cdf)
+            max_surv = max(max_surv, v_surv)
+            worst = max(v_cdf, v_surv)
+            if worst > tol:
+                yield worst, point
+
+    # Equal to sorted(violators, key=...)[:20], so ties keep product order.
+    top = heapq.nsmallest(20, violators(), key=lambda item: -item[0])
     return ConcordanceReport(
         cdf_dominated=max_cdf <= tol,
         survival_dominated=max_surv <= tol,
         max_cdf_violation=max(max_cdf, 0.0),
         max_survival_violation=max(max_surv, 0.0),
-        witness_points=witnesses,
+        witness_points=tuple(point for _, point in top),
         tol=tol,
     )
 

@@ -2,8 +2,10 @@
 it hands the rest of a file to, against the row-loop oracle.
 
 ``oracle_read_series_csv`` is the reader as it was before the bulk parse,
-kept verbatim: every file must give the same rows, bit for bit, or the
-same error, and ``opdep estimate`` must print the same output and exit
+kept verbatim but for one change: it reports a ``csv.Error`` as an
+``InvalidParameter`` naming the row csv was reading, as every other row
+error names its row.  Every file must give the same rows, bit for bit, or
+the same error, and ``opdep estimate`` must print the same output and exit
 with the same code as when it read the whole pair with the oracle and
 then estimated.  The one intended difference, a leading UTF-8 byte order
 mark, has its own tests.  The bulk parse yields a block for each chunk of
@@ -39,22 +41,26 @@ def oracle_read_series_csv(path: str) -> TimeSeriesPair:
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         first_data_row = True
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not col.strip() for col in row):
-                continue
-            if len(row) < 2:
-                raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
-            try:
-                x = float(row[0])
-                y = float(row[1])
-            except ValueError:
-                if first_data_row:
-                    first_data_row = False
+        lineno = 0
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row or all(not col.strip() for col in row):
                     continue
-                raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
-            first_data_row = False
-            xs.append(x)
-            ys.append(y)
+                if len(row) < 2:
+                    raise InvalidParameter(f"{path}:{lineno}: need at least two columns")
+                try:
+                    x = float(row[0])
+                    y = float(row[1])
+                except ValueError:
+                    if first_data_row:
+                        first_data_row = False
+                        continue
+                    raise InvalidParameter(f"{path}:{lineno}: not numeric: {row[:2]!r}") from None
+                first_data_row = False
+                xs.append(x)
+                ys.append(y)
+        except csv.Error as exc:
+            raise InvalidParameter(f"{path}:{lineno + 1}: {exc}") from None
     if not xs:
         raise InvalidParameter(f"{path}: no data rows")
     return TimeSeriesPair(xs, ys)
@@ -584,7 +590,13 @@ CSV_ERROR_FILES = {
     "unterminated_quote": b'x,y\n"7,8\n' + b"1.5,2.5\n" * 30000,
     "long_field": b'x,y\n1,2\n"' + b"1" * 140000 + b'",3\n',
     "nul": b"x,y\n1,2\n\x00,3\n4,5\n",
+    # Refused in its second chunk, so the row loop takes over mid-file.
+    "late_quote": b"x,y\n" + b"1,2\n" * 20000 + b'"7,8\n' + b"1.5,2.5\n" * 30000,
 }
+
+
+# The row each error names: the one csv was reading when it raised.
+CSV_ERROR_ROWS = {"unterminated_quote": 2, "long_field": 3, "nul": 3, "late_quote": 20002}
 
 
 @pytest.mark.parametrize("name", sorted(CSV_ERROR_FILES))
@@ -593,9 +605,17 @@ def test_csv_error_is_reported_as_a_parse_error(tmp_path, name):
     _assert_matches_oracle(path, CSV_ERROR_FILES[name])
     code, out, err = _run(["estimate", str(path)])
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {path}") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}:{CSV_ERROR_ROWS[name]}: ") and err.count("\n") == 1
     if name != "nul":
-        assert err == f"error: {path}: field larger than field limit (131072)\n"
+        assert err == f"error: {path}:{CSV_ERROR_ROWS[name]}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("first", [1, 7])
+def test_row_loop_numbers_a_csv_error_from_the_line_it_starts_at(first):
+    # As after a handoff: the two rows are lines first and first + 1.
+    lines = io.StringIO('1,2\n3,4\n"' + "1" * 140000 + '",3\n', newline="")
+    with pytest.raises(InvalidParameter, match=rf"^P:{first + 2}: field larger than field limit"):
+        list(cli._loop_blocks("P", lines, first, False))
 
 
 # -- observability -------------------------------------------------------------------

@@ -7,12 +7,20 @@ coordinates through ``coordinate_index`` and dispatched on the block's
 kind, kept verbatim.  ``cdf`` and ``survival`` must match them by
 ``repr``, which tells 0.0 from -0.0; an error must match in type and
 message.
+
+``concordance_check`` there is the grid check as it was when it made four
+public ``cdf``/``survival`` calls per point, each checking the point, and
+sorted the whole list of violating points; it too is kept verbatim.  Its
+reports must equal those of ``opdep.piecewise.concordance_check`` by
+``==`` and by ``repr``, and its errors must match, except that a NaN grid
+value is now refused before any point is evaluated.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 from typing import Sequence
 
@@ -20,15 +28,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import piecewise as pw
-from opdep.errors import DimensionMismatch, NonFiniteInput, OpdepError, UnsupportedChainLength
+from opdep.errors import (
+    DimensionMismatch,
+    InvalidParameter,
+    NonFiniteInput,
+    OpdepError,
+    UnsupportedChainLength,
+)
 from opdep.modelio import load_model, model_to_json
+from opdep.patterns import _check_tol
 from opdep.piecewise import (
     Block,
     Cell,
+    ConcordanceReport,
     PiecewiseUniformDensity,
     _chain2_lower,
+    cdf,
     coordinate_index,
+    default_grid,
+    survival,
 )
+from opdep.scenarios import build_counterexample
 
 # -- the oracles: the former per-block bodies, verbatim -----------------------------
 
@@ -93,6 +113,56 @@ def _orthant_probability(
     return math.fsum(terms)
 
 
+def concordance_check(
+    model_a: PiecewiseUniformDensity,
+    model_b: PiecewiseUniformDensity,
+    grid: Sequence[Sequence[float]] | None = None,
+    tol: float = 1e-12,
+    points_per_axis: int = 9,
+) -> ConcordanceReport:
+    """Grid test of whether model A precedes model B in concordance order.
+
+    At every grid point both the cdf and the survival function of A must
+    not exceed B's by more than ``tol``.  With ``grid`` omitted, the grid
+    is ``points_per_axis`` evenly spaced values per coordinate over the
+    joint bounding box widened by 0.5 on each side.
+    """
+    _check_tol(tol)
+    if model_a.dimension != model_b.dimension:
+        raise DimensionMismatch("models have different dimensions")
+    if grid is None:
+        axes = default_grid([model_a, model_b], points_per_axis)
+    else:
+        axes = [[float(v) for v in axis_values] for axis_values in grid]
+        if len(axes) != model_a.dimension:
+            raise DimensionMismatch(
+                f"grid has {len(axes)} axes, models need {model_a.dimension}"
+            )
+        if any(not axis for axis in axes):
+            raise InvalidParameter("every grid axis needs at least one value")
+    max_cdf = 0.0
+    max_surv = 0.0
+    violators: list[tuple[float, tuple[float, ...]]] = []
+    for point in itertools.product(*axes):
+        v_cdf = cdf(model_a, point) - cdf(model_b, point)
+        v_surv = survival(model_a, point) - survival(model_b, point)
+        max_cdf = max(max_cdf, v_cdf)
+        max_surv = max(max_surv, v_surv)
+        worst = max(v_cdf, v_surv)
+        if worst > tol:
+            violators.append((worst, point))
+    violators.sort(key=lambda item: -item[0])
+    witnesses = tuple(point for _, point in violators[:20])
+    return ConcordanceReport(
+        cdf_dominated=max_cdf <= tol,
+        survival_dominated=max_surv <= tol,
+        max_cdf_violation=max(max_cdf, 0.0),
+        max_survival_violation=max(max_surv, 0.0),
+        witness_points=witnesses,
+        tol=tol,
+    )
+
+
 # -- comparison ------------------------------------------------------------------------
 
 
@@ -137,8 +207,9 @@ def axis_blocks(draw, axis, order, longest_chain):
 
 
 @st.composite
-def models(draw, longest_chain=2, max_order=3):
-    order = draw(st.integers(1, max_order))
+def models(draw, longest_chain=2, max_order=3, order=None):
+    if order is None:
+        order = draw(st.integers(1, max_order))
     cells = []
     for _ in range(draw(st.integers(1, 3))):
         blocks = draw(axis_blocks("x", order, longest_chain)) + draw(axis_blocks("y", order, longest_chain))
@@ -243,3 +314,137 @@ def test_an_orthant_call_leaves_equality_hash_repr_and_json_unchanged():
     assert model == twin and twin == model
     assert (hash(model), repr(model), model_to_json(model)) == before
     assert before == (hash(twin), repr(twin), model_to_json(twin))
+
+
+# -- concordance reports ---------------------------------------------------------------
+
+
+def report_outcome(fn, *args, **kwargs):
+    """The report and its ``repr``, or the error's type and message."""
+    try:
+        report = fn(*args, **kwargs)
+    except (OpdepError, TypeError, ValueError) as err:
+        return type(err), str(err)
+    return report, repr(report)
+
+
+def assert_reports_match(model_a, model_b, **kwargs):
+    got = report_outcome(pw.concordance_check, model_a, model_b, **kwargs)
+    expected = report_outcome(concordance_check, model_a, model_b, **kwargs)
+    grid = kwargs.get("grid")
+    if grid is not None and any(math.isnan(v) for axis in grid for v in axis):
+        # Refused before any evaluation; the oracle raised at the first point it
+        # could not evaluate, which may come before the first NaN.
+        assert got == (NonFiniteInput, "point contains NaN")
+        assert expected == got or expected[0] is UnsupportedChainLength
+    else:
+        assert got == expected, (model_a, model_b, kwargs)
+    return got
+
+
+GRID_VALUES = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(min_value=-3.0, max_value=4.0, allow_nan=False),
+)
+# Values per axis by order, so that a grid has at most 256 points.
+AXIS_SIZES = {1: 12, 2: 4, 3: 2}
+
+
+@st.composite
+def model_pairs(draw, longest_chain=2):
+    order = draw(st.integers(1, 3))
+    return order, draw(models(longest_chain, order=order)), draw(models(longest_chain, order=order))
+
+
+def grids(order):
+    """Axes of one to AXIS_SIZES[order] values each, repeats allowed."""
+    axis = st.lists(GRID_VALUES, min_size=1, max_size=AXIS_SIZES[order])
+    return st.lists(axis, min_size=2 * order, max_size=2 * order)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_concordance_reports_match_the_oracle(data):
+    order, model_a, model_b = data.draw(model_pairs())
+    tol = data.draw(st.sampled_from((0.0, 1e-12, 0.05)))
+    report = assert_reports_match(model_a, model_b, grid=data.draw(grids(order)), tol=tol)[0]
+    assert isinstance(report, ConcordanceReport)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_concordance_errors_match_the_oracle_but_nan_comes_first(data):
+    order, model_a, model_b = data.draw(model_pairs(longest_chain=3))
+    grid = data.draw(grids(order))
+    if data.draw(st.booleans()):
+        # Last on its axis, so the oracle evaluates points before it reaches one.
+        grid[data.draw(st.integers(0, 2 * order - 1))].append(math.nan)
+    assert_reports_match(model_a, model_b, grid=grid)
+
+
+@pytest.mark.parametrize("points_per_axis", [2, 3, 5])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_concordance_default_grid_reports_match_the_oracle(points_per_axis, reverse):
+    models_ = build_counterexample()
+    pair = (models_.f_star, models_.f) if reverse else (models_.f, models_.f_star)
+    assert_reports_match(*pair, points_per_axis=points_per_axis)
+
+
+def _violations(model_a, model_b, axes, tol=1e-12):
+    """(worst violation, point) of every violating point, in product order."""
+    out = []
+    for point in itertools.product(*axes):
+        worst = max(cdf(model_a, point) - cdf(model_b, point), survival(model_a, point) - survival(model_b, point))
+        if worst > tol:
+            out.append((worst, point))
+    return out
+
+
+@pytest.mark.parametrize("axis", [[0.25, 0.75, 0.75, 1.5], [1.5, 0.5, 1.0], [math.inf, 1.0, -math.inf, 1.0]])
+def test_ties_across_the_twentieth_witness_keep_product_order(axis):
+    models_ = build_counterexample()
+    axes = [axis] * 4
+    ranked = sorted(_violations(models_.f_star, models_.f, axes), key=lambda item: -item[0])
+    # Many violators, and a run of equal violations across the cut at 20.
+    assert len(ranked) > 20 and ranked[19][0] == ranked[20][0]
+    report = assert_reports_match(models_.f_star, models_.f, grid=axes)[0]
+    assert report.witness_points == tuple(point for _, point in ranked[:20])
+
+
+def test_nan_grid_value_is_refused_before_a_long_chain_is_reached():
+    model = PiecewiseUniformDensity(
+        order=3,
+        cells=(
+            Cell(1.0, (
+                Block("x", (1, 2, 3), 0.0, 1.0, "free"),
+                Block("y", (1, 2, 3), 0.0, 1.0, "chain"),
+            )),
+        ),
+    )
+    grid = [[0.5]] * 5 + [[0.5, math.nan]]
+    with pytest.raises(UnsupportedChainLength):
+        concordance_check(model, model, grid=grid)
+    with pytest.raises(NonFiniteInput, match="point contains NaN"):
+        pw.concordance_check(model, model, grid=grid)
+
+
+def _sweep_peak(model_a, model_b, axes, tol):
+    tracemalloc.start()
+    try:
+        report = pw.concordance_check(model_a, model_b, grid=axes, tol=tol)
+        return report, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_memory_does_not_grow_with_the_violators():
+    # The same 6,561 points with no violator and with thousands: the list the
+    # oracle sorts would hold every violating point.
+    models_ = build_counterexample()
+    axes = default_grid([models_.f, models_.f_star], points_per_axis=9)
+    assert len(_violations(models_.f_star, models_.f, axes)) > 2000
+    _sweep_peak(models_.f_star, models_.f, axes, 1e-12)  # warm caches
+    none, quiet = _sweep_peak(models_.f_star, models_.f, axes, 1.0)
+    many, busy = _sweep_peak(models_.f_star, models_.f, axes, 1e-12)
+    assert none.witness_points == () and len(many.witness_points) == 20
+    assert busy - quiet < 16 * 1024, (quiet, busy)

@@ -580,3 +580,31 @@ def test_default_grid_covers_padded_hull():
     assert len(grid) == 4
     for axis in grid:
         assert axis[0] == -0.5 and axis[-1] == 2.5 and len(axis) == 9
+
+
+@pytest.mark.parametrize("points_per_axis", [2.5, 5.0, "5", None, 1, 0, True, -3])
+def test_points_per_axis_must_be_an_integer_of_at_least_two(points_per_axis):
+    models = build_counterexample()
+    with pytest.raises(InvalidParameter, match="points_per_axis must be"):
+        default_grid([models.f], points_per_axis=points_per_axis)
+    with pytest.raises(InvalidParameter, match="points_per_axis must be"):
+        concordance_check(models.f, models.f_star, points_per_axis=points_per_axis)
+
+
+def test_points_per_axis_takes_any_integer_type():
+    models = build_counterexample()
+    assert default_grid([models.f], points_per_axis=np.int64(3)) == default_grid([models.f], points_per_axis=3)
+
+
+@pytest.mark.parametrize("bad", ["a", None, 1j, [0.5]])
+def test_grid_value_that_is_not_a_real_number_is_invalid(bad):
+    models = build_counterexample()
+    grid = [[0.5], [0.5, bad], [0.5], [0.5]]
+    with pytest.raises(InvalidParameter, match="grid values must be real numbers"):
+        concordance_check(models.f, models.f_star, grid=grid)
+
+
+def test_grid_of_numeric_strings_is_read_as_floats():
+    models = build_counterexample()
+    report = concordance_check(models.f_star, models.f, grid=[["0.5", 1, 1.5]] * 4)
+    assert report == concordance_check(models.f_star, models.f, grid=[[0.5, 1.0, 1.5]] * 4)
