@@ -54,6 +54,7 @@ from .errors import (
 from .patterns import (
     PatternDistribution,
     _check_tol,
+    _integer,
     cross_match_probability,
     dependence_from_terms,
     pattern_codes,
@@ -84,7 +85,7 @@ class DiscreteJoint:
     order: int
 
     def __init__(self, order: int, atoms: Mapping[Sequence[float], float] | AtomItems) -> None:
-        order = int(order)
+        order = _integer(order, "order")
         if order < 1:
             raise ModelStructureError(f"order must be >= 1, got {order}")
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
@@ -109,21 +110,17 @@ class DiscreteJoint:
         self._store(order, point_array, np.array(probs, dtype=float))
 
     @classmethod
-    def _from_arrays(
-        cls, order: int, points: np.ndarray, probs: np.ndarray, sorted_atoms: bool = False
-    ) -> DiscreteJoint:
+    def _from_arrays(cls, order: int, points: np.ndarray, probs: np.ndarray) -> DiscreteJoint:
         """A law from an ``(n, 2 * order)`` float array of points and their
-        probabilities, in input order, checked as the constructor checks its
-        atoms.  For bulk readers and for laws derived from other laws' arrays;
-        ``order`` must be >= 1.  ``sorted_atoms`` says the points are already
-        distinct and sorted, so they are neither sorted nor screened for
-        duplicates again.
+        probabilities, checked in input order and sorted as the constructor's
+        atoms are.  For the JSON loader and for laws derived from other laws'
+        arrays, which all take this one path; ``order`` must be an int >= 1.
         """
         law = cls.__new__(cls)
-        law._store(order, points, probs, sorted_atoms)
+        law._store(order, points, probs)
         return law
 
-    def _store(self, order: int, points: np.ndarray, probs: np.ndarray, sorted_atoms: bool = False) -> None:
+    def _store(self, order: int, points: np.ndarray, probs: np.ndarray) -> None:
         """Check the atoms, sort them by point and keep them as read-only arrays.
 
         Raises, in this order of precedence: ModelStructureError if there
@@ -132,12 +129,9 @@ class DiscreteJoint:
         """
         if not len(probs):
             raise ModelStructureError("a law needs at least one atom")
-        if sorted_atoms:
-            sorted_points = points
-        else:
-            # Stable, so equal points stay in input order; the last key is the primary one.
-            by_point = np.lexsort(points.T[::-1])
-            sorted_points = points[by_point]
+        # Stable, so equal points stay in input order; the last key is the primary one.
+        by_point = np.lexsort(points.T[::-1])
+        sorted_points = points[by_point]
         prob_list = probs.tolist()
         # Only a law with a bad atom fails these screens (a NaN or infinite
         # probability makes the sum non-finite), and it is then checked atom by
@@ -148,13 +142,13 @@ class DiscreteJoint:
             min(prob_list) > 0.0
             and math.isfinite(sum(prob_list))
             and np.isfinite(points).all()
-            and (sorted_atoms or not (sorted_points[1:] == sorted_points[:-1]).all(axis=1).any())
+            and not (sorted_points[1:] == sorted_points[:-1]).all(axis=1).any()
         ):
             _check_atoms(order, list(map(tuple, points.tolist())), prob_list)
         mass = math.fsum(prob_list)
         if abs(mass - 1.0) > 1e-12:
             raise MassNotOne(mass)
-        sorted_probs = probs if sorted_atoms else probs[by_point]
+        sorted_probs = probs[by_point]
         sorted_points.flags.writeable = False
         sorted_probs.flags.writeable = False
         object.__setattr__(self, "order", order)
@@ -247,7 +241,7 @@ def survival(dist: DiscreteJoint, point: Sequence[float]) -> float:
 
 
 def _check_subset(d: int, subset: Iterable[int], allow_empty: bool = False) -> tuple[int, ...]:
-    positions = tuple(sorted(set(int(i) for i in subset)))
+    positions = tuple(sorted(set(_integer(i, "position") for i in subset)))
     if not positions and not allow_empty:
         raise InvalidParameter("position subset must be nonempty")
     if any(not 1 <= i <= d for i in positions):
@@ -270,7 +264,7 @@ def marginal(dist: DiscreteJoint, subset: Iterable[int]) -> DiscreteJoint:
     sorted_points = points[by_point]
     starts = np.append(True, (sorted_points[1:] != sorted_points[:-1]).any(axis=1))
     probs = np.bincount(np.cumsum(starts) - 1, weights=dist._probs[by_point])
-    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs, sorted_atoms=True)
+    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs)
 
 
 def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float]) -> DiscreteJoint:

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DimensionMismatch, EmptyInput, InvalidParameter, OpdepError, SeriesTooShort
+from .errors import DimensionMismatch, EmptyInput, OpdepError, SeriesTooShort
 from .patterns import (
     Pattern,
     _check_order,
+    _integer,
     cross_match_probability,
     dependence_from_terms,
     distribution_from_counts,
@@ -209,7 +210,7 @@ def empirical_opd(
     Raises:
         Any error of a block, or of the iterable yielding it, first.
         OrderTooSmall / OrderTooLarge: d outside [2, 8].
-        InvalidParameter: step below 1.
+        InvalidParameter: step not an integer >= 1.
         EmptyInput: the blocks hold no values.
         SeriesTooShort: no window of order d fits the series.
         EmptyInput: every window offset was skipped.
@@ -223,8 +224,7 @@ def empirical_opd(
         blocks = ((series.x, series.y),)
     try:
         _check_order(d)
-        if step < 1:
-            raise InvalidParameter(f"step must be >= 1, got {step}")
+        step = _integer(step, "step", 1)
     except OpdepError:
         for _ in blocks:
             pass

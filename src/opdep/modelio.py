@@ -19,19 +19,11 @@ Two kinds are supported and distinguished by the top-level ``kind`` field:
     {"kind": "discrete", "order": 2, "atoms": [
         {"point": ["1.0", "5.0", "3.0", "5.0"], "prob": "0.25"}]}
 
-An atom is plain if it has exactly these two keys, a point that is a
-list, and only JSON numbers and decimal strings (not booleans) that
-``float`` converts.  :func:`model_from_json` takes atoms out of the JSON
-tree as they are decoded and converts their values into one flat float
-buffer (see :class:`_AtomPacker`), so loading a law holds about its float
-arrays, not its whole JSON tree.  The buffer becomes the law's arrays when
-the text is exactly a discrete law (the keys ``kind``, ``order`` and
-``atoms``, an integer order of at least 1) whose atoms are all plain with
-``2 * order`` coordinates.  Otherwise, if any atom was taken out, the text
-is decoded a second time without the hook and read by
-:func:`model_from_dict`, whose discrete reader converts a list of plain
-atoms the same way and reads any other list atom by atom; that reader
-raises every schema error with its field path.
+:func:`model_from_dict` reads a discrete law atom by atom, and its field
+checkers raise every schema error with its field path.
+:func:`model_from_json` packs the values of atoms into one float buffer as
+the text is decoded (see :class:`_AtomPacker`), so loading a law holds
+about its float arrays, not its whole JSON tree.
 """
 
 from __future__ import annotations
@@ -208,16 +200,22 @@ def _atom_from_dict(data: Any, field: str) -> tuple[tuple[float, ...], float]:
 class _AtomPacker:
     """Packs the floats of plain atoms, one decoded object at a time.
 
-    Called on a JSON object (as the ``object_hook`` of ``json.loads``, or on
-    each atom of a decoded list), it returns the object unchanged unless it
-    has exactly the keys ``point`` and ``prob`` and its point is a list.
-    Then it queues the point's coordinates and the probability and returns
-    ``_PACKED``, so the object and its point are freed at once.  The queue
-    is converted in blocks of ``_BLOCK`` values: each block only if all of
-    its values are plain, that is JSON numbers or strings (not booleans)
-    that ``float`` converts, and ``plain`` turns False otherwise.  ``float``
+    The ``object_hook`` of :func:`model_from_json`: called on each decoded
+    JSON object, it returns the object unchanged unless it has exactly the
+    keys ``point`` and ``prob`` and its point is a list.  Then it queues
+    the point's coordinates and the probability and returns ``_PACKED``,
+    so the object and its point are freed at once.  The queue is converted
+    in blocks of ``_BLOCK`` values: each block only if all of its values
+    are plain, that is JSON numbers or strings (not booleans) that
+    ``float`` converts, and ``plain`` turns False otherwise.  ``float``
     strips whitespace as ``_real_in`` does, so plain atoms get the field
     checkers' values.
+
+    A text with a packed atom is a valid model only if it is a discrete law
+    of plain atoms, which :meth:`law` returns, so decoding any other such
+    text again ends in an error: no object of a piecewise model has an
+    atom's keys, a law's atoms are exactly the elements of its ``atoms``
+    list, and the field checkers refuse every value that is not plain.
     """
 
     __slots__ = ("values", "queue", "widths", "count", "plain")
@@ -269,14 +267,7 @@ class _AtomPacker:
 
 def _discrete_from_dict(data: dict) -> DiscreteJoint:
     order = _order_in(data)
-    raw_atoms = _list_in(data["atoms"], "atoms")
-    packer = _AtomPacker()
-    if all(type(atom) is dict and packer(atom) is _PACKED for atom in raw_atoms):
-        law = packer.law(order)
-        if law is not None:
-            return law
-    # Atom by atom: the field checkers raise every schema error.
-    atoms = [_atom_from_dict(raw_atom, f"atoms[{ai}]") for ai, raw_atom in enumerate(raw_atoms)]
+    atoms = [_atom_from_dict(atom, f"atoms[{ai}]") for ai, atom in enumerate(_list_in(data["atoms"], "atoms"))]
     try:
         return DiscreteJoint(order=order, atoms=atoms)
     except OpdepError as exc:
@@ -302,7 +293,14 @@ def model_to_json(model: Model) -> str:
 
 
 def model_from_json(text: str) -> Model:
-    """Parse a model from JSON text, packing atoms as they are decoded."""
+    """Parse a model from JSON text, packing atoms as they are decoded.
+
+    The packed values are the law's arrays when the text is exactly a
+    discrete law (the keys ``kind``, ``order`` and ``atoms``, an integer
+    order >= 1) of plain atoms with ``2 * order`` coordinates.  Any other
+    text with a packed atom is refused by :func:`model_from_dict`, which
+    reads it decoded again to name the field at fault.
+    """
     packer = _AtomPacker()
     try:
         data = json.loads(text, object_hook=packer)

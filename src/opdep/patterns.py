@@ -42,7 +42,19 @@ MIN_ORDER = 2
 MAX_ORDER = 8
 
 
+def _integer(value: object, name: str, least: int | None = None) -> int:
+    """``value`` read by ``operator.index``; InvalidParameter unless it is an integer >= ``least``."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {n}")
+    return n
+
+
 def _check_order(d: int) -> None:
+    # Not through _integer: pattern_of checks every window's order.
     try:
         operator.index(d)
     except TypeError:
@@ -164,7 +176,7 @@ def index_to_pattern(index: int, d: int) -> Pattern:
         IndexOutOfRange: index outside [0, d! - 1].
     """
     table = rank_table(d)
-    index = operator.index(index)
+    index = _integer(index, "index")
     if not 0 <= index < len(table):
         raise IndexOutOfRange(f"index {index} outside [0, {len(table) - 1}] for order {d}")
     return tuple(table[index].tolist())

@@ -36,7 +36,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -58,6 +57,7 @@ from .patterns import (
     Pattern,
     PatternDistribution,
     _check_tol,
+    _integer,
     cross_match_probability,
     dependence_from_terms,
     enumerate_patterns,
@@ -93,7 +93,7 @@ class Block:
             raise ModelStructureError(f"axis must be one of {AXES}, got {self.axis!r}")
         if self.kind not in KINDS:
             raise ModelStructureError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        positions = tuple(int(p) for p in self.positions)
+        positions = tuple(_integer(p, "position") for p in self.positions)
         if not positions:
             raise ModelStructureError("a block needs at least one position")
         if any(p < 1 for p in positions):
@@ -152,7 +152,7 @@ class PiecewiseUniformDensity:
     cells: tuple[Cell, ...]
 
     def __post_init__(self) -> None:
-        order = int(self.order)
+        order = _integer(self.order, "order")
         if order < 1:
             raise ModelStructureError(f"order must be >= 1, got {order}")
         cells = tuple(self.cells)
@@ -644,12 +644,7 @@ def default_grid(
     Raises:
         InvalidParameter: ``points_per_axis`` is not an integer >= 2.
     """
-    try:
-        n = operator.index(points_per_axis)
-    except TypeError:
-        raise InvalidParameter(f"points_per_axis must be an integer, got {points_per_axis!r}") from None
-    if n < 2:
-        raise InvalidParameter(f"points_per_axis must be >= 2, got {n}")
+    n = _integer(points_per_axis, "points_per_axis", 2)
     grid = []
     for lo, hi in bounding_box(models):
         a = lo - 0.5
@@ -682,8 +677,8 @@ def concordance_check(
 
     Raises:
         DimensionMismatch: the models, or the grid and the models, differ in dimension.
-        InvalidParameter: a grid value is not a real number, a grid axis is
-            empty, or ``points_per_axis`` is not an integer >= 2.
+        InvalidParameter: ``points_per_axis`` is not an integer >= 2, with or
+            without ``grid``, a grid value is not a real number, or an axis is empty.
         NonFiniteInput: a grid value is NaN; this is raised before any
             point is evaluated, so before an UnsupportedChainLength that a
             grid point ahead of the NaN would raise.
@@ -696,6 +691,7 @@ def concordance_check(
     if grid is None:
         axes = default_grid([model_a, model_b], points_per_axis)
     else:
+        _integer(points_per_axis, "points_per_axis", 2)
         try:
             axes = [[float(v) for v in axis_values] for axis_values in grid]
         except (TypeError, ValueError) as exc:

@@ -268,7 +268,7 @@ def faulty_law_dicts(draw):
         elif fault == "unknown_key":
             atom[draw(st.sampled_from(["weight", "Point", "a"]))] = 1
         elif fault == "missing_key":
-            del atom[draw(st.sampled_from(["point", "prob"]))]
+            atom.pop(draw(st.sampled_from(["point", "prob"])), None)
         elif fault == "short_point":
             point.pop()
         elif fault == "long_point":
@@ -314,19 +314,29 @@ def _bits(values):
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(law_dicts())
 def test_bulk_loaded_arrays_match_the_oracle_bit_for_bit(data):
-    with mock.patch.object(modelio, "_atom_from_dict", side_effect=AssertionError("read atom by atom")):
-        law = model_from_dict(data)
-    assert "atoms" not in vars(law)
     order, atoms = oracle_model_from_dict(data)
     points = [point for point, _ in atoms]
     probs = [prob for _, prob in atoms]
-    assert law.order == order
-    assert law._points.shape == (len(atoms), 2 * order)
-    assert np.array_equal(_bits(law._points), _bits(points))
-    assert np.array_equal(_bits(law._probs), _bits(probs))
-    assert np.array_equal(_bits([point for point, _ in law.atoms]), _bits(points))
-    assert np.array_equal(_bits([prob for _, prob in law.atoms]), _bits(probs))
-    assert all(type(point) is tuple for point, _ in law.atoms)
+    # The dict is read atom by atom and its JSON text packed as it is decoded.
+    laws = model_from_dict(data), model_from_json(json.dumps(data))
+    for law in laws:
+        assert "atoms" not in vars(law)
+        assert law.order == order
+        assert law._points.shape == (len(atoms), 2 * order)
+        assert np.array_equal(_bits(law._points), _bits(points))
+        assert np.array_equal(_bits(law._probs), _bits(probs))
+        assert np.array_equal(_bits([point for point, _ in law.atoms]), _bits(points))
+        assert np.array_equal(_bits([prob for _, prob in law.atoms]), _bits(probs))
+        assert all(type(point) is tuple for point, _ in law.atoms)
+    assert laws[0] == laws[1]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(faulty_law_dicts())
+def test_a_dict_and_its_json_text_fail_alike(data):
+    text = json.dumps(data)
+    # The dict as the JSON text holds it: tuples are written as lists.
+    assert outcome(model_from_json, text) == outcome(model_from_dict, json.loads(text))
 
 
 def _with_second_atom(**fields):

@@ -19,6 +19,7 @@ from opdep.errors import (
     OrderTooLarge,
     OrderTooSmall,
 )
+from opdep.discrete import DiscreteJoint, conditional, marginal
 from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.patterns import (
     PatternDistribution,
@@ -32,6 +33,7 @@ from opdep.patterns import (
     pattern_of,
     rank_table,
 )
+from opdep.piecewise import Block, PiecewiseUniformDensity
 
 
 def oracle_pattern(values):
@@ -136,10 +138,43 @@ def test_order_that_is_not_an_integer_is_an_invalid_parameter(order):
     # A table cached for an integer order does not answer for an equal float.
     rank_table(2)
     rank_table(3)
-    calls = (lambda: enumerate_patterns(order), lambda: rank_table(order), lambda: empirical_opd(pair, d=order))
+    calls = (
+        lambda: enumerate_patterns(order),
+        lambda: rank_table(order),
+        lambda: empirical_opd(pair, d=order),
+        lambda: DiscreteJoint(order, {(0.0, 1.0): 1.0}),
+        lambda: PiecewiseUniformDensity(order, ()),
+    )
     for call in calls:
         with pytest.raises(InvalidParameter, match="^order must be an integer, got "):
             call()
+
+
+def _integer_argument_calls():
+    """One call per integer argument other than an order, taking the argument's value."""
+    pair = TimeSeriesPair([1.0, 2.0, 3.0, 4.0], [1.0, 3.0, 2.0, 4.0])
+    law = DiscreteJoint(2, {(0.0, 1.0, 2.0, 3.0): 0.5, (1.0, 0.0, 3.0, 2.0): 0.5})
+    return {
+        "step": ("step", lambda v: empirical_opd(pair, 2, step=v)),
+        "marginal position": ("position", lambda v: marginal(law, (v,))),
+        "conditional position": ("position", lambda v: conditional(law, (v,), (0.0, 2.0))),
+        "block position": ("position", lambda v: Block("x", (v,), 0.0, 1.0, "free")),
+        "pattern index": ("index", lambda v: index_to_pattern(v, 3)),
+    }
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(1.0), "2", None])
+@pytest.mark.parametrize("argument", list(_integer_argument_calls()))
+def test_an_integer_argument_that_is_not_an_integer_is_an_invalid_parameter(argument, value):
+    name, call = _integer_argument_calls()[argument]
+    with pytest.raises(InvalidParameter, match=f"^{name} must be an integer, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("argument", list(_integer_argument_calls()))
+def test_an_integer_argument_takes_any_integer_type(argument):
+    _, call = _integer_argument_calls()[argument]
+    assert call(np.int64(1)) == call(1)
 
 
 def test_integer_orders_of_other_types_are_checked_as_before():

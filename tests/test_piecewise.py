@@ -589,6 +589,8 @@ def test_points_per_axis_must_be_an_integer_of_at_least_two(points_per_axis):
         default_grid([models.f], points_per_axis=points_per_axis)
     with pytest.raises(InvalidParameter, match="points_per_axis must be"):
         concordance_check(models.f, models.f_star, points_per_axis=points_per_axis)
+    with pytest.raises(InvalidParameter, match="points_per_axis must be"):
+        concordance_check(models.f, models.f_star, grid=[[0.5]] * 4, points_per_axis=points_per_axis)
 
 
 def test_points_per_axis_takes_any_integer_type():
