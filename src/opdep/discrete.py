@@ -37,8 +37,8 @@ import logging
 import math
 import operator
 from collections import deque
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -251,6 +251,7 @@ def _check_subset(d: int, subset: Iterable[int], allow_empty: bool = False) -> t
 
 def subset_coordinates(order: int, positions: Sequence[int]) -> list[int]:
     """Flat coordinate indices of a position subset: its x's, then its y's."""
+    positions = [_integer(i, "position") for i in positions]
     return [i - 1 for i in positions] + [order + i - 1 for i in positions]
 
 
@@ -373,10 +374,15 @@ def mixture_from_conditionals(
     in the result, as in :func:`product_extend`.
 
     Raises:
-        InvalidMixture: the conditional keys do not match the tail support
-            or the head laws disagree in order.
+        InvalidMixture: two conditional keys are the same point, the keys
+            do not match the tail support, or the head laws disagree in order.
     """
-    keyed = {tuple(float(v) for v in key): law for key, law in conditionals.items()}
+    keyed: dict[Point, DiscreteJoint] = {}
+    for key, law in conditionals.items():
+        point = tuple(float(v) for v in key)
+        if point in keyed:
+            raise InvalidMixture(f"conditional keys repeat the point {point}")
+        keyed[point] = law
     support = {point for point, _ in tail.atoms}
     if set(keyed) != support:
         missing = sorted(support - set(keyed))
@@ -450,23 +456,135 @@ class ConditionViolation(Record):
     rhs: float
 
 
-# ConditionViolation's fields in declaration order, as _violations takes them.
-_VIOLATION_FIELDS = ("subset", "side", "outer", "conditioning_point", "evaluation_point", "lhs", "rhs")
+# One part of a report's violations: its subset; per outer law, the outer's
+# name and its conditioning points indexed by group; the grid, one list of
+# values per axis; and its rows' range in the report's columns.
+_Part = tuple[tuple[int, ...], tuple[tuple[str, Sequence[Point | None]], ...], tuple[list[float], ...], int, int]
 
 
-def _violations(count: int, *columns: Iterable) -> list[ConditionViolation]:
-    """``count`` violation records whose fields take their values from ``columns``,
-    one iterable per field in the order of ``_VIOLATION_FIELDS``.
+class _ViolationColumns(Sequence):
+    """A report's violations, held as columns; the records are built when first read.
 
-    The records are allocated bare and each field is set on all of them by one
-    ``map`` over its slot descriptor, so no Python frame or
-    ``object.__setattr__`` call runs per record, as one does in the frozen
-    ``__init__``.  They compare, hash, print and pickle as constructed ones.
+    Row ``r`` of a part stands for one violation per outer law of the part:
+    ``codes[r]`` is ``2 * (group * grid size + flat grid index) + side``
+    (0 for "cdf", 1 for "survival"), and ``values[r]`` is its ``(lhs, rhs)``.
+    The records run part by part, and within a part outer by outer, each
+    over all the part's rows.  A row takes 24 B, shared by the part's outer
+    laws, so a variant-A violation takes 12 B until the records are built.
+
+    The first index or iteration builds every record and keeps them, as
+    :attr:`DiscreteJoint.atoms` is kept.  A part's records share its subset
+    and one evaluation-point tuple per grid point, and the report's records
+    share one float per value.  The sequence equals, hashes, prints and
+    pickles as the tuple of its records; ``len`` and ``==`` between two such
+    sequences read the columns only.
     """
-    records = list(map(object.__new__, itertools.repeat(ConditionViolation, count)))
-    for name, column in zip(_VIOLATION_FIELDS, columns, strict=True):
-        deque(map(getattr(ConditionViolation, name).__set__, records, column), maxlen=0)
-    return records
+
+    __slots__ = ("_parts", "_codes", "_values", "_length", "_records")
+
+    def __init__(self, parts: tuple[_Part, ...], codes: np.ndarray, values: np.ndarray) -> None:
+        codes.flags.writeable = values.flags.writeable = False
+        self._parts, self._codes, self._values = parts, codes, values
+        self._length = sum(len(outers) * (stop - start) for _, outers, _, start, stop in parts)
+        self._records: tuple[ConditionViolation, ...] | None = None
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._parts, self._codes, self._values)
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, tuple):
+            return self._built() == other
+        if not isinstance(other, _ViolationColumns):
+            return NotImplemented
+        return self is other or (
+            len(self) == len(other)
+            and len(self._parts) == len(other._parts)
+            and all(self._same_part(part, other, other_part) for part, other_part in zip(self._parts, other._parts))
+        )
+
+    def _same_part(self, part: _Part, other: _ViolationColumns, other_part: _Part) -> bool:
+        """Whether the records of ``part`` and of ``other``'s ``other_part`` are equal, read from the columns."""
+        subset, outers, grid, start, stop = part
+        other_subset, other_outers, other_grid, other_start, other_stop = other_part
+        if (subset, [name for name, _ in outers], len(grid), stop - start) != (
+            other_subset, [name for name, _ in other_outers], len(other_grid), other_stop - other_start
+        ):
+            return False
+        groups, sides, at, values = self._rows(part)
+        other_groups, other_sides, other_at, other_values = other._rows(other_part)
+        coords = np.unravel_index(at, tuple(map(len, grid)))
+        other_coords = np.unravel_index(other_at, tuple(map(len, other_grid)))
+        return (
+            np.array_equal(sides, other_sides)
+            and np.array_equal(values, other_values)
+            and all(
+                np.array_equal(np.take(axis, index), np.take(other_axis, other_index))
+                for axis, index, other_axis, other_index in zip(grid, coords, other_grid, other_coords)
+            )
+            and all(
+                list(map(points.__getitem__, groups)) == list(map(other_points.__getitem__, other_groups))
+                for (_, points), (_, other_points) in zip(outers, other_outers)
+            )
+        )
+
+    def _rows(self, part: _Part) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+        """A part's rows as their groups, sides, flat grid indices and ``(lhs, rhs)`` values."""
+        _, _, grid, start, stop = part
+        index, sides = np.divmod(self._codes[start:stop], 2)
+        groups, at = np.divmod(index, math.prod(map(len, grid)))
+        return groups.tolist(), sides, at, self._values[start:stop]
+
+    def _built(self) -> tuple[ConditionViolation, ...]:
+        if self._records is None:
+            self._records = tuple(self._build())
+        return self._records
+
+    def _build(self) -> list[ConditionViolation]:
+        """Every record, in order.  They are allocated bare, and each field is
+        set on all records of one part and outer law by one ``map`` over its
+        slot descriptor, so no Python frame or ``object.__setattr__`` call runs
+        per record, as one does in the frozen ``__init__``.  They compare,
+        hash, print and pickle as constructed ones.
+        """
+        records: list[ConditionViolation] = []
+        values_of: dict[float, float] = {}
+        for part in self._parts:
+            subset, outers, grid, start, stop = part
+            groups, sides, at, values = self._rows(part)
+            distinct, inverse = np.unique(at, return_inverse=True)
+            corners = zip(*(c.tolist() for c in np.unravel_index(distinct, tuple(map(len, grid)))))
+            points = [tuple(map(operator.getitem, grid, corner)) for corner in corners]
+            lhs, rhs = (list(map(values_of.setdefault, column, column)) for column in values.T.tolist())
+            columns = {
+                "subset": itertools.repeat(subset),
+                "side": list(map(("cdf", "survival").__getitem__, sides.tolist())),
+                "evaluation_point": list(map(points.__getitem__, inverse.tolist())),
+                "lhs": lhs,
+                "rhs": rhs,
+            }
+            for outer, conditioning_points in outers:
+                built = list(map(object.__new__, itertools.repeat(ConditionViolation, stop - start)))
+                columns["outer"] = itertools.repeat(outer)
+                columns["conditioning_point"] = map(conditioning_points.__getitem__, groups)
+                for name, column in columns.items():
+                    deque(map(getattr(ConditionViolation, name).__set__, built, column), maxlen=0)
+                records += built
+        return records
 
 
 @dataclass(frozen=True)
@@ -481,11 +599,16 @@ class ConditionSkip(Record):
 
 @dataclass(frozen=True)
 class ConditionReport(Record):
-    """Outcome of a sweep of one variant's inequality families."""
+    """Outcome of a sweep of one variant's inequality families.
+
+    The checker's ``violations`` is a sequence that keeps them as columns
+    and builds their records when first read; it equals, hashes, prints,
+    serializes and pickles as the tuple of its records.
+    """
 
     variant: str
     holds: bool
-    violations: tuple[ConditionViolation, ...]
+    violations: Sequence[ConditionViolation]
     skipped: tuple[ConditionSkip, ...]
     shared_positions: tuple[int, ...]
     tol: float
@@ -582,18 +705,19 @@ def _sweep_groups(
     count: int,
     grid: Sequence[Sequence[float]],
     tol: float,
-) -> list[tuple[int, str, Point, float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Where the first law's cdf or survival exceeds the second's by more than ``tol``, group by group.
 
     ``atoms`` holds both laws' atoms as their laws (0 for the first, 1 for
     the second), groups (ascending, in ``range(count)``), points on the
     grid's axes and probabilities; group ``g`` of the first law is compared
-    with group ``g`` of the second, each as a law of its own.  Returns
-    ``(group, side, evaluation point, lhs, rhs)`` in order of group, then of
-    the grid in ``itertools.product`` order, "cdf" before "survival" at a
-    point; ``lhs`` and ``rhs`` are what :func:`cdf` and :func:`survival`
-    return there on the group's two laws.  Each grid point's evaluation
-    point is one tuple however often it occurs.
+    with group ``g`` of the second, each as a law of its own.  Returns two
+    arrays, one row per violation in order of group, then of the grid in
+    ``itertools.product`` order, "cdf" before "survival" at a point: the
+    int64 code ``2 * (group * grid size + flat grid index) + side``, with
+    side 0 for "cdf" and 1 for "survival", and ``(lhs, rhs)``, what
+    :func:`cdf` and :func:`survival` return there on the group's two laws.
+    The codes ascend, so they are the order.
 
     Groups are swept in batches of ``max(1, 2**16 // grid size)``, so a batch
     has at most the larger of one group's grid and 2**16 entries per law.
@@ -613,31 +737,23 @@ def _sweep_groups(
     low = np.array([np.searchsorted(axis, column) for axis, column in zip(axes, points.T)])
     high = np.array([np.searchsorted(axis, column, side="right") for axis, column in zip(axes, points.T)]) - 1
     law_probs = np.where(laws == np.array([[0], [1]]), probs, 0.0)
-    evaluation_points: dict[int, Point] = {}
-    violations = []
+    codes, values = [np.empty(0, dtype=np.int64)], [np.empty((0, 2))]
     for start in range(0, count, per_batch):
         batch_shape = (min(per_batch, count - start), *shape)
         rows = slice(*np.searchsorted(groups, (start, start + per_batch)).tolist())
         batch_groups = groups[rows] - start
         tensors = _orthant_tensors(laws[rows], batch_groups, low[:, rows], high[:, rows], probs[rows], batch_shape)
-        found = []
         for side, (inside, cells) in enumerate(((operator.le, low), (operator.ge, high))):
             first, second = tensors[side]
             flat = np.flatnonzero(np.subtract(first, second, out=first) > threshold)
             candidates = np.unravel_index(flat, batch_shape)
-            lhs, rhs = _exact_sums(law_probs[:, rows], batch_groups, cells[:, rows], candidates, inside)
-            found += (
-                (index, side, coords, left, right)
-                for index, coords, left, right in zip(flat.tolist(), zip(*(c.tolist() for c in candidates[1:])), lhs, rhs)
-                if left > right + tol
-            )
-        found.sort(key=operator.itemgetter(0, 1))
-        for index, side, coords, left, right in found:
-            group, at = divmod(index, size)
-            if at not in evaluation_points:
-                evaluation_points[at] = tuple(map(operator.getitem, grid, coords))
-            violations.append((start + group, ("cdf", "survival")[side], evaluation_points[at], left, right))
-    return violations
+            sums = np.array(_exact_sums(law_probs[:, rows], batch_groups, cells[:, rows], candidates, inside))
+            broken = sums[0] > sums[1] + tol
+            codes.append(2 * (start * size + flat[broken]) + side)
+            values.append(sums[:, broken].T)
+    codes, values = np.concatenate(codes), np.concatenate(values)
+    order = np.argsort(codes)
+    return codes[order], values[order]
 
 
 def _conditional_atoms(
@@ -745,10 +861,11 @@ def check_theorem_conditions(
     # is taken; variant A sweeps no subset when every position is shared.
     everything_shared = variant == "A" and shared.issuperset(positions)
     coordinate_values = [] if everything_shared else evaluation_grid(dist, dist_star, positions)
-    violations: list[ConditionViolation] = []
+    parts: list[_Part] = []
+    codes: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    values: list[np.ndarray] = [np.empty((0, 2))]
+    rows = 0
     skipped: list[ConditionSkip] = []
-    # Reports repeat values often, so each distinct lhs or rhs is kept once.
-    values_seen: dict[float, float] = {}
     for size in range(0 if variant == "B" else 1, d):
         for subset in itertools.combinations(positions, size):
             complement = tuple(i for i in positions if i not in subset)
@@ -765,7 +882,7 @@ def check_theorem_conditions(
                     np.concatenate([law._points for law in laws]),
                     np.concatenate([law._probs for law in laws]),
                 )
-                outers = [("none", [None])]
+                outers = [("none", (None,))]
                 count = 1
             else:
                 # Each law's own values: the second's may hold -0.0 where the first's holds 0.0.
@@ -786,21 +903,18 @@ def check_theorem_conditions(
                                 reason="conditioning value has zero mass in the other law",
                             )
                         )
-                    outers.append((outer, list(itertools.compress(law_values, law_held))))
-            found = _sweep_groups(atoms, count, grid, tol)
-            if not found:
-                continue
-            groups, sides, points, lhs, rhs = zip(*found)
-            lhs, rhs = (list(map(values_seen.setdefault, column, column)) for column in (lhs, rhs))
-            for outer, conditioning_points in outers:
-                violations += _violations(
-                    len(groups), itertools.repeat(subset), sides, itertools.repeat(outer),
-                    map(conditioning_points.__getitem__, groups), points, lhs, rhs,
-                )
+                    outers.append((outer, tuple(itertools.compress(law_values, law_held))))
+            part_codes, part_values = _sweep_groups(atoms, count, grid, tol)
+            if len(part_codes):
+                parts.append((subset, tuple(outers), tuple(grid), rows, rows + len(part_codes)))
+                codes.append(part_codes)
+                values.append(part_values)
+                rows += len(part_codes)
+    violations = _ViolationColumns(tuple(parts), np.concatenate(codes), np.concatenate(values))
     return ConditionReport(
         variant=variant,
         holds=not violations,
-        violations=tuple(violations),
+        violations=violations,
         skipped=tuple(skipped),
         shared_positions=tuple(sorted(shared)),
         tol=tol,

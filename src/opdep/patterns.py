@@ -54,11 +54,7 @@ def _integer(value: object, name: str, least: int | None = None) -> int:
 
 
 def _check_order(d: int) -> None:
-    # Not through _integer: pattern_of checks every window's order.
-    try:
-        operator.index(d)
-    except TypeError:
-        raise InvalidParameter(f"order must be an integer, got {d!r}") from None
+    _integer(d, "order")
     if d < MIN_ORDER:
         raise OrderTooSmall(f"order {d} is below the minimum of {MIN_ORDER}")
     if d > MAX_ORDER:
@@ -76,7 +72,8 @@ def pattern_of(values: Sequence[float]) -> Pattern:
         NonFiniteInput: any entry is NaN or infinite.
     """
     d = len(values)
-    _check_order(d)
+    if not MIN_ORDER <= d <= MAX_ORDER:
+        _check_order(d)
     vals = [float(v) for v in values]
     for v in vals:
         if not math.isfinite(v):

@@ -246,6 +246,7 @@ def coordinate_index(order: int, axis: str, position: int) -> int:
     """Index of window position ``position`` of ``axis`` in the flat layout."""
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")
+    position = _integer(position, "position")
     if not 1 <= position <= order:
         raise ModelStructureError(f"position {position} outside 1..{order}")
     offset = 0 if axis == "x" else order

@@ -12,11 +12,15 @@ records (``==``) and as JSON text, which also tells 0.0 from -0.0.
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
 import json
 import logging
 import math
+import pickle
 import random
+import tracemalloc
 from dataclasses import replace
 from typing import Iterable, Sequence
 
@@ -517,3 +521,50 @@ def test_relabelled_violations_keep_the_second_laws_value():
     }
     assert "[0.0, 0.0]" in points["first"] and "[-0.0, 0.0]" not in points["first"]
     assert "[-0.0, 0.0]" in points["second"] and "[0.0, 0.0]" not in points["second"]
+
+
+@pytest.mark.parametrize("variant", ["A", "B"])
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(pair=lattice_law_pairs)
+def test_a_report_is_the_report_of_its_records(variant, pair):
+    """Columns and the tuple of their records make the same report in every public form."""
+    for law, law_star in (pair, pair[::-1]):
+        report = check_theorem_conditions(law, law_star, variant)
+        swapped = check_theorem_conditions(law_star, law, variant)
+        # Compared from the columns alone, as their records compare.
+        assert (report.violations == swapped.violations) is (tuple(report.violations) == tuple(swapped.violations))
+        rebuilt = replace(report, violations=tuple(report.violations))
+        assert report == rebuilt and rebuilt == report and not report != rebuilt
+        assert hash(report) == hash(rebuilt) and repr(report) == repr(rebuilt)
+        assert json.dumps(report.to_dict()) == json.dumps(rebuilt.to_dict())
+        for kept in (report, rebuilt):
+            for restored in (pickle.loads(pickle.dumps(kept)), copy.deepcopy(kept)):
+                assert restored == report and rebuilt == restored and hash(restored) == hash(report)
+                assert repr(restored) == repr(report)
+                assert json.dumps(restored.to_dict()) == json.dumps(report.to_dict())
+
+
+def test_length_verdict_and_equality_build_no_records():
+    law, law_star = PAIRS["example43"]
+    report, again = (check_theorem_conditions(law, law_star, "A", shared_positions=()) for _ in range(2))
+    assert len(report.violations) > 0 and not report.holds and report == again
+    assert report.violations._records is None and again.violations._records is None
+    assert len(report.violations) == len(tuple(report.violations))
+
+
+@pytest.mark.parametrize("variant, values", [("A", 20), ("B", 6)])
+def test_a_report_keeps_its_violations_in_a_few_bytes_each(variant, values):
+    law, law_star = many_values_pair(values)
+    check_theorem_conditions(law, law_star, variant, shared_positions=())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = check_theorem_conditions(law, law_star, variant, shared_positions=())
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(report.violations) >= 5000 and report.violations._records is None
+    # A row of codes and values takes 24 B, and both variant-A families share it.
+    assert retained <= 40 * len(report.violations)

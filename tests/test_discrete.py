@@ -266,6 +266,16 @@ def test_mixture_validation():
     assert law.as_dict() == product_extend(head, tail).as_dict()
 
 
+def test_mixture_keys_that_are_one_point_are_refused():
+    tail = DiscreteJoint(order=1, atoms={(1.0, 2.0): 0.5, (3.0, 4.0): 0.5})
+    a, b = head_law(), head_law_star()
+    with pytest.raises(InvalidMixture, match=r"^conditional keys repeat the point \(1\.0, 2\.0\)$"):
+        mixture_from_conditionals(tail, {("1.0", "2.0"): a, (1.0, 2.0): b, (3.0, 4.0): a})
+    tail = DiscreteJoint(order=1, atoms={(0.0, 2.0): 0.5, (3.0, 4.0): 0.5})
+    with pytest.raises(InvalidMixture, match=r"^conditional keys repeat the point \(-0\.0, 2\.0\)$"):
+        mixture_from_conditionals(tail, {(0.0, 2.0): a, ("-0.0", 2): b, (3.0, 4.0): a})
+
+
 def test_shared_position_detection():
     pair = build_example42()
     assert shared_position_detect(pair.law, pair.law_star) == (2,)

@@ -19,7 +19,7 @@ from opdep.errors import (
     OrderTooLarge,
     OrderTooSmall,
 )
-from opdep.discrete import DiscreteJoint, conditional, marginal
+from opdep.discrete import DiscreteJoint, conditional, marginal, subset_coordinates
 from opdep.estimator import TimeSeriesPair, empirical_opd
 from opdep.patterns import (
     PatternDistribution,
@@ -33,7 +33,7 @@ from opdep.patterns import (
     pattern_of,
     rank_table,
 )
-from opdep.piecewise import Block, PiecewiseUniformDensity
+from opdep.piecewise import Block, PiecewiseUniformDensity, coordinate_index
 
 
 def oracle_pattern(values):
@@ -160,6 +160,8 @@ def _integer_argument_calls():
         "conditional position": ("position", lambda v: conditional(law, (v,), (0.0, 2.0))),
         "block position": ("position", lambda v: Block("x", (v,), 0.0, 1.0, "free")),
         "pattern index": ("index", lambda v: index_to_pattern(v, 3)),
+        "coordinate index position": ("position", lambda v: coordinate_index(2, "x", v)),
+        "subset coordinates position": ("position", lambda v: subset_coordinates(2, (v,))),
     }
 
 
@@ -175,6 +177,14 @@ def test_an_integer_argument_that_is_not_an_integer_is_an_invalid_parameter(argu
 def test_an_integer_argument_takes_any_integer_type(argument):
     _, call = _integer_argument_calls()[argument]
     assert call(np.int64(1)) == call(1)
+
+
+def test_a_position_keeps_its_range_error():
+    with pytest.raises(ModelStructureError, match=r"^position 3 outside 1\.\.2$"):
+        coordinate_index(2, "y", 3)
+    with pytest.raises(ModelStructureError, match="^axis must be one of "):
+        coordinate_index(2, "z", 1.5)
+    assert coordinate_index(2, "y", np.int64(2)) == 3
 
 
 def test_integer_orders_of_other_types_are_checked_as_before():

@@ -6,23 +6,24 @@ apart from taking the record as an argument.  ``==`` on the payloads tells
 a tuple from a list, and the ``json.dumps`` text fixes the key order.
 """
 
+import copy
 import itertools
 import json
 import math
 import pickle
 import random
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opdep import piecewise as pw
 from opdep.discrete import (
-    _VIOLATION_FIELDS,
     ConditionViolation,
     DiscreteJoint,
-    _violations,
+    _ViolationColumns,
     check_theorem_conditions,
     product_extend,
 )
@@ -219,29 +220,91 @@ def test_violations_are_slotted_records():
     assert restored == report and json.dumps(restored.to_dict()) == json.dumps(report.to_dict())
 
 
+# Two parts by hand: a variant-A subset on a 3 x 3 grid and a variant-B one on
+# a 2 x 2 grid.  Each row's code is 2 * (group * grid size + flat index) + side.
+HAND_GRID = ([-1.0, 0.0, 1.0], [-0.0, 2.0, math.inf])
+HAND_COLUMNS = (
+    (
+        ((1,), (("first", ((0.0, 0.0), (1.0, -0.0))), ("second", ((-0.0, 0.0), (1.0, 0.0)))), HAND_GRID, 0, 3),
+        ((), (("none", (None,)),), ([0.0, 1.0], [1e300, -1e300]), 3, 5),
+    ),
+    [2 * 3 + 0, 2 * (9 + 8) + 1, 2 * (9 + 8) + 0, 2 * 1 + 1, 2 * 2 + 0],
+    [(0.5, 0.25), (1e-300, 0.0), (1.0, 0.5), (0.75, 0.25), (1.0, 1e-300)],
+)
+HAND_ROWS = [
+    ((1,), "cdf", "first", (0.0, 0.0), (0.0, -0.0), 0.5, 0.25),
+    ((1,), "survival", "first", (1.0, -0.0), (1.0, math.inf), 1e-300, 0.0),
+    ((1,), "cdf", "first", (1.0, -0.0), (1.0, math.inf), 1.0, 0.5),
+    ((1,), "cdf", "second", (-0.0, 0.0), (0.0, -0.0), 0.5, 0.25),
+    ((1,), "survival", "second", (1.0, 0.0), (1.0, math.inf), 1e-300, 0.0),
+    ((1,), "cdf", "second", (1.0, 0.0), (1.0, math.inf), 1.0, 0.5),
+    ((), "survival", "none", None, (0.0, -1e300), 0.75, 0.25),
+    ((), "cdf", "none", None, (1.0, 1e300), 1.0, 1e-300),
+]
+
+
+def hand_columns():
+    parts, codes, values = HAND_COLUMNS
+    return _ViolationColumns(parts, np.array(codes, dtype=np.int64), np.array(values))
+
+
 def test_column_built_violations_equal_constructed_ones():
-    # The helper takes one column per field in this order, so adding or moving a field fails here.
-    assert _VIOLATION_FIELDS == tuple(field.name for field in fields(ConditionViolation))
-    report = check_theorem_conditions(*lattice_pairs(1)[0], "A")
-    rows = [
-        ((1,), "cdf", "first", (0.0,), (1.0, -0.0), 0.5, 0.25),
-        ((1, 2), "survival", "none", None, (), 1.0, 0.0),
-        ((2,), "cdf", "second", (-0.0,), (math.inf,), 1e-300, -0.0),
-    ] + [tuple(getattr(v, name) for name in _VIOLATION_FIELDS) for v in report.violations]
-    built = _violations(len(rows), *zip(*rows))
-    constructed = [ConditionViolation(*row) for row in rows]
-    assert built == constructed
-    for record, expected in zip(built, constructed):
+    columns = hand_columns()
+    constructed = tuple(ConditionViolation(*row) for row in HAND_ROWS)
+    assert len(columns) == len(constructed) and columns._records is None
+    assert columns == constructed and constructed == columns and not columns != constructed
+    assert hash(columns) == hash(constructed) and repr(columns) == repr(constructed)
+    for record, expected in zip(columns, constructed):
         assert type(record) is ConditionViolation and not hasattr(record, "__dict__")
         assert hash(record) == hash(expected) and repr(record) == repr(expected)
         assert json.dumps(record.to_dict()) == json.dumps(expected.to_dict()) == json.dumps(oracle_violation(expected))
-        assert all(getattr(record, name) is getattr(expected, name) for name in _VIOLATION_FIELDS)
         restored = pickle.loads(pickle.dumps(record))
         assert restored == expected and repr(restored) == repr(expected)
     with pytest.raises(FrozenInstanceError):
-        built[0].lhs = 2.0
-    # One column fewer or more than there are fields is refused.
-    columns = list(zip(*rows))
-    for wrong in (columns[:-1], columns + [columns[-1]]):
-        with pytest.raises(ValueError):
-            _violations(len(rows), *wrong)
+        columns[0].lhs = 2.0
+    # Built once and kept; a slice is a tuple, as a tuple's is.
+    assert columns[0] is columns[0] and columns[-1] is tuple(columns)[-1]
+    assert columns[1:3] == constructed[1:3] and type(columns[1:3]) is tuple
+    assert constructed[3] in columns and ConditionViolation(*HAND_ROWS[0][:-1], 0.3) not in columns
+    # The records of one part and value share their objects across outers.
+    first, second = columns[0], columns[3]
+    assert first.subset is second.subset and first.evaluation_point is second.evaluation_point
+    assert first.lhs is second.lhs and columns[1].evaluation_point is columns[2].evaluation_point
+
+
+def test_columns_compare_without_building_records():
+    columns, same = hand_columns(), hand_columns()
+    assert columns == same and not columns != same
+    assert columns._records is None and same._records is None
+    parts, codes, values = HAND_COLUMNS
+    subset, outers, grid, start, stop = parts[0]
+
+    def first_part(**fields):
+        changed = dict(zip(("subset", "outers", "grid", "start", "stop"), parts[0]), **fields)
+        return (tuple(changed.values()),) + parts[1:]
+
+    changed = [
+        (parts, [codes[0] + 1] + codes[1:], values),  # the other side
+        (parts, codes, [(0.5, 0.3)] + values[1:]),  # another rhs
+        (first_part(grid=([-1.0, 0.5, 1.0], grid[1])), codes, values),  # another evaluation point
+        (first_part(outers=outers[::-1]), codes, values),  # the outers swapped
+        (first_part(outers=((outers[0][0], outers[0][1][::-1]), outers[1])), codes, values),  # a conditioning point
+        (first_part(subset=(2,)), codes, values),
+        (parts[:1], codes[:3], values[:3]),
+    ]
+    for changed_parts, changed_codes, changed_values in changed:
+        other = _ViolationColumns(changed_parts, np.array(changed_codes, dtype=np.int64), np.array(changed_values))
+        assert (columns == other) is (tuple(columns) == tuple(other)) is False
+    # Grids of other values whose points in use are the same give the same records.
+    other = _ViolationColumns(first_part(grid=([-5.0, 0.0, 1.0], [-0.0, 3.0, math.inf])), np.array(codes, dtype=np.int64), np.array(values))
+    assert columns == other == tuple(columns)
+    # Neither a list nor another type equals the sequence, as none equals a tuple.
+    assert columns != list(columns) and columns != None  # noqa: E711
+
+
+def test_columns_pickle_and_copy_as_columns():
+    columns = hand_columns()
+    for restored in (pickle.loads(pickle.dumps(columns)), copy.deepcopy(columns), copy.copy(columns)):
+        assert type(restored) is _ViolationColumns and restored._records is None
+        assert restored == columns and restored == tuple(columns) and repr(restored) == repr(columns)
+    assert not columns._codes.flags.writeable and not columns._values.flags.writeable
