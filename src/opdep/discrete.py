@@ -36,7 +36,6 @@ import itertools
 import logging
 import math
 import operator
-from collections import deque
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
@@ -244,6 +243,10 @@ def _check_subset(d: int, subset: Iterable[int], allow_empty: bool = False) -> t
     positions = tuple(sorted(set(_integer(i, "position") for i in subset)))
     if not positions and not allow_empty:
         raise InvalidParameter("position subset must be nonempty")
+    return _in_range(d, positions)
+
+
+def _in_range(d: int, positions: tuple[int, ...]) -> tuple[int, ...]:
     if any(not 1 <= i <= d for i in positions):
         raise InvalidParameter(f"positions {positions} outside 1..{d}")
     return positions
@@ -251,21 +254,25 @@ def _check_subset(d: int, subset: Iterable[int], allow_empty: bool = False) -> t
 
 def subset_coordinates(order: int, positions: Sequence[int]) -> list[int]:
     """Flat coordinate indices of a position subset: its x's, then its y's."""
-    positions = [_integer(i, "position") for i in positions]
+    positions = _in_range(order, tuple(_integer(i, "position") for i in positions))
     return [i - 1 for i in positions] + [order + i - 1 for i in positions]
 
 
 def marginal(dist: DiscreteJoint, subset: Iterable[int]) -> DiscreteJoint:
     """Joint law of the window pairs at the given positions."""
     positions = _check_subset(dist.order, subset)
+    return DiscreteJoint._from_arrays(len(positions), *_merged(dist, positions))
+
+
+def _merged(dist: DiscreteJoint, positions: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct points of ``dist`` on checked ``positions``, sorted, and their summed probabilities."""
     points = dist._points[:, subset_coordinates(dist.order, positions)]
     # Stable, so a run of equal rows keeps its atoms in atom order: the merged
     # point keeps the first atom's sign of zero, and bincount adds in atom order.
     by_point = np.lexsort(points.T[::-1])
     sorted_points = points[by_point]
     starts = np.append(True, (sorted_points[1:] != sorted_points[:-1]).any(axis=1))
-    probs = np.bincount(np.cumsum(starts) - 1, weights=dist._probs[by_point])
-    return DiscreteJoint._from_arrays(len(positions), sorted_points[starts], probs)
+    return sorted_points[starts], np.bincount(np.cumsum(starts) - 1, weights=dist._probs[by_point])
 
 
 def conditional(dist: DiscreteJoint, subset: Iterable[int], given: Sequence[float]) -> DiscreteJoint:
@@ -417,24 +424,20 @@ def shared_position_detect(dist: DiscreteJoint, dist_star: DiscreteJoint, tol: f
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
     _check_tol(tol)
-    return _shared_positions(_position_marginals(dist, dist_star), tol)
+    return _shared_positions(_position_arrays(dist, dist_star), tol)
 
 
-def _position_marginals(
-    dist: DiscreteJoint, dist_star: DiscreteJoint
-) -> dict[tuple[int, ...], tuple[DiscreteJoint, DiscreteJoint]]:
-    """Both laws' :func:`marginal` at each single position, keyed by the subset ``(i,)``."""
-    return {(i,): (marginal(dist, (i,)), marginal(dist_star, (i,))) for i in range(1, dist.order + 1)}
+def _position_arrays(dist: DiscreteJoint, dist_star: DiscreteJoint) -> dict[tuple[int, ...], tuple]:
+    """Both laws' :func:`_merged` arrays at each single position, keyed by the subset ``(i,)``."""
+    return {(i,): (_merged(dist, (i,)), _merged(dist_star, (i,))) for i in range(1, dist.order + 1)}
 
 
-def _shared_positions(
-    marginals: dict[tuple[int, ...], tuple[DiscreteJoint, DiscreteJoint]], tol: float
-) -> tuple[int, ...]:
-    # Both marginals are sorted by point, so equal supports line up row by row.
+def _shared_positions(merged: dict[tuple[int, ...], tuple], tol: float) -> tuple[int, ...]:
+    # Both laws' points are sorted, so equal supports line up row by row.
     return tuple(
         i
-        for (i,), (a, b) in marginals.items()
-        if np.array_equal(a._points, b._points) and (np.abs(a._probs - b._probs) <= tol).all()
+        for (i,), ((points, probs), (points_star, probs_star)) in merged.items()
+        if np.array_equal(points, points_star) and (np.abs(probs - probs_star) <= tol).all()
     )
 
 
@@ -457,9 +460,10 @@ class ConditionViolation(Record):
 
 
 # One part of a report's violations: its subset; per outer law, the outer's
-# name and its conditioning points indexed by group; the grid, one list of
-# values per axis; and its rows' range in the report's columns.
-_Part = tuple[tuple[int, ...], tuple[tuple[str, Sequence[Point | None]], ...], tuple[list[float], ...], int, int]
+# name and its conditioning points, a float64 array with one row per group
+# ("first" and "second") or None ("none"); the grid, one list of values per
+# axis; and its rows' range in the report's columns.
+_Part = tuple[tuple[int, ...], tuple[tuple[str, np.ndarray | None], ...], tuple[list[float], ...], int, int]
 
 
 class _ViolationColumns(Sequence):
@@ -470,14 +474,16 @@ class _ViolationColumns(Sequence):
     (0 for "cdf", 1 for "survival"), and ``values[r]`` is its ``(lhs, rhs)``.
     The records run part by part, and within a part outer by outer, each
     over all the part's rows.  A row takes 24 B, shared by the part's outer
-    laws, so a variant-A violation takes 12 B until the records are built.
+    laws, so a variant-A violation takes 12 B until the records are built;
+    each outer law adds 8 B per conditioning coordinate of each group.
 
     The first index or iteration builds every record and keeps them, as
     :attr:`DiscreteJoint.atoms` is kept.  A part's records share its subset
-    and one evaluation-point tuple per grid point, and the report's records
-    share one float per value.  The sequence equals, hashes, prints and
-    pickles as the tuple of its records; ``len`` and ``==`` between two such
-    sequences read the columns only.
+    and one evaluation-point tuple per grid point, those of one outer law
+    one conditioning-point tuple per group, and the report's records one
+    float per value.  The sequence equals, hashes, prints and pickles as
+    the tuple of its records; ``len`` and ``==`` between two such sequences
+    read the columns only.
     """
 
     __slots__ = ("_parts", "_codes", "_values", "_length", "_records")
@@ -536,18 +542,19 @@ class _ViolationColumns(Sequence):
                 np.array_equal(np.take(axis, index), np.take(other_axis, other_index))
                 for axis, index, other_axis, other_index in zip(grid, coords, other_grid, other_coords)
             )
+            # Equal names hold points of one kind; arrays compare 0.0 and -0.0 equal, as tuples do.
             and all(
-                list(map(points.__getitem__, groups)) == list(map(other_points.__getitem__, other_groups))
+                points is None or np.array_equal(points[groups], other_points[other_groups])
                 for (_, points), (_, other_points) in zip(outers, other_outers)
             )
         )
 
-    def _rows(self, part: _Part) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    def _rows(self, part: _Part) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """A part's rows as their groups, sides, flat grid indices and ``(lhs, rhs)`` values."""
         _, _, grid, start, stop = part
         index, sides = np.divmod(self._codes[start:stop], 2)
         groups, at = np.divmod(index, math.prod(map(len, grid)))
-        return groups.tolist(), sides, at, self._values[start:stop]
+        return groups, sides, at, self._values[start:stop]
 
     def _built(self) -> tuple[ConditionViolation, ...]:
         if self._records is None:
@@ -555,35 +562,25 @@ class _ViolationColumns(Sequence):
         return self._records
 
     def _build(self) -> list[ConditionViolation]:
-        """Every record, in order.  They are allocated bare, and each field is
-        set on all records of one part and outer law by one ``map`` over its
-        slot descriptor, so no Python frame or ``object.__setattr__`` call runs
-        per record, as one does in the frozen ``__init__``.  They compare,
-        hash, print and pickle as constructed ones.
-        """
+        """Every record, in order."""
         records: list[ConditionViolation] = []
         values_of: dict[float, float] = {}
         for part in self._parts:
-            subset, outers, grid, start, stop = part
+            subset, outers, grid, _, _ = part
             groups, sides, at, values = self._rows(part)
             distinct, inverse = np.unique(at, return_inverse=True)
             corners = zip(*(c.tolist() for c in np.unravel_index(distinct, tuple(map(len, grid)))))
             points = [tuple(map(operator.getitem, grid, corner)) for corner in corners]
+            evaluation_points = list(map(points.__getitem__, inverse.tolist()))
+            side_names = list(map(("cdf", "survival").__getitem__, sides.tolist()))
             lhs, rhs = (list(map(values_of.setdefault, column, column)) for column in values.T.tolist())
-            columns = {
-                "subset": itertools.repeat(subset),
-                "side": list(map(("cdf", "survival").__getitem__, sides.tolist())),
-                "evaluation_point": list(map(points.__getitem__, inverse.tolist())),
-                "lhs": lhs,
-                "rhs": rhs,
-            }
-            for outer, conditioning_points in outers:
-                built = list(map(object.__new__, itertools.repeat(ConditionViolation, stop - start)))
-                columns["outer"] = itertools.repeat(outer)
-                columns["conditioning_point"] = map(conditioning_points.__getitem__, groups)
-                for name, column in columns.items():
-                    deque(map(getattr(ConditionViolation, name).__set__, built, column), maxlen=0)
-                records += built
+            groups = groups.tolist()
+            for outer, conditioning in outers:
+                given = [None] if conditioning is None else list(map(tuple, conditioning.tolist()))
+                records += map(
+                    ConditionViolation, itertools.repeat(subset), side_names, itertools.repeat(outer),
+                    map(given.__getitem__, groups), evaluation_points, lhs, rhs,
+                )
         return records
 
 
@@ -625,8 +622,6 @@ def evaluation_grid(
     """
     if dist.order != dist_star.order:
         raise DimensionMismatch(f"orders differ: {dist.order} vs {dist_star.order}")
-    positions = tuple(positions)
-    _check_subset(dist.order, positions, allow_empty=True)
     grid = []
     for coord in subset_coordinates(dist.order, positions):
         column = np.concatenate([dist._points[:, coord], dist_star._points[:, coord]])
@@ -758,17 +753,18 @@ def _sweep_groups(
 
 def _conditional_atoms(
     dist: DiscreteJoint, dist_star: DiscreteJoint, subset: tuple[int, ...], complement: tuple[int, ...]
-) -> tuple[list[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
     """Both laws' conditional laws at each value at ``subset`` that both hold, for :func:`_sweep_groups`.
 
-    Returns, per law, a flag for each of its values in sorted order (the
-    order of its :func:`marginal`'s atoms) telling whether the other law
-    holds it too; the atoms of those values, as :func:`_sweep_groups` takes
-    them, in groups numbered in sorted order of value, with points on
-    ``complement`` and probabilities divided by their law's group total as
-    :func:`conditional` divides them; and the number of groups.  0.0 and
-    -0.0 are one value.  bincount adds a group's probabilities in atom
-    order, one term at a time, as the ``np.cumsum`` of :func:`conditional` does.
+    Returns, per law, its values in sorted order, each as written in its
+    first atom that holds it (the points of its :func:`marginal`), and a
+    flag per value telling whether the other law holds it too; the atoms of
+    those values, as :func:`_sweep_groups` takes them, in groups numbered
+    in sorted order of value, with points on ``complement`` and
+    probabilities divided by their law's group total as :func:`conditional`
+    divides them; and the number of groups.  0.0 and -0.0 are one value.
+    bincount adds a group's probabilities in atom order, one term at a
+    time, as the ``np.cumsum`` of :func:`conditional` does.
 
     Raises:
         MassNotOne: where :func:`conditional` would refuse one of the laws,
@@ -783,6 +779,9 @@ def _conditional_atoms(
     ids[by_value] = np.cumsum(np.append(True, (ordered[1:] != ordered[:-1]).any(axis=1))) - 1
     held = [np.bincount(ids[laws == law], minlength=ids.max() + 1) > 0 for law in (0, 1)]
     both = held[0] & held[1]
+    # Each law's rows in sorted order of value, and of them the first of each value.
+    sorted_rows = [by_value[laws[by_value] == law] for law in (0, 1)]
+    firsts = [rows[np.append(True, ids[rows[1:]] != ids[rows[:-1]])] for rows in sorted_rows]
     count = int(both.sum())
     rows = np.flatnonzero(both[ids])
     # Ordered by group, then law, and within each in atom order.
@@ -798,7 +797,7 @@ def _conditional_atoms(
         if abs(mass - 1.0) > 1e-12:
             raise MassNotOne(mass)
     complement_points = points[rows][:, subset_coordinates(dist.order, complement)]
-    return [both[law_held] for law_held in held], (key % 2, key // 2, complement_points, probs), count
+    return [(values[first], both[ids[first]]) for first in firsts], (key % 2, key // 2, complement_points, probs), count
 
 
 def check_theorem_conditions(
@@ -828,6 +827,9 @@ def check_theorem_conditions(
     so the values reported are those of :func:`cdf` and :func:`survival`.
     Variant A sweeps all values of one subset together, a batch of them at
     a time, as conditional laws normalized as :func:`conditional` does.
+    A sweep reads the laws' point and probability arrays alone: it builds
+    no marginal or conditional law and no :attr:`DiscreteJoint.atoms`, so
+    the mass of a merged marginal is not checked, as :func:`marginal` checks it.
 
     The grid of a family has, over the swept coordinates, the product of
     (distinct values in either law + 2) points, and a sweep holds about 33 B
@@ -845,18 +847,16 @@ def check_theorem_conditions(
         raise InvalidParameter(f"variant must be 'A' or 'B', got {variant!r}")
     _check_tol(tol)
     d = dist.order
-    # Single-position marginals that detection builds are reused by the sweep.
-    marginals = {}
+    # Both laws' merged arrays by position subset: those that detection
+    # merges, and the laws' own for the full joint (variant B, I empty).
+    merged = {}
     if shared_positions is None:
-        marginals = _position_marginals(dist, dist_star)
-        shared = frozenset(_shared_positions(marginals, min(tol, 1e-12) or 1e-12))
+        merged = _position_arrays(dist, dist_star)
+        shared = frozenset(_shared_positions(merged, min(tol, 1e-12) or 1e-12))
     else:
         shared = frozenset(_check_subset(d, shared_positions, allow_empty=True))
-
-    def marginals_at(positions: tuple[int, ...]) -> tuple[DiscreteJoint, DiscreteJoint]:
-        return marginals.get(positions) or (marginal(dist, positions), marginal(dist_star, positions))
-
     positions = range(1, d + 1)
+    merged[tuple(positions)] = ((dist._points, dist._probs), (dist_star._points, dist_star._probs))
     # Every coordinate's evaluation values, from which each swept subset's grid
     # is taken; variant A sweeps no subset when every position is shared.
     everything_shared = variant == "A" and shared.issuperset(positions)
@@ -875,22 +875,20 @@ def check_theorem_conditions(
                 continue
             grid = [coordinate_values[coord] for coord in subset_coordinates(d, complement)]
             if variant == "B":
-                laws = marginals_at(complement) if subset else (dist, dist_star)
+                laws = merged.get(complement) or (_merged(dist, complement), _merged(dist_star, complement))
                 atoms = (
-                    np.repeat((0, 1), [len(law._probs) for law in laws]),
-                    np.zeros(sum(len(law._probs) for law in laws), dtype=np.intp),
-                    np.concatenate([law._points for law in laws]),
-                    np.concatenate([law._probs for law in laws]),
+                    np.repeat((0, 1), [len(probs) for _, probs in laws]),
+                    np.zeros(sum(len(probs) for _, probs in laws), dtype=np.intp),
+                    *map(np.concatenate, zip(*laws)),
                 )
-                outers = [("none", (None,))]
+                outers = [("none", None)]
                 count = 1
             else:
                 # Each law's own values: the second's may hold -0.0 where the first's holds 0.0.
-                values_of = [[value for value, _ in law.atoms] for law in marginals_at(subset)]
-                held, atoms, count = _conditional_atoms(dist, dist_star, subset, complement)
+                values_of, atoms, count = _conditional_atoms(dist, dist_star, subset, complement)
                 outers = []
-                for outer, law_values, law_held in zip(("first", "second"), values_of, held):
-                    for value in itertools.compress(law_values, ~law_held):
+                for outer, (law_values, law_held) in zip(("first", "second"), values_of):
+                    for value in map(tuple, law_values[~law_held].tolist()):
                         log.debug(
                             "skipped subset %s, outer law %s, value %s: zero mass in the other law",
                             subset, outer, value,
@@ -903,7 +901,7 @@ def check_theorem_conditions(
                                 reason="conditioning value has zero mass in the other law",
                             )
                         )
-                    outers.append((outer, tuple(itertools.compress(law_values, law_held))))
+                    outers.append((outer, law_values[law_held]))
             part_codes, part_values = _sweep_groups(atoms, count, grid, tol)
             if len(part_codes):
                 parts.append((subset, tuple(outers), tuple(grid), rows, rows + len(part_codes)))

@@ -299,20 +299,44 @@ def test_order_3_reports_cover_both_subset_sizes():
 
 
 @pytest.mark.parametrize("variant", ["A", "B"])
-def test_each_marginal_is_built_once(monkeypatch, variant):
-    """The single-position marginals that shared-position detection builds are the sweep's too."""
-    built = []
-    marginal_of = disc.marginal
+def test_each_subset_is_merged_once(monkeypatch, variant):
+    """The single-position arrays that shared-position detection merges are the sweep's too."""
+    merged = []
+    merged_of = disc._merged
 
-    def counted(law, subset):
-        built.append((id(law), tuple(subset)))
-        return marginal_of(law, subset)
+    def counted(law, positions):
+        merged.append((id(law), tuple(positions)))
+        return merged_of(law, positions)
 
-    monkeypatch.setattr(disc, "marginal", counted)
+    monkeypatch.setattr(disc, "_merged", counted)
     for law, law_star in [*order3_pairs(3), PAIRS["example43"]]:
-        built.clear()
+        merged.clear()
         assert_matches_oracle(law, law_star, variant)
-        assert built and len(built) == len(set(built))
+        assert merged and len(merged) == len(set(merged))
+
+
+@pytest.mark.parametrize("shared", [None, ()])
+@pytest.mark.parametrize("variant", ["A", "B"])
+def test_a_sweep_builds_no_law_and_no_atoms(monkeypatch, variant, shared):
+    """A sweep and its records read the laws' arrays: no marginal or other law is built, and no atoms view."""
+    pairs = [
+        tuple(DiscreteJoint._from_arrays(law.order, law._points, law._probs) for law in pair)
+        for pair in [*order3_pairs(3), *PAIRS.values()]
+    ]
+
+    def refused(*args):
+        raise AssertionError("the sweep built a law")
+
+    monkeypatch.setattr(disc, "marginal", refused)
+    monkeypatch.setattr(DiscreteJoint, "_from_arrays", classmethod(refused))
+    violations = skipped = 0
+    for law, law_star in pairs:
+        for first, second in ((law, law_star), (law_star, law)):
+            report = check_theorem_conditions(first, second, variant, shared_positions=shared)
+            violations += len(tuple(report.violations))
+            skipped += len(report.skipped)
+        assert "atoms" not in law.__dict__ and "atoms" not in law_star.__dict__
+    assert violations and (skipped or variant == "B")
 
 
 def test_repeated_sentinels_keep_the_extreme_atoms():

@@ -109,6 +109,10 @@ def test_subset_coordinates_layout():
     assert subset_coordinates(3, (1, 3)) == [0, 2, 3, 5]
     assert subset_coordinates(2, (2,)) == [1, 3]
     assert subset_coordinates(1, (1,)) == [0, 1]
+    # Position 0 would wrap to the last x coordinate, and position 3 of order 2 read y_1.
+    for positions in ((0,), (3,)):
+        with pytest.raises(InvalidParameter, match=rf"^positions \({positions[0]},\) outside 1\.\.2$"):
+            subset_coordinates(2, positions)
 
 
 # --- marginals and conditionals ----------------------------------------------

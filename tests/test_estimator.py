@@ -3,11 +3,13 @@
 import math
 import struct
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opdep.discrete import DiscreteJoint, exact_opd
 from opdep.errors import (
     DegenerateDistribution,
     DimensionMismatch,
@@ -239,6 +241,42 @@ def test_estimate_terms_are_probabilities(xs, ys):
     assert est.skipped_windows == 0
     # determinism
     assert empirical_opd(pair, d=2) == est
+
+
+# Four values, so windows tie often, and gaps rarer than values.
+lattice_values = st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0] * 3 + [NAN, math.inf]), min_size=6, max_size=24)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.tuples(lattice_values, lattice_values).map(lambda xy: (xy[0][: len(xy[1])], xy[1][: len(xy[0])])),
+    st.integers(2, 4),
+    st.integers(1, 3),
+)
+def test_estimate_is_the_exact_dependence_of_the_window_law(xy, d, step):
+    """The estimate is the exact dependence of the law that puts mass count/n on each distinct window pair."""
+    x, y = xy
+    windows = Counter(
+        tuple(x[s : s + d] + y[s : s + d])
+        for s in range(0, len(x) - d + 1, step)
+        if all(map(math.isfinite, x[s : s + d] + y[s : s + d]))
+    )
+    n = sum(windows.values())
+    if not n:
+        with pytest.raises((EmptyInput, SeriesTooShort)):
+            empirical_opd(TimeSeriesPair(x, y), d, step)
+        return
+    law = DiscreteJoint(order=d, atoms={window: count / n for window, count in windows.items()})
+    outcomes = []
+    for estimate in (lambda: empirical_opd(TimeSeriesPair(x, y), d, step).value, lambda: exact_opd(law)):
+        try:
+            outcomes.append(estimate())
+        except DegenerateDistribution:
+            outcomes.append(None)
+    if None in outcomes:
+        assert outcomes == [None, None]
+    else:
+        assert abs(outcomes[0] - outcomes[1]) <= 1e-12
 
 
 def test_empirical_opd_memory_does_not_grow_with_the_series():

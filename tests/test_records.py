@@ -225,8 +225,8 @@ def test_violations_are_slotted_records():
 HAND_GRID = ([-1.0, 0.0, 1.0], [-0.0, 2.0, math.inf])
 HAND_COLUMNS = (
     (
-        ((1,), (("first", ((0.0, 0.0), (1.0, -0.0))), ("second", ((-0.0, 0.0), (1.0, 0.0)))), HAND_GRID, 0, 3),
-        ((), (("none", (None,)),), ([0.0, 1.0], [1e300, -1e300]), 3, 5),
+        ((1,), (("first", np.array([[0.0, 0.0], [1.0, -0.0]])), ("second", np.array([[-0.0, 0.0], [1.0, 0.0]]))), HAND_GRID, 0, 3),
+        ((), (("none", None),), ([0.0, 1.0], [1e300, -1e300]), 3, 5),
     ),
     [2 * 3 + 0, 2 * (9 + 8) + 1, 2 * (9 + 8) + 0, 2 * 1 + 1, 2 * 2 + 0],
     [(0.5, 0.25), (1e-300, 0.0), (1.0, 0.5), (0.75, 0.25), (1.0, 1e-300)],
