@@ -38,7 +38,7 @@ from . import piecewise as pw
 from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, OpdepError
 from .estimator import empirical_opd
 from .modelio import load_model
-from .patterns import _check_tol, cross_match_probability, dependence_from_terms
+from .patterns import _check_tol, cross_match_probability, dependence_from_terms, rank_table
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
@@ -61,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _emit_payload(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
+def _emit_payload(payload: dict, text_lines: Iterable[str], args: argparse.Namespace) -> None:
     if args.format == "json":
         _emit(json.dumps(payload, indent=2), args.out)
     else:
@@ -226,8 +226,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _pattern_table(dist) -> dict[str, float]:
-    return {",".join(map(str, pat)): prob for pat, prob in dist.as_dict().items()}
+def _pattern_keys(order: int) -> list[str]:
+    """``"1,2,..."`` for each row of ``rank_table(order)``.
+
+    Ranks are single digits, so each key is read as a string from a row of
+    code points: the rank digits with commas between them.
+    """
+    table = rank_table(order)
+    chars = np.full((len(table), 2 * order - 1), ord(","), dtype=np.uint32)
+    chars[:, ::2] = table + ord("0")
+    return chars.view(f"U{2 * order - 1}").ravel().tolist()
+
+
+def _pattern_lines(payload: dict[str, dict[str, float]]) -> Iterator[str]:
+    """The text form of a ``model patterns`` payload, built only when it is printed."""
+    for axis, table in payload.items():
+        yield f"{axis} patterns:"
+        yield from (f"  {key} {prob}" for key, prob in table.items())
 
 
 def cmd_model(args: argparse.Namespace) -> int:
@@ -273,12 +288,9 @@ def cmd_model(args: argparse.Namespace) -> int:
     if args.action == "patterns":
         px = engine.marginal_pattern_distribution(model, "x")
         py = engine.marginal_pattern_distribution(model, "y")
-        payload = {"x": _pattern_table(px), "y": _pattern_table(py)}
-        lines = ["x patterns:"]
-        lines += [f"  {k} {v}" for k, v in payload["x"].items()]
-        lines.append("y patterns:")
-        lines += [f"  {k} {v}" for k, v in payload["y"].items()]
-        _emit_payload(payload, lines, args)
+        keys = _pattern_keys(model.order)
+        payload = {"x": dict(zip(keys, px.probs)), "y": dict(zip(keys, py.probs))}
+        _emit_payload(payload, _pattern_lines(payload), args)
         return 0
 
     if args.action == "cdf":

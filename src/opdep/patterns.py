@@ -97,10 +97,12 @@ def enumerate_patterns(d: int) -> tuple[Pattern, ...]:
 def rank_table(d: int) -> np.ndarray:
     """Read-only (d!, d) array whose row k is the pattern at lexicographic position k.
 
-    Built on first use for each order and cached.
+    Built on first use for each order and cached.  It is stored column by
+    column, so each row of its transpose, one position's rank in every
+    pattern, is contiguous.
     """
     _check_order(d)
-    table = np.array(list(itertools.permutations(range(1, d + 1))), dtype=np.int8)
+    table = np.asfortranarray(np.array(list(itertools.permutations(range(1, d + 1))), dtype=np.int8))
     table.flags.writeable = False
     return table
 
@@ -197,9 +199,13 @@ class PatternDistribution:
             raise ModelStructureError(
                 f"order {self.order} needs {expected} probabilities, got {len(self.probs)}"
             )
-        for p in self.probs:
-            if not math.isfinite(p) or p < 0.0:
-                raise ModelStructureError(f"invalid probability {p!r}")
+        # min catches a negative entry or a leading NaN; sum turns any NaN or
+        # infinity into a non-finite total, and so does an overflow, which
+        # the loop lets through to fsum's OverflowError.
+        if not (min(self.probs) >= 0.0 and math.isfinite(sum(self.probs))):
+            for p in self.probs:
+                if not math.isfinite(p) or p < 0.0:
+                    raise ModelStructureError(f"invalid probability {p!r}")
         # A running sum of 8! rounded entries can drift past 1e-12 by itself.
         total = math.fsum(self.probs)
         if abs(total - 1.0) > 1e-12:
@@ -235,7 +241,7 @@ def cross_match_probability(p: PatternDistribution, q: PatternDistribution) -> f
     """Probability that independent draws from p and q show the same pattern."""
     if p.order != q.order:
         raise InvalidPermutation(f"orders differ: {p.order} vs {q.order}")
-    return math.fsum(a * b for a, b in zip(p.probs, q.probs))
+    return math.fsum(map(operator.mul, p.probs, q.probs))
 
 
 def _check_tol(tol: float) -> None:

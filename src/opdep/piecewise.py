@@ -36,6 +36,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
@@ -471,49 +472,43 @@ def _ordered_axis_blocks(cell: Cell, axis: str) -> list[Block]:
     return blocks
 
 
-def _axis_pattern_law(cell: Cell, axis: str, table: np.ndarray) -> np.ndarray:
-    """Probability of each pattern (row of ``table``) for the cell's ``axis`` window.
+def _axis_pattern_law(cell: Cell, axis: str, ranks: np.ndarray) -> np.ndarray:
+    """Probability of each pattern for the cell's ``axis`` window.
 
-    A pattern is admissible when every block takes the ranks just above
-    those of the blocks below it on the line and each chain block's ranks
-    increase in its listed order.  Admissible patterns share one
-    probability, the product over free blocks of 1/k!; the rest have zero.
+    ``ranks`` is ``rank_table(d).T``: row c holds position c+1's rank in
+    every pattern.  Each block takes the ranks just above those of the
+    blocks below it on the line, so a free block bounds each of its
+    positions to that range and a chain fixes each position's rank in its
+    listed order.  Patterns inside every bound share one probability, the
+    product over free blocks of 1/k!; the rest have zero.
     """
-    lowest = [0] * table.shape[1]
-    highest = [0] * table.shape[1]
-    chain_lower: list[int] = []
-    chain_upper: list[int] = []
+    bounds = [(0, 0)] * len(ranks)
     prob = 1.0
     taken = 0
     for block in _ordered_axis_blocks(cell, axis):
-        columns = [p - 1 for p in block.positions]
-        for c in columns:
-            lowest[c] = taken + 1
-            highest[c] = taken + block.size
-        taken += block.size
+        size = len(block.positions)
         if block.kind == "chain":
-            chain_lower += columns[:-1]
-            chain_upper += columns[1:]
-        elif block.size >= 2:
-            prob /= math.factorial(block.size)
-    admissible = ((table >= lowest) & (table <= highest)).all(axis=1)
-    if chain_lower:
-        admissible &= (table[:, chain_lower] < table[:, chain_upper]).all(axis=1)
-    return admissible * prob
+            for rank, p in enumerate(block.positions, start=taken + 1):
+                bounds[p - 1] = (rank, rank)
+        else:
+            for p in block.positions:
+                bounds[p - 1] = (taken + 1, taken + size)
+            prob /= math.factorial(size)
+        taken += size
+    low_high = np.array(bounds, dtype=np.int8)
+    inside = (ranks >= low_high[:, :1]) & (ranks <= low_high[:, 1:])
+    return np.logical_and.reduce(inside) * prob
 
 
-def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> list[np.ndarray]:
-    """Per axis, the (cells, d!) array of every cell's pattern law.
+def _cell_laws(model: PiecewiseUniformDensity, axes: Sequence[str]) -> np.ndarray:
+    """The (axes, cells, d!) array of every cell's pattern law on each axis.
 
     Cells are visited in order, each on every axis in turn, so the first
     ambiguous block order met is the one reported.
     """
-    table = rank_table(model.order)
-    laws: list[list[np.ndarray]] = [[] for _ in axes]
-    for cell in model.cells:
-        for per_axis, axis in zip(laws, axes):
-            per_axis.append(_axis_pattern_law(cell, axis, table))
-    return [np.array(per_axis) for per_axis in laws]
+    ranks = rank_table(model.order).T
+    laws = [[_axis_pattern_law(cell, axis, ranks) for axis in axes] for cell in model.cells]
+    return np.array(laws).transpose(1, 0, 2)
 
 
 def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
@@ -529,12 +524,21 @@ def _cell_masses(model: PiecewiseUniformDensity) -> tuple[np.ndarray, float]:
     return masses, mass
 
 
-def _marginal_from_laws(
+def _marginals_from_laws(
     order: int, masses: np.ndarray, mass: float, laws: np.ndarray
-) -> PatternDistribution:
-    weighted = masses[:, None] * laws
-    probs = [math.fsum(column) / mass for column in weighted.T.tolist()]
-    return PatternDistribution(order=order, probs=tuple(probs))
+) -> list[PatternDistribution]:
+    """Per axis of ``laws``, each pattern's fsum of its cells' weighted laws over the total mass.
+
+    Patterns admitted by the same set of cells have the same column of
+    weighted laws, so each distinct column, keyed by its bytes, is summed
+    once, and its sum is shared by every pattern of either axis.
+    """
+    weighted = np.multiply(laws.transpose(0, 2, 1), masses, order="C")
+    keys = weighted.view(f"V{weighted.itemsize * len(masses)}").ravel().tolist()
+    sums = {key: math.fsum(memoryview(key).cast("d")) / mass for key in set(keys)}
+    probs = operator.itemgetter(*keys)(sums)
+    n = laws.shape[2]
+    return [PatternDistribution(order=order, probs=probs[i:i + n]) for i in range(0, len(probs), n)]
 
 
 def marginal_pattern_distribution(
@@ -553,8 +557,9 @@ def marginal_pattern_distribution(
     """
     if axis not in AXES:
         raise ModelStructureError(f"axis must be one of {AXES}, got {axis!r}")
-    (laws,) = _cell_laws(model, (axis,))
-    return _marginal_from_laws(model.order, *_cell_masses(model), laws)
+    laws = _cell_laws(model, (axis,))
+    (law,) = _marginals_from_laws(model.order, *_cell_masses(model), laws)
+    return law
 
 
 def joint_pattern_distribution(
@@ -597,14 +602,11 @@ def pattern_terms(
     The coincidence is the diagonal of :func:`joint_pattern_distribution`,
     summed cell by cell in the same order, without the off-diagonal entries.
     """
-    laws_x, laws_y = _cell_laws(model, AXES)
+    laws = _cell_laws(model, AXES)
     masses, mass = _cell_masses(model)
-    diagonal = ((masses / mass)[:, None] * laws_x * laws_y).sum(axis=0)
-    return (
-        math.fsum(diagonal.tolist()),
-        _marginal_from_laws(model.order, masses, mass, laws_x),
-        _marginal_from_laws(model.order, masses, mass, laws_y),
-    )
+    diagonal = ((masses / mass)[:, None] * laws[0] * laws[1]).sum(axis=0)
+    px, py = _marginals_from_laws(model.order, masses, mass, laws)
+    return math.fsum(memoryview(diagonal)), px, py
 
 
 def exact_opd(model: PiecewiseUniformDensity) -> float:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from opdep import cli
 from opdep import discrete as disc
 from opdep import piecewise as pw
 from opdep.cli import _build_parser, main
@@ -465,6 +466,33 @@ def test_model_patterns(capsys, f_model_path):
     payload = json.loads(out)
     assert payload["x"] == {"1,2": 0.5, "2,1": 0.5}
     assert payload["y"] == {"1,2": 0.5, "2,1": 0.5}
+
+
+def test_pattern_keys_join_each_rank_row_with_commas():
+    for order in range(2, 9):
+        assert cli._pattern_keys(order) == [",".join(map(str, pat)) for pat in enumerate_patterns(order)]
+
+
+def test_model_patterns_builds_its_text_lines_only_for_text(capsys, monkeypatch, discrete_model_path):
+    built = []
+    pattern_lines = cli._pattern_lines
+
+    def counted(payload):
+        for line in pattern_lines(payload):
+            built.append(line)
+            yield line
+
+    monkeypatch.setattr(cli, "_pattern_lines", counted)
+    code, out, _ = run_cli(capsys, "model", "patterns", discrete_model_path, "--format", "json")
+    assert code == 0 and built == []
+    payload = json.loads(out)
+    code, out, _ = run_cli(capsys, "model", "patterns", discrete_model_path)
+    assert code == 0
+    expected = []
+    for axis in ("x", "y"):
+        expected += [f"{axis} patterns:"] + [f"  {key} {prob}" for key, prob in payload[axis].items()]
+    assert out == "\n".join(expected) + "\n"
+    assert built == expected
 
 
 def test_model_cdf(capsys, f_model_path):

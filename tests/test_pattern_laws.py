@@ -10,11 +10,12 @@ same order, so results must be equal, not merely close.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opdep import discrete as disc
 from opdep.discrete import DiscreteJoint
@@ -210,6 +211,54 @@ def piecewise_models(draw, min_order=2, max_order=5):
 
 
 @st.composite
+def wide_models(draw):
+    """64 to 70 cells, more than a 64-bit mask of cells can hold.
+
+    The first 64 cells repeat one to three drawn shapes, each cell with its
+    own value; the rest have shapes of their own, so some patterns differ
+    only in which of the cells past the 64th admit them.  Every block keeps
+    to its own slot of the line, so no block order is ambiguous.
+    """
+    order = draw(st.integers(min_value=2, max_value=4))
+
+    def shape():
+        blocks = draw(axis_blocks("x", order)) + draw(axis_blocks("y", order))
+        return tuple(replace(block, hi=block.lo + 0.5) for block in blocks)
+
+    shapes = [shape() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
+    layout = [shapes[i % len(shapes)] for i in range(64)]
+    layout += [shape() for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+    values = draw(st.lists(st.floats(min_value=0.05, max_value=5.0), min_size=len(layout), max_size=len(layout)))
+    return PiecewiseUniformDensity(order=order, cells=tuple(map(Cell, values, layout)))
+
+
+def _blocks(axis, *specs):
+    """Blocks on consecutive unit slots of the line, from (kind, positions) pairs."""
+    return tuple(
+        Block(axis=axis, positions=positions, lo=2.0 * i, hi=2.0 * i + 1.0, kind=kind)
+        for i, (kind, positions) in enumerate(specs)
+    )
+
+
+# Cells of orders 7 and 8 that mix chains and free blocks.  The scalar
+# oracles sweep every pattern for every cell, so the order-8 model has one.
+HIGH_ORDER_MODELS = (
+    PiecewiseUniformDensity(order=7, cells=(
+        Cell(1.5, _blocks("x", ("chain", (3, 1, 4)), ("free", (2, 6)), ("chain", (7, 5)))
+             + _blocks("y", ("free", (1, 2, 3)), ("chain", (5, 4, 6)), ("free", (7,)))),
+        Cell(0.25, _blocks("x", ("free", (1, 2, 3)), ("chain", (4, 5, 6, 7)))
+             + _blocks("y", ("chain", (7, 6)), ("free", (5, 4, 3)), ("chain", (2, 1)))),
+        Cell(0.5, _blocks("x", ("free", (1, 2, 3)), ("chain", (4, 5, 6, 7)))
+             + _blocks("y", ("free", (3, 2, 1)), ("chain", (4, 5, 6, 7)))),
+    )),
+    PiecewiseUniformDensity(order=8, cells=(
+        Cell(2.0, _blocks("x", ("chain", (3, 1, 4)), ("free", (2, 6, 5)), ("chain", (8, 7)))
+             + _blocks("y", ("free", (1, 2, 3)), ("chain", (5, 4, 6, 8)), ("free", (7,)))),
+    )),
+)
+
+
+@st.composite
 def lattice_laws(draw, min_order=2, max_order=6):
     """Laws on a 4-point lattice per coordinate, so windows tie often."""
     order = draw(st.integers(min_value=min_order, max_value=max_order))
@@ -226,8 +275,10 @@ def lattice_laws(draw, min_order=2, max_order=6):
 
 # --- piecewise ----------------------------------------------------------------
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(piecewise_models())
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(piecewise_models(), wide_models()))
+@example(HIGH_ORDER_MODELS[0])
+@example(HIGH_ORDER_MODELS[1])
 def test_piecewise_laws_equal_scalar_oracle(model):
     assert outcome(pattern_coincidence, model) == outcome(oracle_coincidence, model)
     for axis in AXES:

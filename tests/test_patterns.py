@@ -300,6 +300,46 @@ def test_distribution_validation():
     assert dist.as_dict() == {(1, 2): 0.25, (2, 1): 0.75}
 
 
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "probs, named",
+    [
+        ((NAN, 0.2, -0.1, 0.3, INF, 0.6), "nan"),
+        ((0.2, 0.3, NAN, -0.1, 0.6, 0.0), "nan"),
+        ((0.2, 0.3, 0.1, 0.4, 0.0, NAN), "nan"),
+        ((0.2, INF, NAN, 0.3, -0.1, 0.0), "inf"),
+        ((0.2, 0.3, 0.5, 0.0, 0.0, INF), "inf"),
+        ((0.2, -INF, INF, NAN, 0.6, 0.0), "-inf"),
+        ((-0.1, NAN, 0.4, 0.3, 0.2, 0.2), "-0.1"),
+        ((0.5, 0.5, 0.1, 0.0, 0.0, -1e-300), "-1e-300"),
+        # Bad entries behind finite ones whose sum overflows are still named.
+        ((1e308, 1e308, NAN, 0.0, 0.0, 0.0), "nan"),
+        ((1e308, 1e308, 0.0, -0.5, INF, 0.0), "-0.5"),
+    ],
+)
+def test_distribution_names_its_first_invalid_entry(probs, named):
+    with pytest.raises(ModelStructureError, match=f"^invalid probability {re.escape(named)}$"):
+        PatternDistribution(order=3, probs=probs)
+
+
+@pytest.mark.parametrize(
+    "probs, total",
+    [((0.5, 0.6), "1.1"), ((0.5, 0.5 + 2e-12), "1.000000000002"), ((0.5, 0.5 - 2e-12), "0.999999999998")],
+)
+def test_distribution_names_a_sum_off_by_more_than_1e_12(probs, total):
+    with pytest.raises(ModelStructureError, match=f"^probabilities sum to {re.escape(total)}, not 1$"):
+        PatternDistribution(order=2, probs=probs)
+
+
+def test_distribution_of_finite_entries_whose_sum_overflows_raises_overflow_error():
+    with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+        PatternDistribution(order=2, probs=(1e308, 1e308))
+    with pytest.raises(OverflowError):
+        PatternDistribution(order=3, probs=(0.0, 1e308, 0.0, 1e308, 0.0, 0.5))
+
+
 def test_distribution_validation_sums_exactly_at_order_eight():
     # A running sum of these 8! entries is off by 1.6e-12; the exact sum is 1.
     n = math.factorial(8)

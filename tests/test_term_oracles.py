@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opdep import discrete as disc
 from opdep import estimator
@@ -40,7 +40,7 @@ from opdep.patterns import (
 )
 from opdep.piecewise import AXES, Cell, PiecewiseUniformDensity, cell_mass, total_mass
 
-from test_pattern_laws import axis_blocks, lattice_laws, piecewise_models
+from test_pattern_laws import HIGH_ORDER_MODELS, axis_blocks, lattice_laws, piecewise_models, wide_models
 
 MODEL_FILES = sorted((Path(__file__).resolve().parent.parent / "models").glob("*.json"))
 
@@ -312,8 +312,10 @@ def many_cell_models(draw):
     return PiecewiseUniformDensity(order=order, cells=tuple(cells))
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.one_of(piecewise_models(), many_cell_models()))
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(piecewise_models(), many_cell_models(), wide_models()))
+@example(HIGH_ORDER_MODELS[0])
+@example(HIGH_ORDER_MODELS[1])
 def test_piecewise_coincidence_is_bit_identical(model):
     expected = outcome(oracle_piecewise_coincidence, model)
     assert outcome(pw.pattern_coincidence, model) == expected
