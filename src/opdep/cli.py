@@ -227,11 +227,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _pattern_keys(order: int) -> list[str]:
-    """``"1,2,..."`` for each row of ``rank_table(order)``.
-
-    Ranks are single digits, so each key is read as a string from a row of
-    code points: the rank digits with commas between them.
-    """
+    """``"1,2,..."`` for each row of ``rank_table(order)``, read from code points: ranks are single digits."""
     table = rank_table(order)
     chars = np.full((len(table), 2 * order - 1), ord(","), dtype=np.uint32)
     chars[:, ::2] = table + ord("0")

@@ -97,12 +97,11 @@ def enumerate_patterns(d: int) -> tuple[Pattern, ...]:
 def rank_table(d: int) -> np.ndarray:
     """Read-only (d!, d) array whose row k is the pattern at lexicographic position k.
 
-    Built on first use for each order and cached.  It is stored column by
-    column, so each row of its transpose, one position's rank in every
-    pattern, is contiguous.
+    Built on first use for each order and cached, column by column, so each
+    row of its transpose (one position's rank in every pattern) is contiguous.
     """
     _check_order(d)
-    table = np.asfortranarray(np.array(list(itertools.permutations(range(1, d + 1))), dtype=np.int8))
+    table = np.array(list(itertools.permutations(range(1, d + 1))), dtype=np.int8, order="F")
     table.flags.writeable = False
     return table
 
@@ -199,9 +198,8 @@ class PatternDistribution:
             raise ModelStructureError(
                 f"order {self.order} needs {expected} probabilities, got {len(self.probs)}"
             )
-        # min catches a negative entry or a leading NaN; sum turns any NaN or
-        # infinity into a non-finite total, and so does an overflow, which
-        # the loop lets through to fsum's OverflowError.
+        # min sees a negative entry or a leading NaN, sum any NaN or infinity; an
+        # overflow of finite entries passes the loop on to fsum's OverflowError.
         if not (min(self.probs) >= 0.0 and math.isfinite(sum(self.probs))):
             for p in self.probs:
                 if not math.isfinite(p) or p < 0.0:

@@ -529,9 +529,8 @@ def _marginals_from_laws(
 ) -> list[PatternDistribution]:
     """Per axis of ``laws``, each pattern's fsum of its cells' weighted laws over the total mass.
 
-    Patterns admitted by the same set of cells have the same column of
-    weighted laws, so each distinct column, keyed by its bytes, is summed
-    once, and its sum is shared by every pattern of either axis.
+    Patterns admitted by the same set of cells have the same column, so each
+    distinct column, keyed by its bytes, is summed once for either axis.
     """
     weighted = np.multiply(laws.transpose(0, 2, 1), masses, order="C")
     keys = weighted.view(f"V{weighted.itemsize * len(masses)}").ravel().tolist()
