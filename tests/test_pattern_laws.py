@@ -212,7 +212,7 @@ def piecewise_models(draw, min_order=2, max_order=5):
 
 @st.composite
 def wide_models(draw):
-    """64 to 70 cells, more than a 64-bit mask of cells can hold.
+    """64 to 70 cells, past the 63 bits of a signed 64-bit mask of cells.
 
     The first 64 cells repeat one to three drawn shapes, each cell with its
     own value; the rest have shapes of their own, so some patterns differ
