@@ -178,15 +178,30 @@ class PiecewiseUniformDensity:
         return 2 * self.order
 
     @cached_property
-    def _orthant_plan(self) -> tuple:
-        """Per cell (value, blocks), per block (interval product?, lo, hi, size, coordinates)."""
+    def _orthant_plan(self) -> tuple[tuple, tuple]:
+        """The upper and the lower orthant's plan, indexed by ``lower``.
+
+        Per cell (value, blocks), per block (interval product?, centre, lo,
+        hi, size, coordinates).  The upper orthant reflects by ``u -> centre
+        - u`` onto ``[lo, hi]``: ``centre = lo + hi`` with the block's
+        bounds, or, where ``lo + hi`` overflows, 0.0 with ``[-hi, -lo]``.
+        """
+        def bounds(b: Block, lower: bool) -> tuple:
+            if lower:
+                return None, b.lo, b.hi
+            centre = b.lo + b.hi
+            return (centre, b.lo, b.hi) if math.isfinite(centre) else (0.0, -b.hi, -b.lo)
+
         return tuple(
-            (cell.value, tuple(
-                (b.kind == "free" or b.size == 1, b.lo, b.hi, b.size,
-                 tuple(coordinate_index(self.order, b.axis, p) for p in b.positions))
-                for b in cell.blocks
-            ))
-            for cell in self.cells
+            tuple(
+                (cell.value, tuple(
+                    (b.kind == "free" or b.size == 1, *bounds(b, lower), b.size,
+                     tuple(coordinate_index(self.order, b.axis, p) for p in b.positions))
+                    for b in cell.blocks
+                ))
+                for cell in self.cells
+            )
+            for lower in (False, True)
         )
 
 
@@ -409,19 +424,25 @@ def _chain2_lower(lo: float, hi: float, t1: float, t2: float) -> float:
     return (a - lo) * (a - lo) / 2.0 + (a - lo) * (beta - a)
 
 
+def _long_chain(size: int) -> UnsupportedChainLength:
+    message = f"no closed-form orthant volume for a chain of size {size}; use mc_probability"
+    return UnsupportedChainLength(message)
+
+
 def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], lower: bool) -> float:
     """Sum over cells of the value times each block's volume inside the orthant.
 
     ``pt`` is a point as :func:`_check_point` returns it.  The upper orthant
-    reflects by ``u -> lo + hi - u``, which maps a chain onto itself reversed.
+    reflects each block as its plan says, which maps a chain onto its
+    reflected interval reversed.
     """
     terms: list[float] = []
-    for term, blocks in model._orthant_plan:
-        for interval, lo, hi, size, coords in blocks:
+    for term, blocks in model._orthant_plan[lower]:
+        for interval, centre, lo, hi, size, coords in blocks:
             if interval:
                 vol = 1.0
                 for c in coords:
-                    t = pt[c] if lower else lo + hi - pt[c]
+                    t = pt[c] if lower else centre - pt[c]
                     vol *= max(0.0, min(t, hi) - lo)
                     if vol == 0.0:
                         break
@@ -430,15 +451,69 @@ def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], 
                 if lower:
                     vol = _chain2_lower(lo, hi, t1, t2)
                 else:
-                    vol = _chain2_lower(lo, hi, lo + hi - t2, lo + hi - t1)
+                    vol = _chain2_lower(lo, hi, centre - t2, centre - t1)
             else:
-                message = f"no closed-form orthant volume for a chain of size {size}; use mc_probability"
-                raise UnsupportedChainLength(message)
+                raise _long_chain(size)
             term *= vol
             if term == 0.0:
                 break
         terms.append(term)
     return math.fsum(terms)
+
+
+def _orthant_grid(
+    model: PiecewiseUniformDensity, axes: Sequence[Sequence[float]], lower: bool
+) -> Iterator[float]:
+    """:func:`_orthant_probability` at each point of ``itertools.product(*axes)``, in order.
+
+    Each block's factors are tabulated once by that walk's expressions, one
+    entry per value of its coordinate's axis, or per pair of values for a
+    size-2 chain.  Each point multiplies its looked-up factors in the same
+    order and with the same early exits, so every value is that walk's, bit
+    for bit, and a chain of size 3 or more raises only where a term still
+    nonzero reaches it.
+    """
+    tables = []
+    for value, blocks in model._orthant_plan[lower]:
+        factors = []
+        for interval, centre, lo, hi, size, coords in blocks:
+            if interval:
+                table = [
+                    (c, [max(0.0, min(t if lower else centre - t, hi) - lo) for t in axes[c]]) for c in coords
+                ]
+            elif size == 2:
+                c1, c2 = coords
+                if lower:
+                    rows = [[_chain2_lower(lo, hi, t1, t2) for t2 in axes[c2]] for t1 in axes[c1]]
+                else:
+                    rows = [
+                        [_chain2_lower(lo, hi, centre - t2, centre - t1) for t2 in axes[c2]] for t1 in axes[c1]
+                    ]
+                table = (c1, c2, rows)
+            else:
+                table = None
+            factors.append((interval, size, table))
+        tables.append((value, factors))
+    for idx in itertools.product(*(range(len(axis)) for axis in axes)):
+        terms = []
+        for term, factors in tables:
+            for interval, size, table in factors:
+                if interval:
+                    vol = 1.0
+                    for c, column in table:
+                        vol *= column[idx[c]]
+                        if vol == 0.0:
+                            break
+                elif size == 2:
+                    c1, c2, rows = table
+                    vol = rows[idx[c1]][idx[c2]]
+                else:
+                    raise _long_chain(size)
+                term *= vol
+                if term == 0.0:
+                    break
+            terms.append(term)
+        yield math.fsum(terms)
 
 
 def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
@@ -651,7 +726,10 @@ def default_grid(
     for lo, hi in bounding_box(models):
         a = lo - 0.5
         b = hi + 0.5
-        grid.append([a + (b - a) * i / (n - 1) for i in range(n)])
+        if math.isfinite(b - a):
+            grid.append([a + (b - a) * i / (n - 1) for i in range(n)])
+        else:  # the width overflows; the weighted ends do not
+            grid.append([a * ((n - 1 - i) / (n - 1)) + b * (i / (n - 1)) for i in range(n)])
     return grid
 
 
@@ -669,9 +747,11 @@ def concordance_check(
     is ``points_per_axis`` evenly spaced values per coordinate over the
     joint bounding box widened by 0.5 on each side.
 
-    The grid is checked once, before any evaluation, and each point's four
-    orthant probabilities are then evaluated with no further check; they
-    equal those of :func:`cdf` and :func:`survival` at that point.  The
+    The grid is checked once, before any evaluation.  Each model's block
+    factors are then tabulated once per orthant over the axis values, and
+    each point's four orthant probabilities are read from those tables;
+    they equal :func:`cdf` and :func:`survival` at that point, bit for bit,
+    and the tables grow with the axis lengths, not the points.  The
     witnesses are at most 20 of the points where a violation exceeds
     ``tol``: the largest violation first, and points of equal violation in
     the order ``itertools.product`` visits them.  The sweep keeps only those
@@ -711,9 +791,10 @@ def concordance_check(
 
     def violators() -> Iterator[tuple[float, tuple[float, ...]]]:
         nonlocal max_cdf, max_surv
-        for point in itertools.product(*axes):
-            v_cdf = _orthant_probability(model_a, point, True) - _orthant_probability(model_b, point, True)
-            v_surv = _orthant_probability(model_a, point, False) - _orthant_probability(model_b, point, False)
+        walks = (_orthant_grid(model, axes, lower) for lower in (True, False) for model in (model_a, model_b))
+        for point, cdf_a, cdf_b, surv_a, surv_b in zip(itertools.product(*axes), *walks):
+            v_cdf = cdf_a - cdf_b
+            v_surv = surv_a - surv_b
             max_cdf = max(max_cdf, v_cdf)
             max_surv = max(max_surv, v_surv)
             worst = max(v_cdf, v_surv)

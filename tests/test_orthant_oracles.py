@@ -8,6 +8,11 @@ kind, kept verbatim.  ``cdf`` and ``survival`` must match them by
 ``repr``, which tells 0.0 from -0.0; an error must match in type and
 message.
 
+The grid walk of ``concordance_check``, which reads each block's factors
+from tables built once per check, must give ``cdf`` and ``survival`` at
+every point by ``repr``, and raise where they raise; its tables must not
+grow with the number of points.
+
 ``concordance_check`` there is the grid check as it was when it made four
 public ``cdf``/``survival`` calls per point, each checking the point, and
 sorted the whole list of violating points; it too is kept verbatim.  Its
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import Sequence
@@ -448,3 +454,119 @@ def test_sweep_memory_does_not_grow_with_the_violators():
     many, busy = _sweep_peak(models_.f_star, models_.f, axes, 1e-12)
     assert none.witness_points == () and len(many.witness_points) == 20
     assert busy - quiet < 16 * 1024, (quiet, busy)
+
+
+# -- the grid walk against cdf and survival --------------------------------------------
+
+# 5e-324 and 1e-300 make terms that round to 0.0 part way through a cell.
+WALK_VALUES = (0.5, 1.0, 3.0, 1e-300, 5e-324)
+
+
+@st.composite
+def walk_models(draw, longest_chain=2):
+    """A drawn model, sometimes with a cell of a size-2 chain on each axis."""
+    order = draw(st.integers(1, 3))
+    layouts = [cell.blocks for cell in draw(models(longest_chain, order=order)).cells]
+    if order >= 2 and draw(st.booleans()):
+        blocks = []
+        for axis in ("x", "y"):
+            positions = draw(st.permutations(range(1, order + 1)))
+            for kind, chunk in (("chain", positions[:2]), ("free", positions[2:])):
+                if chunk:
+                    bounds = draw(st.lists(st.sampled_from(BOUNDS), min_size=2, max_size=2, unique=True))
+                    lo, hi = sorted(bounds)
+                    blocks.append(Block(axis, tuple(chunk), lo, hi, kind))
+        layouts.insert(draw(st.integers(0, len(layouts))), tuple(blocks))
+    cells = tuple(Cell(draw(st.sampled_from(WALK_VALUES)), blocks) for blocks in layouts)
+    return order, PiecewiseUniformDensity(order, cells)
+
+
+def walk_outcomes(values):
+    """``repr`` of each value up to the first error, then the error's type and message."""
+    out = []
+    try:
+        for value in values:
+            out.append(repr(value))
+    except OpdepError as err:
+        out.append((type(err), str(err)))
+    return out
+
+
+def assert_walks_match(model, axes):
+    points = list(itertools.product(*axes))
+    for lower, scalar in ((True, pw.cdf), (False, pw.survival)):
+        expected = walk_outcomes(scalar(model, point) for point in points)
+        assert walk_outcomes(pw._orthant_grid(model, axes, lower)) == expected, (model, axes, lower)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_grid_walk_gives_cdf_and_survival_at_every_point(data):
+    order, model = data.draw(walk_models())
+    axes = data.draw(grids(order))
+    if data.draw(st.booleans()):
+        axis = data.draw(st.integers(0, 2 * order - 1))
+        axes[axis] = [data.draw(GRID_VALUES)] * data.draw(st.integers(1, AXIS_SIZES[order]))
+    assert_walks_match(model, axes)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_grid_walk_raises_at_the_point_where_cdf_and_survival_raise(data):
+    order, model = data.draw(walk_models(longest_chain=3))
+    assert_walks_match(model, data.draw(grids(order)))
+
+
+def test_grid_walk_matches_on_the_shipped_models_and_counterexample_grids():
+    for model in SHIPPED.values():
+        assert_walks_match(model, pw.default_grid([model], points_per_axis=5))
+    models_ = build_counterexample()
+    assert_walks_match(models_.f_star, [[-math.inf, 0.25, 0.25, 1.0, math.inf]] * 4)
+
+
+def _table_bytes(model, axes):
+    """An upper bound on the bytes of one walk's factor tables over ``axes``.
+
+    Each interval-block coordinate holds a list of one float per value of
+    its axis and each size-2 chain a list of such lists; every entry is
+    counted as a float of its own, with its list's header and slot, and each
+    block and cell gets 256 bytes for its tuples.
+    """
+    lengths = [len(axis) for axis in axes]
+    float_size = sys.getsizeof(0.0)
+    total = 0
+    for _, blocks in model._orthant_plan[True]:
+        total += 256
+        for interval, _, _, _, size, coords in blocks:
+            total += 256
+            if interval:
+                total += sum(sys.getsizeof([0.0] * lengths[c]) + float_size * lengths[c] for c in coords)
+            elif size == 2:
+                rows, cols = (lengths[c] for c in coords)
+                row = sys.getsizeof([0.0] * cols) + float_size * cols
+                total += sys.getsizeof([None] * rows) + rows * row
+    return total
+
+
+def test_grid_walk_tables_grow_with_the_axis_lengths_not_the_points():
+    # The counterexample's blocks are size-2 chains, so its tables hold n^2
+    # entries per block against the n^4 points of its grid.
+    models_ = build_counterexample()
+    for n in (5, 15):
+        axes = pw.default_grid([models_.f, models_.f_star], points_per_axis=n)
+        points = math.prod(map(len, axes))
+        for model, lower in ((models_.f, True), (models_.f_star, False)):
+            # The walk's own frames, the product's pools and one point's terms.
+            bound = _table_bytes(model, axes) + 8 * 1024
+            # Keeping one float per point would not fit in that bound at n = 15.
+            assert n == 5 or points * sys.getsizeof(0.0) > 10 * bound, (points, bound)
+            tracemalloc.start()
+            try:
+                last = None
+                for last in pw._orthant_grid(model, axes, lower):
+                    pass
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert last is not None
+            assert peak <= bound, (n, lower, peak, bound)

@@ -91,13 +91,12 @@ def oracle_joint(model):
     for cell in model.cells:
         weight = cell_mass(cell) / mass
         px = [(p, oracle_axis_pattern_probability(cell, "x", p)) for p in patterns]
-        py = [(p, oracle_axis_pattern_probability(cell, "y", p)) for p in patterns]
+        # The y patterns the cell admits, once per cell, in pattern order.
+        py = [(p, prob) for p in patterns if (prob := oracle_axis_pattern_probability(cell, "y", p)) != 0.0]
         for pat_x, prob_x in px:
             if prob_x == 0.0:
                 continue
             for pat_y, prob_y in py:
-                if prob_y == 0.0:
-                    continue
                 key = (pat_x, pat_y)
                 joint[key] = joint.get(key, 0.0) + weight * prob_x * prob_y
     return joint

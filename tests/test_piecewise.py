@@ -21,10 +21,12 @@ from opdep.errors import (
 from opdep.piecewise import (
     Block,
     Cell,
+    ConcordanceReport,
     LowerOrthant,
     PatternCoincidence,
     PiecewiseUniformDensity,
     UpperOrthant,
+    _chain2_lower,
     cdf,
     cell_mass,
     cells_overlap,
@@ -610,3 +612,92 @@ def test_grid_of_numeric_strings_is_read_as_floats():
     models = build_counterexample()
     report = concordance_check(models.f_star, models.f, grid=[["0.5", 1, 1.5]] * 4)
     assert report == concordance_check(models.f_star, models.f, grid=[[0.5, 1.0, 1.5]] * 4)
+
+
+# --- blocks whose lo + hi overflows ----------------------------------------------
+
+HIGH = (1e308, 1.7e308)
+LOW = (-1.7e308, -1e308)
+
+
+def wide_model(lo, hi):
+    """Order 1: x uniform on [lo, hi], whose sum lo + hi overflows, y uniform on [0, 1]."""
+    return model(1, Cell(1 / (hi - lo), (free("x", (1,), lo, hi), free("y", (1,), 0.0, 1.0))))
+
+
+def wide_x_values(lo, hi):
+    """Below, at, inside and above [lo, hi], infinities included."""
+    outside = 1.75e308 * math.copysign(1.0, lo)
+    return sorted({-INF, INF, 0.0, outside, lo, hi, lo + (hi - lo) * 0.25, lo + (hi - lo) * 0.5})
+
+
+@pytest.mark.parametrize("bounds", [HIGH, LOW])
+def test_survival_of_an_interval_block_whose_sum_overflows(bounds):
+    lo, hi = bounds
+    m = wide_model(lo, hi)
+    assert math.isinf(lo + hi) and total_mass(m) == pytest.approx(1.0, abs=1e-12)
+    for k, point in enumerate((x, y) for x in wide_x_values(lo, hi) for y in (-1.0, 0.5, 2.0)):
+        x, y = point
+        exact = max(0.0, hi - max(x, lo)) / (hi - lo) * max(0.0, 1.0 - max(y, 0.0))
+        got = survival(m, point)
+        assert got == pytest.approx(exact, rel=1e-12, abs=1e-300), point
+        est, se = mc_probability(m, UpperOrthant(point), 20_000, seed=300 + k)
+        assert abs(est - exact) <= 4 * max(se, 1e-4), point
+
+
+def test_the_reproduced_overflow_points_read_their_closed_form():
+    assert survival(wide_model(*HIGH), (1.75e308, 0.5)) == 0.0
+    assert survival(wide_model(*LOW), (-1.75e308, 0.5)) == 0.5
+
+
+@pytest.mark.parametrize("bounds", [HIGH, LOW])
+def test_survival_of_a_size_2_chain_whose_sum_overflows_is_zero_outside_its_region(bounds):
+    # A nonzero volume of such a chain is at least the square of the float
+    # spacing near 1e308 over 2, which overflows, so only the points where the
+    # upper orthant misses the chain's region have a finite closed form: 0.
+    lo, hi = bounds
+    m = model(2, Cell(5e-324, (chain("x", (1, 2), lo, hi), free("y", (1, 2), 0.0, 1.0))))
+    above = 1.75e308 if lo > 0 else 0.0
+    points = [(hi, hi), (above, lo), (lo, above), (above, above), (INF, -INF), (-INF, INF), (hi, lo)]
+    for k, (t1, t2) in enumerate(points):
+        point = (t1, t2, -INF, -INF)
+        assert survival(m, point) == 0.0, point
+        est, se = mc_probability(m, UpperOrthant(point), 20_000, seed=400 + k)
+        assert est == 0.0 and se == 0.0, point
+
+
+@pytest.mark.parametrize(
+    "t1,t2",
+    [(0.25, 0.75), (0.75, 0.25), (0.5, 2.0), (-1.0, 0.5), (0.5, -1.0), (1.0, 1.0), (0.9, 0.1), (-INF, INF)],
+)
+def test_the_reflection_used_where_the_sum_overflows_matches_quadrature(t1, t2):
+    # Such a block's upper orthant reflects by u -> -u onto [-hi, -lo].
+    lo, hi = 0.0, 1.0
+    reflected = _chain2_lower(-hi, -lo, -t2, -t1)
+    assert reflected == pytest.approx(quad_chain2_upper(lo, hi, t1, t2), abs=3e-3)
+    assert reflected == pytest.approx(_chain2_lower(lo, hi, lo + hi - t2, lo + hi - t1), abs=1e-15)
+
+
+def test_default_grid_of_a_box_whose_width_overflows_and_its_report():
+    low, high = wide_model(*LOW), wide_model(*HIGH)
+    grid = default_grid([low, high], points_per_axis=3)
+    assert grid == [[-1.7e308, 0.0, 1.7e308], [-0.5, 0.5, 1.5]]
+    # At x = 0 the low model has all its x mass below and the high one none:
+    # the low cdf exceeds the high one by P(Y <= y) there, and its survival
+    # is 0.  At either end of the axis both cdfs, and both survivals, agree.
+    assert concordance_check(low, high, points_per_axis=3) == ConcordanceReport(
+        cdf_dominated=False, survival_dominated=True, max_cdf_violation=1.0, max_survival_violation=0.0,
+        witness_points=((0.0, 1.5), (0.0, 0.5)), tol=1e-12,
+    )
+    assert concordance_check(high, low, points_per_axis=3) == ConcordanceReport(
+        cdf_dominated=True, survival_dominated=False, max_cdf_violation=0.0, max_survival_violation=1.0,
+        witness_points=((0.0, -0.5), (0.0, 0.5)), tol=1e-12,
+    )
+
+
+def test_a_grid_whose_width_is_finite_keeps_the_plain_interpolation():
+    m = model(1, Cell(1.0, (free("x", (1,), 0.1, 1.1), free("y", (1,), -3.3, -2.3))))
+    for n in (2, 3, 7, 10):
+        for (lo, hi), axis in zip([(0.1, 1.1), (-3.3, -2.3)], default_grid([m], n)):
+            a, b = lo - 0.5, hi + 0.5
+            assert axis == [a + (b - a) * i / (n - 1) for i in range(n)]
