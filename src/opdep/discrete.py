@@ -482,8 +482,9 @@ class _ViolationColumns(Sequence):
     and one evaluation-point tuple per grid point, those of one outer law
     one conditioning-point tuple per group, and the report's records one
     float per value.  The sequence equals, hashes, prints and pickles as
-    the tuple of its records; ``len`` and ``==`` between two such sequences
-    read the columns only.
+    the tuple of its records, and ``len`` reads the columns only.  ``==``
+    between two such sequences builds both record lists for that comparison
+    alone and keeps neither, so there is one definition of equality.
     """
 
     __slots__ = ("_parts", "_codes", "_values", "_length", "_records")
@@ -517,44 +518,7 @@ class _ViolationColumns(Sequence):
             return self._built() == other
         if not isinstance(other, _ViolationColumns):
             return NotImplemented
-        return self is other or (
-            len(self) == len(other)
-            and len(self._parts) == len(other._parts)
-            and all(self._same_part(part, other, other_part) for part, other_part in zip(self._parts, other._parts))
-        )
-
-    def _same_part(self, part: _Part, other: _ViolationColumns, other_part: _Part) -> bool:
-        """Whether the records of ``part`` and of ``other``'s ``other_part`` are equal, read from the columns."""
-        subset, outers, grid, start, stop = part
-        other_subset, other_outers, other_grid, other_start, other_stop = other_part
-        if (subset, [name for name, _ in outers], len(grid), stop - start) != (
-            other_subset, [name for name, _ in other_outers], len(other_grid), other_stop - other_start
-        ):
-            return False
-        groups, sides, at, values = self._rows(part)
-        other_groups, other_sides, other_at, other_values = other._rows(other_part)
-        coords = np.unravel_index(at, tuple(map(len, grid)))
-        other_coords = np.unravel_index(other_at, tuple(map(len, other_grid)))
-        return (
-            np.array_equal(sides, other_sides)
-            and np.array_equal(values, other_values)
-            and all(
-                np.array_equal(np.take(axis, index), np.take(other_axis, other_index))
-                for axis, index, other_axis, other_index in zip(grid, coords, other_grid, other_coords)
-            )
-            # Equal names hold points of one kind; arrays compare 0.0 and -0.0 equal, as tuples do.
-            and all(
-                points is None or np.array_equal(points[groups], other_points[other_groups])
-                for (_, points), (_, other_points) in zip(outers, other_outers)
-            )
-        )
-
-    def _rows(self, part: _Part) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """A part's rows as their groups, sides, flat grid indices and ``(lhs, rhs)`` values."""
-        _, _, grid, start, stop = part
-        index, sides = np.divmod(self._codes[start:stop], 2)
-        groups, at = np.divmod(index, math.prod(map(len, grid)))
-        return groups, sides, at, self._values[start:stop]
+        return self is other or (len(self) == len(other) and self._build() == other._build())
 
     def _built(self) -> tuple[ConditionViolation, ...]:
         if self._records is None:
@@ -565,15 +529,16 @@ class _ViolationColumns(Sequence):
         """Every record, in order."""
         records: list[ConditionViolation] = []
         values_of: dict[float, float] = {}
-        for part in self._parts:
-            subset, outers, grid, _, _ = part
-            groups, sides, at, values = self._rows(part)
+        for subset, outers, grid, start, stop in self._parts:
+            index, sides = np.divmod(self._codes[start:stop], 2)
+            groups, at = np.divmod(index, math.prod(map(len, grid)))
             distinct, inverse = np.unique(at, return_inverse=True)
             corners = zip(*(c.tolist() for c in np.unravel_index(distinct, tuple(map(len, grid)))))
             points = [tuple(map(operator.getitem, grid, corner)) for corner in corners]
             evaluation_points = list(map(points.__getitem__, inverse.tolist()))
             side_names = list(map(("cdf", "survival").__getitem__, sides.tolist()))
-            lhs, rhs = (list(map(values_of.setdefault, column, column)) for column in values.T.tolist())
+            values = self._values[start:stop].T.tolist()
+            lhs, rhs = (list(map(values_of.setdefault, column, column)) for column in values)
             groups = groups.tolist()
             for outer, conditioning in outers:
                 given = [None] if conditioning is None else list(map(tuple, conditioning.tolist()))
@@ -600,7 +565,8 @@ class ConditionReport(Record):
 
     The checker's ``violations`` is a sequence that keeps them as columns
     and builds their records when first read; it equals, hashes, prints,
-    serializes and pickles as the tuple of its records.
+    serializes and pickles as the tuple of its records.  Two reports compare
+    their violations by records built for the comparison, which neither keeps.
     """
 
     variant: str

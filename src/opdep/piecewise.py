@@ -38,6 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -101,8 +102,7 @@ class Block:
             raise ModelStructureError(f"positions must be >= 1, got {positions}")
         if len(set(positions)) != len(positions):
             raise ModelStructureError(f"duplicate positions in block: {positions}")
-        lo = float(self.lo)
-        hi = float(self.hi)
+        lo, hi = float(self.lo), float(self.hi)
         if not (lo < hi and math.isfinite(hi - lo)):
             raise ModelStructureError(f"need lo < hi with a finite width hi - lo, got [{lo}, {hi}]")
         object.__setattr__(self, "positions", positions)
@@ -159,15 +159,12 @@ class PiecewiseUniformDensity:
         cells = tuple(self.cells)
         if not cells:
             raise ModelStructureError("a model needs at least one cell")
-        full = set(range(1, order + 1))
         for ci, cell in enumerate(cells):
             for axis in AXES:
-                seen: list[int] = []
-                for block in cell.axis_blocks(axis):
-                    seen.extend(block.positions)
-                if sorted(seen) != sorted(full):
+                seen = sorted(p for block in cell.axis_blocks(axis) for p in block.positions)
+                if seen != list(range(1, order + 1)):
                     raise ModelStructureError(
-                        f"cell {ci}: {axis} blocks cover positions {sorted(seen)}, "
+                        f"cell {ci}: {axis} blocks cover positions {seen}, "
                         f"expected exactly 1..{order}"
                     )
         object.__setattr__(self, "order", order)
@@ -178,8 +175,31 @@ class PiecewiseUniformDensity:
         return 2 * self.order
 
     @cached_property
+    def _exact_cells(self) -> tuple[Cell, ...]:
+        """The cells where a product that a float orthant walk makes could leave the float range.
+
+        Rounding is monotone, so each factor of a walk is at most the same
+        expression on the block's width ``w``: ``w`` per interval coordinate
+        and ``w * w / 2 + w * w`` for a size-2 chain, and each product at most
+        these bounds' product in the walk's order, up to a longer chain, where
+        the walk raises.  Both walks evaluate these cells by :func:`_exact_terms`.
+        """
+        def may_overflow(cell: Cell) -> bool:
+            term = cell.value
+            for b in cell.blocks:
+                w = b.length
+                if b.kind == "chain" and b.size > 2:
+                    break
+                term *= math.prod(itertools.repeat(w, b.size)) if b.kind == "free" or b.size == 1 else w * w / 2 + w * w
+                if not math.isfinite(term):
+                    return True
+            return False
+
+        return tuple(filter(may_overflow, self.cells))
+
+    @cached_property
     def _orthant_plan(self) -> tuple[tuple, tuple]:
-        """The upper and the lower orthant's plan, indexed by ``lower``.
+        """The upper and the lower orthant's plan of the other cells, indexed by ``lower``.
 
         Per cell (value, blocks), per block (interval product?, centre, lo,
         hi, size, coordinates).  The upper orthant reflects by ``u -> centre
@@ -200,6 +220,7 @@ class PiecewiseUniformDensity:
                     for b in cell.blocks
                 ))
                 for cell in self.cells
+                if cell not in self._exact_cells
             )
             for lower in (False, True)
         )
@@ -311,21 +332,17 @@ def total_mass(model: PiecewiseUniformDensity) -> float:
 
 
 def _cell_coordinate_intervals(cell: Cell, order: int) -> list[tuple[float, float]]:
-    intervals: list[tuple[float, float] | None] = [None] * (2 * order)
-    for block in cell.blocks:
-        for p in block.positions:
-            intervals[coordinate_index(order, block.axis, p)] = (block.lo, block.hi)
-    return [iv for iv in intervals if iv is not None]
+    intervals = {coordinate_index(order, b.axis, p): (b.lo, b.hi) for b in cell.blocks for p in b.positions}
+    return [intervals[c] for c in sorted(intervals)]
 
 
 def _cell_strict_edges(cell: Cell, order: int) -> list[tuple[int, int]]:
     """Strict order constraints (u < v on coordinate indices) from chain blocks."""
     edges: list[tuple[int, int]] = []
     for block in cell.blocks:
-        if block.kind != "chain" or block.size < 2:
-            continue
-        idx = [coordinate_index(order, block.axis, p) for p in block.positions]
-        edges.extend(zip(idx, idx[1:]))
+        if block.kind == "chain":
+            idx = [coordinate_index(order, block.axis, p) for p in block.positions]
+            edges.extend(zip(idx, idx[1:]))
     return edges
 
 
@@ -373,8 +390,7 @@ def cells_overlap(cell_a: Cell, cell_b: Cell, order: int) -> bool:
     intervals_b = _cell_coordinate_intervals(cell_b, order)
     bounds: list[tuple[float, float]] = []
     for (lo_a, hi_a), (lo_b, hi_b) in zip(intervals_a, intervals_b):
-        lo = max(lo_a, lo_b)
-        hi = min(hi_a, hi_b)
+        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
         if lo >= hi:
             return False
         bounds.append((lo, hi))
@@ -407,9 +423,7 @@ def validate(
 def _check_point(model: PiecewiseUniformDensity, point: Sequence[float]) -> tuple[float, ...]:
     pt = tuple(map(float, point))
     if len(pt) != model.dimension:
-        raise DimensionMismatch(
-            f"point has {len(pt)} coordinates, model needs {model.dimension}"
-        )
+        raise DimensionMismatch(f"point has {len(pt)} coordinates, model needs {model.dimension}")
     if any(map(math.isnan, pt)):
         raise NonFiniteInput("point contains NaN")
     return pt
@@ -425,8 +439,35 @@ def _chain2_lower(lo: float, hi: float, t1: float, t2: float) -> float:
 
 
 def _long_chain(size: int) -> UnsupportedChainLength:
-    message = f"no closed-form orthant volume for a chain of size {size}; use mc_probability"
-    return UnsupportedChainLength(message)
+    return UnsupportedChainLength(f"no closed-form orthant volume for a chain of size {size}; use mc_probability")
+
+
+def _exact_terms(model: PiecewiseUniformDensity, pt: Sequence[float], lower: bool) -> list[float]:
+    """The terms at ``pt`` of the cells of ``_exact_cells``, each one exact ratio rounded once.
+
+    A term above the float range is inf.  Each coordinate is clamped to its
+    block first, which is exact, so every difference is one of finite
+    floats.  A chain of size 3 or more raises if the term is still nonzero.
+    """
+    terms = []
+    for cell in model._exact_cells:
+        term = Fraction(cell.value)
+        for b in cell.blocks:
+            lo, hi = Fraction(b.lo), Fraction(b.hi)
+            ts = [Fraction(min(max(pt[coordinate_index(model.order, b.axis, p)], b.lo), b.hi)) for p in b.positions]
+            if b.kind == "free" or b.size == 1:
+                term *= math.prod(t - lo if lower else hi - t for t in ts)
+            elif b.size == 2:  # u <= min(t1, v), v <= t2; or, reflected by u -> -u, u <= min(-t2, v), v <= -t1
+                base, (s1, s2) = (lo, ts) if lower else (-hi, (-ts[1], -ts[0]))
+                a = min(s1, s2)
+                term *= (a - base) ** 2 / 2 + (a - base) * (s2 - a)
+            elif term:
+                raise _long_chain(b.size)
+        try:
+            terms.append(float(term))
+        except OverflowError:
+            terms.append(math.inf)
+    return terms
 
 
 def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], lower: bool) -> float:
@@ -434,7 +475,8 @@ def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], 
 
     ``pt`` is a point as :func:`_check_point` returns it.  The upper orthant
     reflects each block as its plan says, which maps a chain onto its
-    reflected interval reversed.
+    reflected interval reversed.  The cells of ``_exact_cells`` come
+    last, by :func:`_exact_terms`; ``fsum`` does not depend on the order.
     """
     terms: list[float] = []
     for term, blocks in model._orthant_plan[lower]:
@@ -458,6 +500,8 @@ def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], 
             if term == 0.0:
                 break
         terms.append(term)
+    if model._exact_cells:
+        terms += _exact_terms(model, pt, lower)
     return math.fsum(terms)
 
 
@@ -471,29 +515,27 @@ def _orthant_grid(
     size-2 chain.  Each point multiplies its looked-up factors in the same
     order and with the same early exits, so every value is that walk's, bit
     for bit, and a chain of size 3 or more raises only where a term still
-    nonzero reaches it.
+    nonzero reaches it.  The cells of ``_exact_cells`` are evaluated
+    per point by :func:`_exact_terms`.
     """
     tables = []
     for value, blocks in model._orthant_plan[lower]:
         factors = []
         for interval, centre, lo, hi, size, coords in blocks:
             if interval:
-                table = [
-                    (c, [max(0.0, min(t if lower else centre - t, hi) - lo) for t in axes[c]]) for c in coords
-                ]
+                table = [(c, [max(0.0, min(t if lower else centre - t, hi) - lo) for t in axes[c]]) for c in coords]
             elif size == 2:
                 c1, c2 = coords
                 if lower:
                     rows = [[_chain2_lower(lo, hi, t1, t2) for t2 in axes[c2]] for t1 in axes[c1]]
                 else:
-                    rows = [
-                        [_chain2_lower(lo, hi, centre - t2, centre - t1) for t2 in axes[c2]] for t1 in axes[c1]
-                    ]
+                    rows = [[_chain2_lower(lo, hi, centre - t2, centre - t1) for t2 in axes[c2]] for t1 in axes[c1]]
                 table = (c1, c2, rows)
             else:
                 table = None
             factors.append((interval, size, table))
         tables.append((value, factors))
+    exact = model._exact_cells
     for idx in itertools.product(*(range(len(axis)) for axis in axes)):
         terms = []
         for term, factors in tables:
@@ -513,6 +555,8 @@ def _orthant_grid(
                 if term == 0.0:
                     break
             terms.append(term)
+        if exact:
+            terms += _exact_terms(model, tuple(map(operator.getitem, axes, idx)), lower)
         yield math.fsum(terms)
 
 
@@ -520,7 +564,9 @@ def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
     """Lower orthant probability P(all coordinates <= point), exactly.
 
     ``point`` may contain infinities, so marginals are plain evaluations
-    with the remaining coordinates at +inf.
+    with the remaining coordinates at +inf.  Each cell's term is its value
+    times its blocks' volumes, multiplied in floats; a cell where such a
+    product could overflow has its term computed exactly and rounded once.
 
     Raises:
         UnsupportedChainLength: a cell not yet zero at ``point`` reaches a chain of size >= 3.
@@ -531,7 +577,8 @@ def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
 def survival(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
     """Upper orthant probability P(all coordinates >= point), exactly.
 
-    Note this is not ``1 - cdf`` beyond dimension one.
+    Note this is not ``1 - cdf`` beyond dimension one.  Terms are formed as
+    :func:`cdf` forms them.
     """
     return _orthant_probability(model, _check_point(model, point), lower=False)
 
@@ -651,15 +698,13 @@ def joint_pattern_distribution(
     masses, mass = _cell_masses(model)
     joint: dict[tuple[Pattern, Pattern], float] = {}
     for weight, px, py in zip(masses / mass, laws_x, laws_y):
-        xs = np.flatnonzero(px)
-        ys = np.flatnonzero(py)
+        xs, ys = np.flatnonzero(px), np.flatnonzero(py)
         terms = ((weight * px[xs])[:, None] * py[ys]).tolist()
         y_patterns = [patterns[j] for j in ys.tolist()]
         for i, row in zip(xs.tolist(), terms):
             pat_x = patterns[i]
             for pat_y, term in zip(y_patterns, row):
-                key = (pat_x, pat_y)
-                joint[key] = joint.get(key, 0.0) + term
+                joint[pat_x, pat_y] = joint.get((pat_x, pat_y), 0.0) + term
     return joint
 
 
@@ -694,13 +739,20 @@ def exact_opd(model: PiecewiseUniformDensity) -> float:
     return dependence_from_terms(coincidence, cross_match_probability(px, py))
 
 
-def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float, float]]:
-    """Per-coordinate hull of the models' cell intervals."""
+def default_grid(
+    models: Sequence[PiecewiseUniformDensity], points_per_axis: int = 9
+) -> list[list[float]]:
+    """Evenly spaced grid over the per-coordinate hull of the models' cells, widened by 0.5 on each side.
+
+    Raises:
+        InvalidParameter: no models, or ``points_per_axis`` is not an integer >= 2.
+        DimensionMismatch: the models differ in dimension.
+    """
+    n = _integer(points_per_axis, "points_per_axis", 2)
     if not models:
         raise InvalidParameter("need at least one model")
     dim = models[0].dimension
-    lo = [math.inf] * dim
-    hi = [-math.inf] * dim
+    lo, hi = [math.inf] * dim, [-math.inf] * dim
     for model in models:
         if model.dimension != dim:
             raise DimensionMismatch("models have different dimensions")
@@ -710,22 +762,9 @@ def bounding_box(models: Sequence[PiecewiseUniformDensity]) -> list[tuple[float,
                     c = coordinate_index(model.order, block.axis, p)
                     lo[c] = min(lo[c], block.lo)
                     hi[c] = max(hi[c], block.hi)
-    return list(zip(lo, hi))
-
-
-def default_grid(
-    models: Sequence[PiecewiseUniformDensity], points_per_axis: int = 9
-) -> list[list[float]]:
-    """Evenly spaced evaluation grid over the bounding box widened by 0.5 on each side.
-
-    Raises:
-        InvalidParameter: ``points_per_axis`` is not an integer >= 2.
-    """
-    n = _integer(points_per_axis, "points_per_axis", 2)
     grid = []
-    for lo, hi in bounding_box(models):
-        a = lo - 0.5
-        b = hi + 0.5
+    for a, b in zip(lo, hi):
+        a, b = a - 0.5, b + 0.5
         if math.isfinite(b - a):
             grid.append([a + (b - a) * i / (n - 1) for i in range(n)])
         else:  # the width overflows; the weighted ends do not
@@ -779,15 +818,12 @@ def concordance_check(
         except (TypeError, ValueError) as exc:
             raise InvalidParameter(f"grid values must be real numbers: {exc}") from None
         if len(axes) != model_a.dimension:
-            raise DimensionMismatch(
-                f"grid has {len(axes)} axes, models need {model_a.dimension}"
-            )
+            raise DimensionMismatch(f"grid has {len(axes)} axes, models need {model_a.dimension}")
         if any(not axis for axis in axes):
             raise InvalidParameter("every grid axis needs at least one value")
     if any(map(math.isnan, itertools.chain.from_iterable(axes))):
         raise NonFiniteInput("point contains NaN")
-    max_cdf = 0.0
-    max_surv = 0.0
+    max_cdf = max_surv = 0.0
 
     def violators() -> Iterator[tuple[float, tuple[float, ...]]]:
         nonlocal max_cdf, max_surv

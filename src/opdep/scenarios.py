@@ -347,19 +347,12 @@ def build_example42_continuous() -> ModelPair:
     def extend(head: PiecewiseUniformDensity) -> PiecewiseUniformDensity:
         cells = []
         for cell in head.cells:
-            x1 = next(b for b in cell.blocks if b.axis == "x")
-            y1 = next(b for b in cell.blocks if b.axis == "y")
-            cells.append(
-                Cell(
-                    cell.value,
-                    (
-                        _free("x", (1,), x1.lo, x1.hi),
-                        _free("x", (2,), 5.0, 6.0),
-                        _free("y", (1,), y1.lo, y1.hi),
-                        _free("y", (2,), 5.0, 6.0),
-                    ),
-                )
+            (x1,), (y1,) = cell.axis_blocks("x"), cell.axis_blocks("y")
+            blocks = (
+                _free("x", (1,), x1.lo, x1.hi), _free("x", (2,), 5.0, 6.0),
+                _free("y", (1,), y1.lo, y1.hi), _free("y", (2,), 5.0, 6.0),
             )
+            cells.append(Cell(cell.value, blocks))
         return PiecewiseUniformDensity(order=2, cells=tuple(cells))
 
     return ModelPair(model=extend(heads.model), model_star=extend(heads.model_star))

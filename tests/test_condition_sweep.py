@@ -592,3 +592,31 @@ def test_a_report_keeps_its_violations_in_a_few_bytes_each(variant, values):
     assert len(report.violations) >= 5000 and report.violations._records is None
     # A row of codes and values takes 24 B, and both variant-A families share it.
     assert retained <= 40 * len(report.violations)
+
+
+@st.composite
+def lattice_report_inputs(draw):
+    """A lattice pair in either order, a variant, a shared-positions choice and a tolerance."""
+    pair = draw(st.sampled_from([PAIRS[f"lattice {i}"] for i in range(20)]))
+    law, law_star = pair if draw(st.booleans()) else pair[::-1]
+    shared = draw(st.sampled_from([None, (), (1,), (2,), (1, 2)]))
+    return law, law_star, draw(st.sampled_from("AB")), shared, draw(st.sampled_from((0.0, 1e-12, 0.25)))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_two_reports_compare_as_their_records(data):
+    first = data.draw(lattice_report_inputs())
+    second = first if data.draw(st.booleans()) else data.draw(lattice_report_inputs())
+    a, b = (
+        check_theorem_conditions(law, law_star, variant, tol=tol, shared_positions=shared)
+        for law, law_star, variant, shared, tol in (first, second)
+    )
+    same_violations = a.violations == b.violations
+    assert a.violations._records is None and b.violations._records is None
+    same_reports = a == b
+    assert a.violations._records is None and b.violations._records is None
+    assert same_violations is (tuple(a.violations) == tuple(b.violations))
+    assert same_reports is (replace(a, violations=tuple(a.violations)) == replace(b, violations=tuple(b.violations)))
+    if first == second:
+        assert same_violations and same_reports

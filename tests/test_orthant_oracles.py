@@ -460,13 +460,20 @@ def test_sweep_memory_does_not_grow_with_the_violators():
 
 # 5e-324 and 1e-300 make terms that round to 0.0 part way through a cell.
 WALK_VALUES = (0.5, 1.0, 3.0, 1e-300, 5e-324)
+# Block scales that make a cell's float products overflow, or overflow and come back.
+WIDE_SCALES = (1.0, 1e-200, 1e160, 1e200)
 
 
 @st.composite
 def walk_models(draw, longest_chain=2):
-    """A drawn model, sometimes with a cell of a size-2 chain on each axis."""
+    """A drawn model, sometimes with a cell of a size-2 chain on each axis, or with blocks scaled wide or narrow."""
     order = draw(st.integers(1, 3))
     layouts = [cell.blocks for cell in draw(models(longest_chain, order=order)).cells]
+    if draw(st.booleans()):
+        blocks = draw(models(longest_chain, order=order)).cells[0].blocks
+        scales = draw(st.lists(st.sampled_from(WIDE_SCALES), min_size=len(blocks), max_size=len(blocks)))
+        scaled = tuple(Block(b.axis, b.positions, b.lo * k, b.hi * k, b.kind) for b, k in zip(blocks, scales))
+        layouts.insert(draw(st.integers(0, len(layouts))), scaled)
     if order >= 2 and draw(st.booleans()):
         blocks = []
         for axis in ("x", "y"):
@@ -522,6 +529,26 @@ def test_grid_walk_matches_on_the_shipped_models_and_counterexample_grids():
         assert_walks_match(model, pw.default_grid([model], points_per_axis=5))
     models_ = build_counterexample()
     assert_walks_match(models_.f_star, [[-math.inf, 0.25, 0.25, 1.0, math.inf]] * 4)
+
+
+def test_grid_walk_matches_on_cells_whose_float_products_overflow():
+    overflow_then_back = PiecewiseUniformDensity(2, (Cell(2e-300, (
+        Block("x", (1, 2), 0.0, 1e-10, "free"), Block("y", (1, 2), 0.0, 1e160, "chain"),
+    )),))
+    infinite_times_zero = PiecewiseUniformDensity(2, (Cell(1.0, (
+        Block("x", (1,), -1e200, 0.0, "free"), Block("x", (2,), 0.0, 1e200, "free"),
+        Block("y", (1, 2), 0.0, 1e-200, "free"),
+    )),))
+    for model in (overflow_then_back, infinite_times_zero):
+        assert model._exact_cells == model.cells
+        assert_walks_match(model, pw.default_grid([model], points_per_axis=5))
+        # With a cell of the float walk beside it, in either order.
+        (cell,) = model.cells
+        plain = Cell(0.5, tuple(Block(b.axis, b.positions, 2.0, 3.0, "free") for b in cell.blocks))
+        for cells in ((cell, plain), (plain, cell)):
+            mixed = PiecewiseUniformDensity(2, cells)
+            assert mixed._exact_cells == (cell,) and len(mixed._orthant_plan[True]) == 1
+            assert_walks_match(mixed, pw.default_grid([mixed], points_per_axis=4))
 
 
 def _table_bytes(model, axes):

@@ -1,5 +1,6 @@
 """Piecewise engine: quadrature oracles, geometry checks, sampling, MC."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -701,3 +702,112 @@ def test_a_grid_whose_width_is_finite_keeps_the_plain_interpolation():
         for (lo, hi), axis in zip([(0.1, 1.1), (-3.3, -2.3)], default_grid([m], n)):
             a, b = lo - 0.5, hi + 0.5
             assert axis == [a + (b - a) * i / (n - 1) for i in range(n)]
+
+
+# --- cells whose float products overflow ------------------------------------------
+# Both are one-cell models of mass 1 up to rounding.  In the first, the y
+# chain's w * w is above the float range; in the second, the two x widths
+# multiply to 1e400 before the y block's 1e-400 brings the term back.
+
+OVERFLOW_THEN_BACK = model(2, Cell(2e-300, (free("x", (1, 2), 0.0, 1e-10), chain("y", (1, 2), 0.0, 1e160))))
+INFINITE_TIMES_ZERO = model(
+    2,
+    Cell(1.0, (free("x", (1,), -1e200, 0.0), free("x", (2,), 0.0, 1e200), free("y", (1, 2), 0.0, 1e-200))),
+)
+
+
+def fraction_orthant(m, point, lower):
+    """A one-cell model's orthant probability as a Fraction, from the block formulas."""
+    (cell,) = m.cells
+    prob = Fraction(cell.value)
+    for b in cell.blocks:
+        lo, hi = Fraction(b.lo), Fraction(b.hi)
+        offset = 0 if b.axis == "x" else m.order
+        s = [min(max(Fraction(t) if math.isfinite(t) else (lo if t < 0 else hi), lo), hi)
+             for t in (point[offset + p - 1] for p in b.positions)]
+        if b.kind == "free":
+            prob *= math.prod(t - lo if lower else hi - t for t in s)
+        elif lower:  # v runs up to s2, u up to min(v, s1)
+            s1, s2 = s
+            prob *= (s2 - lo) ** 2 / 2 if s1 >= s2 else (s1 - lo) ** 2 / 2 + (s1 - lo) * (s2 - s1)
+        else:  # u runs down to s1, v down to max(u, s2)
+            s1, s2 = s
+            prob *= (hi - s1) ** 2 / 2 if s1 >= s2 else (hi - s2) ** 2 / 2 + (hi - s2) * (s2 - s1)
+    return prob
+
+
+def overflow_points(m):
+    """Per coordinate: below, at and inside each block, and above it."""
+    values = [set() for _ in range(m.dimension)]
+    for b in m.cells[0].blocks:
+        for p in b.positions:
+            c = (0 if b.axis == "x" else m.order) + p - 1
+            values[c] |= {-INF, b.lo - (b.hi - b.lo), b.lo, b.lo + (b.hi - b.lo) / 4, b.lo + (b.hi - b.lo) / 2, b.hi, b.hi * 10 + 1, INF}
+    return list(itertools.product(*map(sorted, values)))
+
+
+@pytest.mark.parametrize("m", [OVERFLOW_THEN_BACK, INFINITE_TIMES_ZERO], ids=["overflow-then-back", "infinite-times-zero"])
+def test_cells_whose_float_products_overflow_read_their_exact_orthants(m):
+    assert m.cells[0] in m._exact_cells and not m._orthant_plan[True]
+    points = overflow_points(m)
+    assert len(points) == 8 ** 4
+    for point in points:
+        assert cdf(m, point) == float(fraction_orthant(m, point, True)), point
+        assert survival(m, point) == float(fraction_orthant(m, point, False)), point
+    # Above every block the cdf is the whole mass, as is the survival below every block.
+    assert cdf(m, (INF,) * 4) == survival(m, (-INF,) * 4) == total_mass(m)
+    assert cdf(m, [1e201] * 4) == survival(m, [-1e201] * 4) == total_mass(m)
+
+
+def test_the_reproduced_overflowing_products_read_their_closed_form():
+    assert cdf(OVERFLOW_THEN_BACK, (1, 1, 1e161, 1e161)) == survival(OVERFLOW_THEN_BACK, (-1,) * 4) == 1.0
+    assert cdf(OVERFLOW_THEN_BACK, (1e-10, 1e-10, 5e159, 1e161)) == pytest.approx(0.75, rel=1e-15)
+    assert cdf(INFINITE_TIMES_ZERO, (1e201, 1e201, 1, 1)) == 0.9999999999999999
+    assert survival(INFINITE_TIMES_ZERO, (-1e201, -1, -1, -1)) == 0.9999999999999999
+    assert cdf(INFINITE_TIMES_ZERO, (-5e199, 5e199, 1, 1)) == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "m, point",
+    [
+        (OVERFLOW_THEN_BACK, (1e-10, 1e-10, 5e159, 1e161)),
+        (OVERFLOW_THEN_BACK, (5e-11, 2.5e-11, 2.5e159, 5e159)),
+        (INFINITE_TIMES_ZERO, (-5e199, 5e199, 1, 1)),
+        (INFINITE_TIMES_ZERO, (-2.5e199, 7.5e199, 5e-201, 2.5e-201)),
+    ],
+)
+def test_cells_whose_float_products_overflow_agree_with_monte_carlo(m, point):
+    inside = 0
+    for k, (event, fn) in enumerate(((LowerOrthant, cdf), (UpperOrthant, survival))):
+        exact = fn(m, point)
+        inside += 0.0 < exact < 1.0
+        est, se = mc_probability(m, event(point), 20_000, seed=500 + k)
+        assert abs(est - exact) <= 4 * max(se, 1e-4), (point, event)
+    assert inside
+
+
+def test_concordance_of_cells_whose_float_products_overflow_compares_finite_values():
+    # The same cell with its y chain on [1e150, 1e160]: every orthant value on
+    # the default grid is finite, so the report's maxima are the largest gaps.
+    (cell,) = OVERFLOW_THEN_BACK.cells
+    moved = model(2, Cell(cell.value, (cell.blocks[0], chain("y", (1, 2), 1e150, 1e160))))
+    axes = default_grid([OVERFLOW_THEN_BACK, moved], points_per_axis=3)
+    gaps = []
+    for point in itertools.product(*axes):
+        values = [fn(m, point) for fn in (cdf, survival) for m in (OVERFLOW_THEN_BACK, moved)]
+        assert all(map(math.isfinite, values)), point
+        gaps.append((values[0] - values[1], values[2] - values[3]))
+    report = concordance_check(OVERFLOW_THEN_BACK, moved, grid=axes)
+    assert report.max_cdf_violation == max(0.0, max(g for g, _ in gaps))
+    assert report.max_survival_violation == max(0.0, max(g for _, g in gaps))
+    assert report.dominated is (report.max_cdf_violation <= 1e-12 and report.max_survival_violation <= 1e-12)
+
+
+def test_a_long_chain_in_a_cell_whose_float_products_overflow_raises_only_once_reached():
+    m = model(3, Cell(1.0, (free("x", (1, 2), 0.0, 1e200), free("x", (3,), 0.0, 1.0), chain("y", (1, 2, 3), 0.0, 1.0))))
+    assert m._exact_cells == m.cells
+    assert cdf(m, (-1.0, 1.0, 1.0, 1.0, 1.0, 1.0)) == 0.0
+    assert survival(m, (2e200, 0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
+    for fn in (cdf, survival):
+        with pytest.raises(UnsupportedChainLength, match="chain of size 3"):
+            fn(m, (0.5, 0.5, 0.5, 0.5, 0.5, 0.5))
