@@ -24,6 +24,7 @@ import io
 import itertools
 import json
 import logging
+import math
 import os
 import sys
 import warnings
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import discrete as disc
 from . import piecewise as pw
-from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, OpdepError
+from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, NonFiniteInput, OpdepError
 from .estimator import empirical_opd
 from .modelio import load_model
 from .patterns import _check_tol, cross_match_probability, dependence_from_terms, rank_table
@@ -62,8 +63,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_payload(payload: dict, text_lines: Iterable[str], args: argparse.Namespace) -> None:
+    """Write the payload as JSON, or the text lines; JSON has no number for inf or NaN, so it refuses them."""
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            named = [key for key, value in payload.items() if any(
+                isinstance(v, float) and not math.isfinite(v) for v in (value if isinstance(value, list) else [value]))]
+            raise NonFiniteInput(f"JSON has no number for the non-finite {' and '.join(named) or 'value'}"
+                                 " (--format text prints it)") from None
+        _emit(text, args.out)
     else:
         _emit("\n".join(text_lines), args.out)
 

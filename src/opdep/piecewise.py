@@ -33,14 +33,16 @@ size 2; longer chains have no closed form here and route to Monte Carlo.
 
 from __future__ import annotations
 
+import graphlib
 import heapq
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -176,26 +178,34 @@ class PiecewiseUniformDensity:
 
     @cached_property
     def _exact_cells(self) -> tuple[Cell, ...]:
-        """The cells where a product that a float orthant walk makes could leave the float range.
+        """The cells where a product that a float orthant walk makes could leave the normal float range.
 
         Rounding is monotone, so each factor of a walk is at most the same
         expression on the block's width ``w``: ``w`` per interval coordinate
         and ``w * w / 2 + w * w`` for a size-2 chain, and each product at most
         these bounds' product in the walk's order, up to a longer chain, where
-        the walk raises.  Both walks evaluate these cells by :func:`_exact_terms`.
+        the walk raises.  A cell is exact when the value, an interval block's
+        running product, ``w * w`` or a chain's bound, or the running term
+        after a block is above ``sys.float_info.max`` or below
+        ``sys.float_info.min``, where an underflow part way would lose the
+        cell.  Both walks evaluate these cells by :func:`_exact_terms`.
         """
-        def may_overflow(cell: Cell) -> bool:
+        def leaves_normal(cell: Cell) -> bool:
             term = cell.value
+            products = [term]
             for b in cell.blocks:
                 w = b.length
                 if b.kind == "chain" and b.size > 2:
                     break
-                term *= math.prod(itertools.repeat(w, b.size)) if b.kind == "free" or b.size == 1 else w * w / 2 + w * w
-                if not math.isfinite(term):
-                    return True
-            return False
+                if b.kind == "free" or b.size == 1:
+                    products += itertools.accumulate(itertools.repeat(w, b.size), operator.mul)
+                else:
+                    products += (w * w, w * w / 2 + w * w)
+                term *= products[-1]
+                products.append(term)
+            return not all(sys.float_info.min <= p <= sys.float_info.max for p in products)
 
-        return tuple(filter(may_overflow, self.cells))
+        return tuple(filter(leaves_normal, self.cells))
 
     @cached_property
     def _orthant_plan(self) -> tuple[tuple, tuple]:
@@ -331,71 +341,39 @@ def total_mass(model: PiecewiseUniformDensity) -> float:
     return _masses(model)[1]
 
 
-def _cell_coordinate_intervals(cell: Cell, order: int) -> list[tuple[float, float]]:
-    intervals = {coordinate_index(order, b.axis, p): (b.lo, b.hi) for b in cell.blocks for p in b.positions}
-    return [intervals[c] for c in sorted(intervals)]
-
-
-def _cell_strict_edges(cell: Cell, order: int) -> list[tuple[int, int]]:
-    """Strict order constraints (u < v on coordinate indices) from chain blocks."""
-    edges: list[tuple[int, int]] = []
-    for block in cell.blocks:
-        if block.kind == "chain":
-            idx = [coordinate_index(order, block.axis, p) for p in block.positions]
-            edges.extend(zip(idx, idx[1:]))
-    return edges
-
-
-def _order_constraints_feasible(
-    bounds: Sequence[tuple[float, float]], edges: Iterable[tuple[int, int]]
-) -> bool:
-    """Whether open boxes plus strict order constraints admit any point.
-
-    The constraint graph is propagated in topological order: the reachable
-    infimum of a coordinate is the max of its own lower bound and those of
-    its predecessors.  A directed cycle forces equality somewhere, which an
-    open region cannot satisfy.
-    """
-    n = len(bounds)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for u, v in edges:
-        succ[u].append(v)
-        indeg[v] += 1
-    queue = [i for i in range(n) if indeg[i] == 0]
-    lower = [b[0] for b in bounds]
-    seen = 0
-    while queue:
-        u = queue.pop()
-        seen += 1
-        if lower[u] >= bounds[u][1]:
-            return False
-        for v in succ[u]:
-            lower[v] = max(lower[v], lower[u])
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return seen == n
-
-
 def cells_overlap(cell_a: Cell, cell_b: Cell, order: int) -> bool:
     """Whether two cells' regions intersect on a set of positive measure.
 
-    The intersection is the product of per-coordinate interval overlaps cut
-    by both cells' chain constraints; it has positive measure exactly when
-    the open-interval intersections are all nonempty and the combined
-    strict order constraints are feasible.
+    The intersection is the product of per-coordinate open-interval overlaps
+    cut by both cells' chain constraints ``u < v``.  It has positive measure
+    exactly when every overlap is nonempty, the constraints are acyclic (a
+    cycle forces equality somewhere), and, walked in topological order, no
+    coordinate's infimum, the largest lower bound of it and its
+    predecessors, reaches its upper bound.
     """
-    intervals_a = _cell_coordinate_intervals(cell_a, order)
-    intervals_b = _cell_coordinate_intervals(cell_b, order)
-    bounds: list[tuple[float, float]] = []
-    for (lo_a, hi_a), (lo_b, hi_b) in zip(intervals_a, intervals_b):
-        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-        if lo >= hi:
-            return False
-        bounds.append((lo, hi))
-    edges = _cell_strict_edges(cell_a, order) + _cell_strict_edges(cell_b, order)
-    return _order_constraints_feasible(bounds, edges)
+    bounds: dict[int, tuple[float, float]] = {}
+    before: dict[int, set[int]] = {}
+    for cell in (cell_a, cell_b):
+        for b in cell.blocks:
+            coords = [coordinate_index(order, b.axis, p) for p in b.positions]
+            for c in coords:
+                lo, hi = bounds.get(c, (b.lo, b.hi))
+                bounds[c] = max(lo, b.lo), min(hi, b.hi)
+                before.setdefault(c, set())
+            if b.kind == "chain":
+                for u, v in zip(coords, coords[1:]):
+                    before[v].add(u)
+    if any(lo >= hi for lo, hi in bounds.values()):
+        return False
+    infimum: dict[int, float] = {}
+    try:
+        for c in graphlib.TopologicalSorter(before).static_order():
+            infimum[c] = max([bounds[c][0], *(infimum[p] for p in before[c])])
+            if infimum[c] >= bounds[c][1]:
+                return False
+    except graphlib.CycleError:
+        return False
+    return True
 
 
 def validate(
@@ -566,7 +544,9 @@ def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
     ``point`` may contain infinities, so marginals are plain evaluations
     with the remaining coordinates at +inf.  Each cell's term is its value
     times its blocks' volumes, multiplied in floats; a cell where such a
-    product could overflow has its term computed exactly and rounded once.
+    product could leave the normal float range, above or below, has its term
+    computed exactly and rounded once.  A coordinate within about 1e-308 of
+    a block edge can still make its own factor, and so the term, subnormal.
 
     Raises:
         UnsupportedChainLength: a cell not yet zero at ``point`` reaches a chain of size >= 3.

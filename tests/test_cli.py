@@ -328,6 +328,27 @@ def test_a_block_wider_than_the_float_range_is_a_format_error(capsys, tmp_path, 
     assert err.startswith("error: model format: cells[0].blocks[0]: ") and "Traceback" not in err
 
 
+def test_a_non_finite_result_is_text_only(capsys, tmp_path):
+    """The chain's mass overflows, so model validate refuses the model, but model cdf does not validate."""
+    blocks = [
+        {"axis": "x", "positions": [1, 2], "lo": "1e308", "hi": "1.7e308", "kind": "chain"},
+        {"axis": "y", "positions": [1, 2], "lo": "0.0", "hi": "1.0", "kind": "free"},
+    ]
+    path = tmp_path / "overflowing-mass.json"
+    path.write_text(json.dumps({"kind": "piecewise", "order": 2, "cells": [{"value": "1.0", "blocks": blocks}]}))
+    point = "--point=1.5e308,1.6e308,1,1"
+    assert run_cli(capsys, "model", "cdf", str(path), point) == (0, "cdf inf\nsurvival 0.0\n", "")
+    out_file = tmp_path / "out.json"
+    for extra in ([], ["--out", str(out_file)]):
+        code, out, err = run_cli(capsys, "model", "cdf", str(path), point, "--format", "json", *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: JSON has no number for the non-finite cdf (--format text prints it)\n"
+    assert not out_file.exists()
+    # An infinite coordinate of the point has no JSON number either.
+    code, out, err = run_cli(capsys, "model", "cdf", str(path), "--point=inf,inf,1,1", "--format", "json")
+    assert (code, out) == (2, "") and err.startswith("error: JSON has no number for the non-finite point")
+
+
 def test_a_chain_of_171_positions_validates_to_its_mass(capsys, tmp_path):
     """171! is above the float range, but the cell's mass 1e300 / 171! is not."""
     positions = list(range(1, 172))

@@ -4,10 +4,11 @@ import itertools
 import math
 import sys
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from opdep.errors import (
     AmbiguousBlockOrder,
@@ -32,6 +33,7 @@ from opdep.piecewise import (
     cell_mass,
     cells_overlap,
     concordance_check,
+    coordinate_index,
     default_grid,
     exact_opd,
     joint_pattern_distribution,
@@ -276,6 +278,144 @@ def test_order_constraint_propagation_detects_infeasibility():
         (free("x", (1,), 0.6, 1.0), free("x", (2,), 0.0, 0.9), free("y", (1, 2), 0, 1)),
     )
     assert cells_overlap(a, c, 2)
+
+
+# --- overlap against the propagator it replaced ------------------------------
+# ``cells_overlap`` and its helpers as they were when the overlap check ran
+# its own topological sort, kept verbatim but for the renamed entry point.
+
+def _cell_coordinate_intervals(cell: Cell, order: int) -> list[tuple[float, float]]:
+    intervals = {coordinate_index(order, b.axis, p): (b.lo, b.hi) for b in cell.blocks for p in b.positions}
+    return [intervals[c] for c in sorted(intervals)]
+
+
+def _cell_strict_edges(cell: Cell, order: int) -> list[tuple[int, int]]:
+    """Strict order constraints (u < v on coordinate indices) from chain blocks."""
+    edges: list[tuple[int, int]] = []
+    for block in cell.blocks:
+        if block.kind == "chain":
+            idx = [coordinate_index(order, block.axis, p) for p in block.positions]
+            edges.extend(zip(idx, idx[1:]))
+    return edges
+
+
+def _order_constraints_feasible(
+    bounds: Sequence[tuple[float, float]], edges: Iterable[tuple[int, int]]
+) -> bool:
+    """Whether open boxes plus strict order constraints admit any point.
+
+    The constraint graph is propagated in topological order: the reachable
+    infimum of a coordinate is the max of its own lower bound and those of
+    its predecessors.  A directed cycle forces equality somewhere, which an
+    open region cannot satisfy.
+    """
+    n = len(bounds)
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for u, v in edges:
+        succ[u].append(v)
+        indeg[v] += 1
+    queue = [i for i in range(n) if indeg[i] == 0]
+    lower = [b[0] for b in bounds]
+    seen = 0
+    while queue:
+        u = queue.pop()
+        seen += 1
+        if lower[u] >= bounds[u][1]:
+            return False
+        for v in succ[u]:
+            lower[v] = max(lower[v], lower[u])
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                queue.append(v)
+    return seen == n
+
+
+def oracle_cells_overlap(cell_a: Cell, cell_b: Cell, order: int) -> bool:
+    """Whether two cells' regions intersect on a set of positive measure.
+
+    The intersection is the product of per-coordinate interval overlaps cut
+    by both cells' chain constraints; it has positive measure exactly when
+    the open-interval intersections are all nonempty and the combined
+    strict order constraints are feasible.
+    """
+    intervals_a = _cell_coordinate_intervals(cell_a, order)
+    intervals_b = _cell_coordinate_intervals(cell_b, order)
+    bounds: list[tuple[float, float]] = []
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(intervals_a, intervals_b):
+        lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
+        if lo >= hi:
+            return False
+        bounds.append((lo, hi))
+    edges = _cell_strict_edges(cell_a, order) + _cell_strict_edges(cell_b, order)
+    return _order_constraints_feasible(bounds, edges)
+
+
+def overlap_outcome(a, b, order):
+    """Why the oracle answers as it does: the four cases the check tells apart."""
+    bounds = [
+        (max(lo_a, lo_b), min(hi_a, hi_b))
+        for (lo_a, hi_a), (lo_b, hi_b) in zip(_cell_coordinate_intervals(a, order), _cell_coordinate_intervals(b, order))
+    ]
+    if any(lo >= hi for lo, hi in bounds):
+        return "disjoint boxes"
+    edges = _cell_strict_edges(a, order) + _cell_strict_edges(b, order)
+    if not _order_constraints_feasible([(-INF, INF)] * len(bounds), edges):
+        return "chain cycle"
+    return "overlap" if _order_constraints_feasible(bounds, edges) else "propagation refuses"
+
+
+FREE_Y = free("y", (1, 2), 0.0, 1.0)
+X_CHAIN = Cell(1.0, (chain("x", (1, 2), 0.0, 1.0), FREE_Y))
+OVERLAP_CASES = {
+    # x1 on [-1, -0.0] against [0.0, 1]: the open intersection is empty.
+    "disjoint boxes": (Cell(1.0, (free("x", (1,), -1.0, -0.0), free("x", (2,), 0.0, 1.0), FREE_Y)),
+                       Cell(1.0, (free("x", (1, 2), 0.0, 1.0), FREE_Y)), 2),
+    "chain cycle": (X_CHAIN, Cell(1.0, (chain("x", (2, 1), 0.0, 1.0), FREE_Y)), 2),
+    # x1 < x2 with x1 in (0.5, 1) and x2 in (0, 0.5): x2's infimum 0.5 is its supremum.
+    "propagation refuses": (X_CHAIN, Cell(1.0, (free("x", (1,), 0.5, 1.0), free("x", (2,), 0.0, 0.5), FREE_Y)), 2),
+    "overlap": (X_CHAIN, Cell(1.0, (free("x", (1, 2), 0.0, 1.0), FREE_Y)), 2),
+}
+# Shared endpoints, and both zeros, which compare equal.
+OVERLAP_LATTICE = (-1.0, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+@st.composite
+def overlap_cells(draw, order):
+    """A cell whose blocks partition 1..order on each axis, each free or a chain, on lattice bounds."""
+    bounds = st.sampled_from([(lo, hi) for lo in OVERLAP_LATTICE for hi in OVERLAP_LATTICE if lo < hi])
+    blocks = []
+    for axis in ("x", "y"):
+        positions = draw(st.permutations(range(1, order + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, order - 1)))) if order > 1 else []
+        for start, stop in zip([0, *cuts], [*cuts, order]):
+            lo, hi = draw(bounds)
+            blocks.append(Block(axis, tuple(positions[start:stop]), lo, hi, draw(st.sampled_from(("free", "chain")))))
+    return Cell(1.0, tuple(blocks))
+
+
+@st.composite
+def overlap_pairs(draw):
+    order = draw(st.integers(1, 4))
+    return draw(overlap_cells(order)), draw(overlap_cells(order)), order
+
+
+def test_the_overlap_examples_cover_all_four_outcomes():
+    assert [overlap_outcome(*case) for case in OVERLAP_CASES.values()] == list(OVERLAP_CASES)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(overlap_pairs())
+@example(OVERLAP_CASES["disjoint boxes"])
+@example(OVERLAP_CASES["chain cycle"])
+@example(OVERLAP_CASES["propagation refuses"])
+@example(OVERLAP_CASES["overlap"])
+def test_cells_overlap_matches_the_propagator_it_replaced(pair):
+    a, b, order = pair
+    event(overlap_outcome(a, b, order))
+    expected = oracle_cells_overlap(a, b, order)
+    assert cells_overlap(a, b, order) is expected
+    assert cells_overlap(b, a, order) is oracle_cells_overlap(b, a, order) is expected
 
 
 # --- distribution functions -----------------------------------------------
@@ -704,15 +844,21 @@ def test_a_grid_whose_width_is_finite_keeps_the_plain_interpolation():
             assert axis == [a + (b - a) * i / (n - 1) for i in range(n)]
 
 
-# --- cells whose float products overflow ------------------------------------------
-# Both are one-cell models of mass 1 up to rounding.  In the first, the y
+# --- cells whose float products overflow or underflow -----------------------------
+# All three are one-cell models of mass 1 up to rounding.  In the first, the y
 # chain's w * w is above the float range; in the second, the two x widths
-# multiply to 1e400 before the y block's 1e-400 brings the term back.
+# multiply to 1e400 before the y block's 1e-400 brings the term back; in the
+# third, the value times the x block's 1e-40 is 1e-340, below every float,
+# before the y blocks' 1e340 would bring it back.
 
 OVERFLOW_THEN_BACK = model(2, Cell(2e-300, (free("x", (1, 2), 0.0, 1e-10), chain("y", (1, 2), 0.0, 1e160))))
 INFINITE_TIMES_ZERO = model(
     2,
     Cell(1.0, (free("x", (1,), -1e200, 0.0), free("x", (2,), 0.0, 1e200), free("y", (1, 2), 0.0, 1e-200))),
+)
+UNDERFLOW_PART_WAY = model(
+    2,
+    Cell(1e-300, (free("x", (1, 2), 0.0, 1e-20), free("y", (1,), 0.0, 1e170), free("y", (2,), 1e170, 2e170))),
 )
 
 
@@ -746,7 +892,11 @@ def overflow_points(m):
     return list(itertools.product(*map(sorted, values)))
 
 
-@pytest.mark.parametrize("m", [OVERFLOW_THEN_BACK, INFINITE_TIMES_ZERO], ids=["overflow-then-back", "infinite-times-zero"])
+@pytest.mark.parametrize(
+    "m",
+    [OVERFLOW_THEN_BACK, INFINITE_TIMES_ZERO, UNDERFLOW_PART_WAY],
+    ids=["overflow-then-back", "infinite-times-zero", "underflow-part-way"],
+)
 def test_cells_whose_float_products_overflow_read_their_exact_orthants(m):
     assert m.cells[0] in m._exact_cells and not m._orthant_plan[True]
     points = overflow_points(m)
@@ -767,6 +917,12 @@ def test_the_reproduced_overflowing_products_read_their_closed_form():
     assert cdf(INFINITE_TIMES_ZERO, (-5e199, 5e199, 1, 1)) == pytest.approx(0.25, rel=1e-15)
 
 
+def test_the_reproduced_underflowing_products_read_their_closed_form():
+    m = UNDERFLOW_PART_WAY
+    assert cdf(m, (1, 1, 3e170, 3e170)) == survival(m, (-1,) * 4) == total_mass(m) == 1.0
+    assert cdf(m, (1, 1, 5e169, 3e170)) == 0.5
+
+
 @pytest.mark.parametrize(
     "m, point",
     [
@@ -774,6 +930,8 @@ def test_the_reproduced_overflowing_products_read_their_closed_form():
         (OVERFLOW_THEN_BACK, (5e-11, 2.5e-11, 2.5e159, 5e159)),
         (INFINITE_TIMES_ZERO, (-5e199, 5e199, 1, 1)),
         (INFINITE_TIMES_ZERO, (-2.5e199, 7.5e199, 5e-201, 2.5e-201)),
+        (UNDERFLOW_PART_WAY, (1, 1, 5e169, 3e170)),
+        (UNDERFLOW_PART_WAY, (5e-21, 2.5e-21, 2.5e169, 1.5e170)),
     ],
 )
 def test_cells_whose_float_products_overflow_agree_with_monte_carlo(m, point):
