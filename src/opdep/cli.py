@@ -39,7 +39,7 @@ from . import piecewise as pw
 from .errors import DegenerateDistribution, InvalidParameter, ModelFormatError, NonFiniteInput, OpdepError
 from .estimator import empirical_opd
 from .modelio import load_model
-from .patterns import _check_tol, cross_match_probability, dependence_from_terms, rank_table
+from .patterns import _check_tol, dependence_from_pattern_terms, rank_table
 from .scenarios import SCENARIOS, run_scenario
 
 log = logging.getLogger("opdep")
@@ -284,8 +284,8 @@ def cmd_model(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "opd":
-        coincidence, px, py = engine.pattern_terms(model)
-        value = dependence_from_terms(coincidence, cross_match_probability(px, py), tol=args.tol)
+        terms = engine.pattern_terms(model)
+        value, coincidence = dependence_from_pattern_terms(terms, args.tol), terms[0]
         payload = {"value": value, "coincidence": coincidence}
         _emit_payload(payload, [f"value {value}", f"coincidence {coincidence}"], args)
         return 0
@@ -302,7 +302,7 @@ def cmd_model(args: argparse.Namespace) -> int:
         point = _parse_point(args.point)
         lower = engine.cdf(model, point)
         upper = engine.survival(model, point)
-        payload = {"point": list(point), "cdf": lower, "survival": upper}
+        payload = {"point": [v if math.isfinite(v) else repr(v) for v in point], "cdf": lower, "survival": upper}
         _emit_payload(payload, [f"cdf {lower}", f"survival {upper}"], args)
         return 0
 

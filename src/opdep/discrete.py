@@ -54,8 +54,7 @@ from .patterns import (
     PatternDistribution,
     _check_tol,
     _integer,
-    cross_match_probability,
-    dependence_from_terms,
+    dependence_from_pattern_terms,
     pattern_codes,
 )
 from .randomness import check_count, make_rng
@@ -349,8 +348,7 @@ def exact_opd(dist: DiscreteJoint) -> float:
         DegenerateDistribution: the independent-copy coincidence is 1, e.g.
             when both windows are almost surely in the same fixed pattern.
     """
-    coincidence, px, py = pattern_terms(dist)
-    return dependence_from_terms(coincidence, cross_match_probability(px, py))
+    return dependence_from_pattern_terms(pattern_terms(dist))
 
 
 # The package-level ``opdep.exact_opd`` is the piecewise one.

@@ -267,3 +267,10 @@ def dependence_from_terms(coincidence: float, cross_term: float, tol: float = 1e
         )
     return (coincidence - cross_term) / denom
 
+
+def dependence_from_pattern_terms(
+    terms: tuple[float, PatternDistribution, PatternDistribution], tol: float = 1e-12
+) -> float:
+    """:func:`dependence_from_terms` of an engine's ``pattern_terms``: coincidence and the X and Y pattern laws."""
+    coincidence, px, py = terms
+    return dependence_from_terms(coincidence, cross_match_probability(px, py), tol)

@@ -62,8 +62,7 @@ from .patterns import (
     PatternDistribution,
     _check_tol,
     _integer,
-    cross_match_probability,
-    dependence_from_terms,
+    dependence_from_pattern_terms,
     enumerate_patterns,
     pattern_codes,
     rank_table,
@@ -715,8 +714,7 @@ def exact_opd(model: PiecewiseUniformDensity) -> float:
         DegenerateDistribution: both pattern marginals are the same point
             mass, so the coefficient is undefined.
     """
-    coincidence, px, py = pattern_terms(model)
-    return dependence_from_terms(coincidence, cross_match_probability(px, py))
+    return dependence_from_pattern_terms(pattern_terms(model))
 
 
 def default_grid(

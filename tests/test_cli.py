@@ -344,9 +344,13 @@ def test_a_non_finite_result_is_text_only(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == "error: JSON has no number for the non-finite cdf (--format text prints it)\n"
     assert not out_file.exists()
-    # An infinite coordinate of the point has no JSON number either.
-    code, out, err = run_cli(capsys, "model", "cdf", str(path), "--point=inf,inf,1,1", "--format", "json")
-    assert (code, out) == (2, "") and err.startswith("error: JSON has no number for the non-finite point")
+    # An infinite coordinate of the point is written as a string, as model files write reals.
+    marginal = str(MODEL_FILES[0].parent / "counterexample_f.json")
+    code, out, err = run_cli(capsys, "model", "cdf", marginal, "--point=inf,0.5,-inf,inf", "--format", "json")
+    assert (code, err) == (0, "") and json.loads(out)["point"] == ["inf", 0.5, "-inf", "inf"]
+    code, out, err = run_cli(capsys, "model", "cdf", marginal, "--point=inf,0.5,inf,inf", "--format", "json")
+    payload = {"point": ["inf", 0.5, "inf", "inf"], "cdf": 0.25, "survival": 0.0}
+    assert (code, out, err) == (0, json.dumps(payload, indent=2) + "\n", "")
 
 
 def test_a_chain_of_171_positions_validates_to_its_mass(capsys, tmp_path):
