@@ -547,7 +547,7 @@ class _ViolationColumns(Sequence):
         return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionSkip(Record):
     """A conditioning combination that could not be evaluated."""
 

@@ -482,40 +482,14 @@ def _orthant_probability(model: PiecewiseUniformDensity, pt: tuple[float, ...], 
     return math.fsum(terms)
 
 
-def _orthant_grid(
-    model: PiecewiseUniformDensity, axes: Sequence[Sequence[float]], lower: bool
-) -> Iterator[float]:
-    """:func:`_orthant_probability` at each point of ``itertools.product(*axes)``, in order.
+def _carry(cells: Sequence[tuple[float, Sequence[tuple]]], idx: tuple[int, ...]) -> list[float]:
+    """Each (term, factors) cell's term times its factors looked up at grid index ``idx``, with the walk's early exits.
 
-    Each block's factors are tabulated once by that walk's expressions, one
-    entry per value of its coordinate's axis, or per pair of values for a
-    size-2 chain.  Each point multiplies its looked-up factors in the same
-    order and with the same early exits, so every value is that walk's, bit
-    for bit, and a chain of size 3 or more raises only where a term still
-    nonzero reaches it.  The cells of ``_exact_cells`` are evaluated
-    per point by :func:`_exact_terms`.
+    A term that is already 0.0 is the one the walk stopped at, so it stays.
     """
-    tables = []
-    for value, blocks in model._orthant_plan[lower]:
-        factors = []
-        for interval, centre, lo, hi, size, coords in blocks:
-            if interval:
-                table = [(c, [max(0.0, min(t if lower else centre - t, hi) - lo) for t in axes[c]]) for c in coords]
-            elif size == 2:
-                c1, c2 = coords
-                if lower:
-                    rows = [[_chain2_lower(lo, hi, t1, t2) for t2 in axes[c2]] for t1 in axes[c1]]
-                else:
-                    rows = [[_chain2_lower(lo, hi, centre - t2, centre - t1) for t2 in axes[c2]] for t1 in axes[c1]]
-                table = (c1, c2, rows)
-            else:
-                table = None
-            factors.append((interval, size, table))
-        tables.append((value, factors))
-    exact = model._exact_cells
-    for idx in itertools.product(*(range(len(axis)) for axis in axes)):
-        terms = []
-        for term, factors in tables:
+    terms = []
+    for term, factors in cells:
+        if term != 0.0:
             for interval, size, table in factors:
                 if interval:
                     vol = 1.0
@@ -531,10 +505,66 @@ def _orthant_grid(
                 term *= vol
                 if term == 0.0:
                     break
-            terms.append(term)
-        if exact:
-            terms += _exact_terms(model, tuple(map(operator.getitem, axes, idx)), lower)
-        yield math.fsum(terms)
+        terms.append(term)
+    return terms
+
+
+def _orthant_grid(
+    model: PiecewiseUniformDensity, axes: Sequence[Sequence[float]], lower: bool
+) -> Iterator[float]:
+    """:func:`_orthant_probability` at each point of ``itertools.product(*axes)``, in order.
+
+    Each block's factors are tabulated once by that walk's expressions, one
+    entry per value of its coordinate's axis, or per pair of values for a
+    size-2 chain.  Each point multiplies its looked-up factors in the same
+    order and with the same early exits, so every value is that walk's, bit
+    for bit, and a chain of size 3 or more raises only where a term still
+    nonzero reaches it.  The cells of ``_exact_cells`` are evaluated
+    per point by :func:`_exact_terms`.
+
+    The product varies the y coordinates fastest, and a cell's X and Y
+    blocks are separate factors, so each cell's X part, the leading run of
+    its x blocks that are interval blocks or size-2 chains, is multiplied
+    once per x-window, the values of the first ``model.order`` axes.  Each
+    point of the window carries that partial term through the cell's
+    remaining blocks, a longer chain among them; a partial term of 0.0 is
+    where the walk would stop.  Only the partial terms of one window are
+    kept, so memory still grows with the axis lengths, not the points.
+    """
+    order = model.order
+    x_parts, y_parts = [], []
+    for value, blocks in model._orthant_plan[lower]:
+        factors = []
+        for interval, centre, lo, hi, size, coords in blocks:
+            if interval:
+                table = [(c, [max(0.0, min(t if lower else centre - t, hi) - lo) for t in axes[c]]) for c in coords]
+            elif size == 2:
+                c1, c2 = coords
+                if lower:
+                    rows = [[_chain2_lower(lo, hi, t1, t2) for t2 in axes[c2]] for t1 in axes[c1]]
+                else:
+                    rows = [[_chain2_lower(lo, hi, centre - t2, centre - t1) for t2 in axes[c2]] for t1 in axes[c1]]
+                table = (c1, c2, rows)
+            else:
+                table = None
+            factors.append((interval, size, table))
+        split = next(
+            (i for i, (interval, _, _, _, size, coords) in enumerate(blocks)
+             if coords[0] >= order or not (interval or size == 2)),
+            len(blocks),
+        )
+        x_parts.append((value, factors[:split]))
+        y_parts.append(factors[split:])
+    exact = model._exact_cells
+    ranges = [range(len(axis)) for axis in axes]
+    for x_idx in itertools.product(*ranges[:order]):
+        partials = list(zip(_carry(x_parts, x_idx), y_parts))
+        for y_idx in itertools.product(*ranges[order:]):
+            idx = x_idx + y_idx
+            terms = _carry(partials, idx)
+            if exact:
+                terms += _exact_terms(model, tuple(map(operator.getitem, axes, idx)), lower)
+            yield math.fsum(terms)
 
 
 def cdf(model: PiecewiseUniformDensity, point: Sequence[float]) -> float:
@@ -766,9 +796,11 @@ def concordance_check(
 
     The grid is checked once, before any evaluation.  Each model's block
     factors are then tabulated once per orthant over the axis values, and
-    each point's four orthant probabilities are read from those tables;
-    they equal :func:`cdf` and :func:`survival` at that point, bit for bit,
-    and the tables grow with the axis lengths, not the points.  The
+    each point's four orthant probabilities are read from those tables, a
+    cell's leading x blocks once per x-window (the first ``order`` axes'
+    values) and its other blocks per point; they equal :func:`cdf` and
+    :func:`survival` at that point, bit for bit, and the tables grow with
+    the axis lengths, not the points.  The
     witnesses are at most 20 of the points where a violation exceeds
     ``tol``: the largest violation first, and points of equal violation in
     the order ``itertools.product`` visits them.  The sweep keeps only those

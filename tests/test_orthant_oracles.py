@@ -253,7 +253,9 @@ def test_long_chains_raise_exactly_where_the_oracle_does(data):
 def test_a_long_chain_raises_only_once_its_cell_is_reached():
     # The x block comes first: where it has no volume the chain is never evaluated,
     # and where it has, both functions raise; neither construction nor the plan does.
-    model = PiecewiseUniformDensity(
+    # The grid walk multiplies that block once per x-window and must raise at the
+    # same point, with the chain on the other axis or on the x axis after it.
+    y_chain = PiecewiseUniformDensity(
         order=3,
         cells=(
             Cell(1.0, (
@@ -262,15 +264,30 @@ def test_a_long_chain_raises_only_once_its_cell_is_reached():
             )),
         ),
     )
-    returned = raised = 0
-    for x, y in itertools.product((-1.0, -0.0, 0.0, 0.5, 1.0, 2.0), repeat=2):
-        for out in assert_matches(model, (x, 0.5, 0.5, y, y, y)):
-            if isinstance(out, str):
-                returned += 1
-            else:
-                assert out[0] is UnsupportedChainLength
-                raised += 1
-    assert returned and raised
+    x_chain = PiecewiseUniformDensity(
+        order=4,
+        cells=(
+            Cell(1.0, (
+                Block("x", (1,), 0.0, 1.0, "free"),
+                Block("x", (2, 3, 4), 0.0, 1.0, "chain"),
+                Block("y", (1, 2, 3, 4), 0.0, 1.0, "free"),
+            )),
+        ),
+    )
+    values = (-1.0, -0.0, 0.0, 0.5, 1.0, 2.0)
+    for model in (y_chain, x_chain):
+        rest = (0.5,) * (model.order - 1)
+        returned = raised = 0
+        for x, y in itertools.product(values, repeat=2):
+            for out in assert_matches(model, (x, *rest, *(y,) * model.order)):
+                if isinstance(out, str):
+                    returned += 1
+                else:
+                    assert out[0] is UnsupportedChainLength
+                    raised += 1
+        assert returned and raised
+        for x_values in (values, values[::-1]):
+            assert_walks_match(model, [x_values, *([v] for v in rest), *[[-1.0, 0.5, 2.0]] * model.order])
 
 
 @pytest.mark.parametrize(
@@ -529,6 +546,31 @@ def test_grid_walk_matches_on_the_shipped_models_and_counterexample_grids():
         assert_walks_match(model, pw.default_grid([model], points_per_axis=5))
     models_ = build_counterexample()
     assert_walks_match(models_.f_star, [[-math.inf, 0.25, 0.25, 1.0, math.inf]] * 4)
+    # The walk multiplies a cell's leading run of x blocks once per x-window: here
+    # that run is empty (y blocks first) or stops at a y block between two x blocks.
+    plain = Cell(0.5, (Block("x", (1, 2), 1.0, 2.0, "chain"), Block("y", (1, 2), 1.0, 2.0, "free")))
+    y_first = Cell(2.0, (
+        Block("y", (1, 2), 0.0, 1.0, "chain"), Block("x", (2,), 0.25, 1.0, "free"), Block("x", (1,), 0.0, 0.5, "free"),
+    ))
+    interleaved = Cell(3.0, (
+        Block("x", (1,), 0.0, 1.0, "free"), Block("y", (2, 1), 0.0, 1.0, "chain"), Block("x", (2,), 0.5, 2.0, "free"),
+    ))
+    for cells in ((y_first,), (interleaved,), (y_first, plain), (plain, interleaved, y_first)):
+        model = PiecewiseUniformDensity(2, cells)
+        assert_walks_match(model, pw.default_grid([model], points_per_axis=5))
+    # Value 5e-324 makes a cell exact, so it is evaluated per point beside the
+    # split of the others, and its term rounds to 0.0 on the x-windows near 0.
+    # Value 1e-300 keeps a cell in the float walk, whose x part underflows to
+    # 0.0 on the x-windows at 1e-30 as the scalar walk's product does.
+    free = (Block("x", (1, 2), 0.0, 1.0, "free"), Block("y", (1, 2), 0.0, 1.0, "free"))
+    tiny, small = Cell(5e-324, free), Cell(1e-300, free)
+    model = PiecewiseUniformDensity(2, (tiny, small, plain))
+    assert model._exact_cells == (tiny,)
+    alone = PiecewiseUniformDensity(2, (small,))
+    assert pw.cdf(alone, (1e-30, 0.5, 1.0, 1.0)) == 0.0 < pw.cdf(alone, (0.5, 0.5, 1.0, 1.0))
+    assert pw.cdf(PiecewiseUniformDensity(2, (tiny,)), (1e-30, 0.5, 1.0, 1.0)) == 0.0
+    for axis in ([-1.0, 1e-30, 0.5, 2.0], [2.0, 0.5, 1e-30, 1e-300]):
+        assert_walks_match(model, [axis] * 4)
 
 
 def test_grid_walk_matches_on_cells_whose_float_products_overflow():

@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from opdep import piecewise as pw
 from opdep.discrete import (
+    ConditionSkip,
     ConditionViolation,
     DiscreteJoint,
     _ViolationColumns,
@@ -218,6 +219,14 @@ def test_violations_are_slotted_records():
         assert restored == v and hash(restored) == hash(v) and repr(restored) == repr(v)
     restored = pickle.loads(pickle.dumps(report))
     assert restored == report and json.dumps(restored.to_dict()) == json.dumps(report.to_dict())
+    skip = report.skipped[0]
+    assert type(skip) is ConditionSkip and not hasattr(skip, "__dict__")
+    copy = ConditionSkip(**{name: getattr(skip, name) for name in ConditionSkip.__slots__})
+    assert copy == skip and hash(copy) == hash(skip) and repr(copy) == repr(skip)
+    assert json.dumps(skip.to_dict()) == json.dumps(oracle_skip(skip))
+    for s in report.skipped:
+        restored = pickle.loads(pickle.dumps(s))
+        assert restored == s and hash(restored) == hash(s) and repr(restored) == repr(s)
 
 
 # Two parts by hand: a variant-A subset on a 3 x 3 grid and a variant-B one on
